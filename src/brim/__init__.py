@@ -9,6 +9,7 @@ from .errors import (  # noqa: F401
     ComputationLimit,
     DegreeDeficiency,
     InfiniteColength,
+    InternalError,
     InvalidDegree,
     InvalidInput,
     NoStabilization,

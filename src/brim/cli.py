@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .errors import BrimError, ComputationLimit, InvalidInput
+from .errors import BrimError, ComputationLimit, InternalError, InvalidInput
 from .hilbert import (
     DEFAULT_CONFIG,
     Evaluator,
@@ -452,6 +452,9 @@ def main(argv=None) -> int:
     except ComputationLimit as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except BrimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,8 @@
 
 Exit-code mapping used by the CLI: InvalidInput and its subclasses are user
 errors (exit 2), ComputationLimit and its subclasses are resource/stabilization
-failures (exit 3), anything else is an internal failure (exit 4).
+failures (exit 3), InternalError and anything else is an internal failure
+(exit 4).
 """
 
 
@@ -72,3 +73,7 @@ class DegreeDeficiency(ComputationLimit):
 
 class SuperficialSamplingFailed(ComputationLimit):
     """No sampled candidate passed superficiality verification."""
+
+
+class InternalError(BrimError):
+    """An internal invariant failed: a bug in brim, not in the input."""

@@ -3,9 +3,17 @@
 A t-homogeneous polynomial of degree e is a vector over R = k[x1..xd] whose
 positions are the degree-e t-monomials; leading-term divisibility therefore
 requires equal t-exponents and componentwise <= on x-exponents.  S-pairs are
-only formed between elements whose leading positions coincide.  The product
-(coprimality) criterion is not sound in the module setting and is not used;
-the chain criterion is.
+only formed between elements whose leading positions coincide, and leading
+terms are indexed by position, so every scan stays inside one position.
+
+Pairs are pruned by the Gebauer-Moeller update (J. Symb. Comput. 6, 1988),
+applied one position at a time as each element joins the basis: criterion
+B_k drops queued pairs that now have a chain through the new element, and
+M/F keep, of the new element's pairs, only those whose lcm no other new lcm
+divides.  No pair rescans the basis.  The product (coprimality) criterion is
+left out: it rests on f*g = g*f for ring elements, and two module elements at
+the same position with coprime leading monomials need not have an S-pair
+that reduces to zero.
 """
 
 from __future__ import annotations
@@ -165,14 +173,26 @@ def _sugar(f: Polynomial) -> int:
     return max(m.xdeg for m, _ in f.items())
 
 
+def _xdivides(a: tuple, b: tuple) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _xlcm(a: tuple, b: tuple) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
 def _minimalize_monomials(ring, tdeg, order, monos):
     """Reduced basis for monomial generators: drop dominated monomials."""
-    monos = sorted(set(monos))  # componentwise divisors sort first
-    kept = []
-    for m in monos:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    elems = [Polynomial.from_monomial(ring, m, 1) for m in kept]
+    kept = {}  # position -> kept x-exponents
+    for m in sorted(set(monos)):  # componentwise divisors sort first
+        at_pos = kept.setdefault(m.texp, [])
+        if not any(_xdivides(k, m.xexp) for k in at_pos):
+            at_pos.append(m.xexp)
+    elems = [
+        Polynomial.from_monomial(ring, Monomial(pos, x), 1)
+        for pos, xs in kept.items()
+        for x in xs
+    ]
     elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
     return GroebnerBasis(ring, tdeg, order, elems)
 
@@ -194,24 +214,47 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     G = []
     lts = []
     sugars = []
-    pairs = []
-    done = set()
+    at_pos = {}  # position -> indices of every element there, in order
+    active = {}  # position -> indices whose leading term no later one divides
+    queued = {}  # position -> {(i, j): x-lcm} for pairs still to reduce
+    pairs = []  # heap of (sugar, i, j); entries gone from queued are skipped
 
     def append(g):
-        j = len(G)
+        k = len(G)
+        lt = g.leading_term(order)[0]
         G.append(g)
-        lts.append(g.leading_term(order)[0])
+        lts.append(lt)
         sugars.append(_sugar(g))
         reducer.add(g)
-        for i in range(j):
-            if lts[i].texp != lts[j].texp:
+        pos, x = lt.texp, lt.xexp
+        at_pos.setdefault(pos, []).append(k)
+        live = queued.setdefault(pos, {})
+        # B_k: (i, j) has a chain through k unless k's lcm with i or j is lcm(i, j)
+        for (i, j), lcm in list(live.items()):
+            if (
+                _xdivides(x, lcm)
+                and _xlcm(lts[i].xexp, x) != lcm
+                and _xlcm(lts[j].xexp, x) != lcm
+            ):
+                del live[(i, j)]
+        # M and F: keep (i, k) only if no other new pair's lcm divides its lcm;
+        # of pairs with equal lcms the last is kept
+        olds = active.setdefault(pos, [])
+        new = [(i, _xlcm(lts[i].xexp, x)) for i in olds]
+        kept = []
+        for n, (i, lcm) in enumerate(new):
+            if any(_xdivides(other, lcm) for _, other in new[n + 1:]) or any(
+                _xdivides(other, lcm) for _, other in kept
+            ):
                 continue
-            lcm_deg = sum(max(a, b) for a, b in zip(lts[i].xexp, lts[j].xexp))
-            s = max(
-                sugars[i] + lcm_deg - lts[i].xdeg,
-                sugars[j] + lcm_deg - lts[j].xdeg,
-            )
-            heapq.heappush(pairs, (s, i, j))
+            kept.append((i, lcm))
+        for i, lcm in kept:
+            lcm_deg = sum(lcm)
+            s = max(sugars[i] + lcm_deg - lts[i].xdeg, sugars[k] + lcm_deg - lt.xdeg)
+            live[(i, k)] = lcm
+            heapq.heappush(pairs, (s, i, k))
+        olds[:] = [i for i in olds if not _xdivides(x, lts[i].xexp)]
+        olds.append(k)
 
     for g in gset.gens:
         append(g.monic(order))
@@ -220,56 +263,38 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     while pairs:
         processed += 1
         if processed > PAIR_CAP:
-            raise ResourceLimit("pair queue exceeded the desk-scale cap")
+            raise ResourceLimit(
+                f"Buchberger on the t-degree {gset.tdeg} slice: {processed - 1} pairs "
+                f"processed from {len(gset.gens)} input generators, basis reached "
+                f"{len(G)} elements (pair cap {PAIR_CAP})"
+            )
         _, i, j = heapq.heappop(pairs)
-        key = (i, j)
-        if key in done:
+        if queued[lts[i].texp].pop((i, j), None) is None:
             continue
-        lcm = tuple(max(a, b) for a, b in zip(lts[i].xexp, lts[j].xexp))
-        chain = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            lk = lts[k]
-            if lk.texp != lts[i].texp:
-                continue
-            if all(a <= b for a, b in zip(lk.xexp, lcm)):
-                if (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done:
-                    chain = True
-                    break
-        done.add(key)
-        if chain:
-            continue
-        s = _spair(G[i], G[j], order)
-        rem = reducer.reduce(dict(s.items()))
+        rem = reducer.reduce(dict(_spair(G[i], G[j], order).items()))
         if rem:
             append(Polynomial._raw(ring, rem).monic(order))
 
     # minimalize: drop elements whose leading term another leading term divides
-    keep = []
-    for i in range(len(G)):
-        lt = lts[i]
-        dominated = False
-        for j, other in enumerate(lts):
-            if i == j:
-                continue
-            if other.divides(lt) and (other != lt or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-    minimal = [G[i] for i in keep]
-    # tail-reduce each element against the others
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = GroebnerBasis(
-            ring, gset.tdeg, order, [h for j, h in enumerate(minimal) if j != i]
+    keep = [
+        i
+        for i, lt in enumerate(lts)
+        if not any(
+            j != i and _xdivides(lts[j].xexp, lt.xexp) and (lts[j] != lt or j < i)
+            for j in at_pos[lt.texp]
         )
-        lt, _ = g.leading_term(order)  # g is monic
-        tail = Polynomial._raw(ring, {m: c for m, c in g.items() if m != lt})
-        r = Polynomial.from_monomial(ring, lt, 1) + normal_form(tail, others)
-        reduced.append(r)
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    ]
+    # tail-reduce: an element's own leading term divides none of its tail terms
+    tails = _Reducer(order, ring.field)
+    for i in keep:
+        tails.add(G[i])
+    one = ring.field.one
+    keep.sort(key=lambda i: order.key(lts[i]))
+    reduced = []
+    for i in keep:
+        lt = lts[i]
+        tail = tails.reduce({m: c for m, c in G[i].items() if m != lt})
+        reduced.append(Polynomial._raw(ring, {lt: one, **tail}))
     return GroebnerBasis(ring, gset.tdeg, order, reduced)
 
 

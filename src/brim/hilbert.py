@@ -156,6 +156,8 @@ def build_slice_submodule(
             for pos in t_monomials(ring, amb)
         ]
     elif qdeg == 0:
+        if not quotient_elems:
+            return prod  # presented by its reduced basis already
         gens = list(prod.gens)
     else:
         shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, qdeg)]

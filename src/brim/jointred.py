@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import (
     InfiniteColength,
+    InternalError,
     InvalidDegree,
     InvalidInput,
     NotDeskCase,
@@ -292,7 +293,11 @@ def is_reduction(
         if missing is None:
             if verify_propagation:
                 nxt = _first_missing(e.power(n + 2), _product(u, e.power(n + 1)))
-                assert nxt is None, "reduction equality failed to propagate"
+                if nxt is not None:
+                    raise InternalError(
+                        f"reduction equality E^{n + 1} = U E^{n} holds but "
+                        f"E^{n + 2} = U E^{n + 1} fails at {nxt}"
+                    )
             return Decision(Verdict.TRUE, n, None, window)
         counterexample = missing
     return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)

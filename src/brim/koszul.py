@@ -3,9 +3,9 @@
 The Koszul complex on elements a1..am splits into finite-dimensional slices
 by t-degree and x-degree because every a_i is bihomogeneous; homology
 dimensions per slice are nullity/rank computations over the field.  The
-degree-t g-multiplicity is the alternating sum of homology dimensions,
-cross-checked against the Euler-characteristic fast path (alternating sum of
-chain dimensions), which must agree slice by slice in the aggregate.
+degree-t g-multiplicity is the alternating sum of homology dimensions.  A
+rank above the smaller side of its matrix, or a negative homology dimension,
+raises InternalError.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput, NoStabilization, NotMultiplicitySystem
+from .errors import InternalError, InvalidInput, NoStabilization, NotMultiplicitySystem
 from .groebner import GeneratorSet, buchberger, colength
 from .linalg import rank as matrix_rank
 from .poly import (
@@ -120,8 +120,8 @@ def _diff_matrix(spec: KoszulSpec, n: int, t: int, delta: int):
 
 
 def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
-    """Per-delta homology dimensions h[i] and Euler characteristics chi,
-    scanned until a trailing width-3 window of zero contribution."""
+    """Per-delta homology dimensions h[i], scanned until a trailing width-3
+    window of zero contribution."""
     key = (spec, t, delta_cap)
     cached = _sweep_cache.get(key)
     if cached is not None:
@@ -134,12 +134,18 @@ def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
         dims = [chain_dim(spec, i, t, delta) for i in range(m + 1)]
         ranks = [0] * (m + 2)
         for n in range(1, m + 1):
-            rows, _, _ = _diff_matrix(spec, n, t, delta)
+            rows, cols, _ = _diff_matrix(spec, n, t, delta)
             ranks[n] = matrix_rank(rows, fld) if rows else 0
+            if ranks[n] > min(len(rows), cols):
+                raise InternalError(
+                    f"rank {ranks[n]} of the {len(rows)}x{cols} matrix of d_{n} "
+                    f"at t={t}, delta={delta} exceeds its smaller side"
+                )
         h = [dims[i] - ranks[i] - ranks[i + 1] for i in range(m + 1)]
-        chi = sum((-1) ** i * dims[i] for i in range(m + 1))
-        per_delta.append((h, chi))
-        if all(v == 0 for v in h) and chi == 0:
+        if any(v < 0 for v in h):
+            raise InternalError(f"negative homology dimensions {h} at t={t}, delta={delta}")
+        per_delta.append(h)
+        if all(v == 0 for v in h):
             zero_run += 1
             if zero_run >= STAB_WIDTH and delta >= STAB_WIDTH:
                 _sweep_cache[key] = per_delta
@@ -156,7 +162,7 @@ def homology_dim(spec: KoszulSpec, i: int, t: int, delta_cap: int = DELTA_CAP) -
     if i < 0 or i > spec.m:
         return 0
     per_delta = _sweep(spec, t, delta_cap)
-    return sum(h[i] for h, _ in per_delta)
+    return sum(h[i] for h in per_delta)
 
 
 @dataclass
@@ -186,22 +192,15 @@ def _multiplicity_system_gate(spec: KoszulSpec, t: int):
 def g_mult_et(
     spec: KoszulSpec, t: Optional[int] = None, delta_cap: int = DELTA_CAP
 ) -> GMultResult:
-    """Alternating sum of degree-t Koszul homology lengths.
-
-    The Euler fast path (alternating chain dimensions) is computed alongside
-    and must agree; disagreement would mean a rank computation bug.
-    """
+    """Alternating sum of degree-t Koszul homology lengths."""
     if t is None:
         t = default_t(spec)
     _multiplicity_system_gate(spec, t)
     per_delta = _sweep(spec, t, delta_cap)
     value = 0
-    euler = 0
     dims = {}
-    for delta, (h, chi) in enumerate(per_delta):
+    for delta, h in enumerate(per_delta):
         for i, v in enumerate(h):
             dims[(i, delta)] = v
         value += sum((-1) ** i * v for i, v in enumerate(h))
-        euler += chi
-    assert value == euler, "rank path and Euler fast path disagree"
     return GMultResult(value=value, t=t, homology_dims=dims)

@@ -10,6 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .errors import InvalidInput
 from .ring import PrimeField, Rationals
 
 
@@ -35,7 +36,7 @@ def bareiss_rank(rows) -> int:
         pivot = m[r][c]
         for i in range(r + 1, n):
             mic = m[i][c]
-            if mic == 0 and prev == 1:
+            if mic == 0 and pivot == prev:  # the update would leave row i as it is
                 continue
             row_i = m[i]
             row_r = m[r]
@@ -64,7 +65,8 @@ def rank(rows, field) -> int:
         return 0
     if isinstance(field, Rationals):
         return bareiss_rank([_clear_row(r) for r in rows])
-    assert isinstance(field, PrimeField)
+    if not isinstance(field, PrimeField):
+        raise InvalidInput(f"rank over unsupported field {field!r}")
     p = field.p
     m = [[v % p for v in r] for r in rows]
     n, cols = len(m), len(m[0])

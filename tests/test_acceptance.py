@@ -208,7 +208,6 @@ def test_criterion_6_koszul_bridge():
     for l1 in (1, 2, 3):
         for l2 in (1, 2, 3):
             spec = KoszulSpec(R21, [P(R21, f"x1^{l1}*t1"), P(R21, f"x2^{l2}*t1")])
-            # the Euler fast path is asserted against the rank path inside
             assert g_mult_et(spec).value == l1 * l2 * base
     report("C6", f"e_t bridge and l1*l2 scaling up to 3, {time.monotonic()-t0:.2f}s")
 

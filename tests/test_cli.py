@@ -194,3 +194,15 @@ def test_sampling_failure_exit_3(specfile, tmp_path):
     proc = brim("check", "risler", specfile, "-m", "m,I", "-d", "1,1", cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "superficial" in proc.stderr.lower() or "primarity" in proc.stderr.lower()
+
+
+def test_internal_error_exit_4(specfile, monkeypatch, capsys):
+    from brim import InternalError, cli
+
+    def broken(*args, **kwargs):
+        raise InternalError("invariant broken")
+
+    monkeypatch.setattr(cli, "is_reduction", broken)
+    code = cli.main(["check", "reduction", specfile, "-u", "U", "-m", "m2"])
+    assert code == 4
+    assert "internal error: invariant broken" in capsys.readouterr().err

@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +9,7 @@ from brim import (
     InvalidInput,
     Monomial,
     Polynomial,
+    ResourceLimit,
     RingSpec,
     buchberger,
     colength,
@@ -16,6 +19,7 @@ from brim import (
     submodule_eq,
 )
 from brim.poly import DEGREVLEX_X, TOTAL_BLOCK
+from brim.ring import QQ, PrimeField
 
 from .oracles import monomial_module_colength
 
@@ -216,7 +220,8 @@ def test_colength_matches_linear_algebra_oracle():
 
 
 def _buchberger_no_criteria(gs, order=None):
-    """Reference Buchberger: all same-position pairs, no chain criterion.
+    """Reference Buchberger: all same-position pairs, no pair criteria, and
+    its own inter-reduction (each element against a basis of the others).
 
     Reduced bases are canonical, so this must agree with the production
     algorithm exactly.
@@ -240,9 +245,23 @@ def _buchberger_no_criteria(gs, order=None):
         if not r.is_zero():
             G.append(r.monic(order))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    # reuse the production inter-reduction by re-running on the full basis,
-    # which is already a (non-reduced) Groebner basis
-    return buchberger(GeneratorSet(gs.ring, gs.tdeg, tuple(G)), order)
+    lts = [g.leading_term(order)[0] for g in G]
+    minimal = [
+        g
+        for i, g in enumerate(G)
+        if not any(
+            j != i and lts[j].divides(lts[i]) and (lts[j] != lts[i] or j < i)
+            for j in range(len(G))
+        )
+    ]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = GroebnerBasis(gs.ring, gs.tdeg, order, minimal[:i] + minimal[i + 1:])
+        lt = g.leading_term(order)[0]
+        tail = g - Polynomial.from_monomial(gs.ring, lt, 1)
+        reduced.append(Polynomial.from_monomial(gs.ring, lt, 1) + normal_form(tail, others))
+    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
+    return reduced
 
 
 def _random_generators(rng, ring, tdeg, count):
@@ -301,3 +320,88 @@ def test_colength_invariant_under_span_preserving_changes():
         v1 = colength(buchberger(gs))
         v2 = colength(buchberger(gs2))
         assert v1.finite == v2.finite and v1.value == v2.value
+
+
+FIXTURE = Path(__file__).parent / "data" / "reduced_bases.txt"
+
+
+def _fixture_cases():
+    """(ring, tdeg, generators, expected basis strings) from the fixture file,
+    written by scripts/make_basis_fixture.py with an earlier Buchberger."""
+    cases = []
+    for line in FIXTURE.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        kind, rest = line.split(" ", 1)
+        if kind == "case":
+            d, p, field, tdeg = rest.split()
+            ring = RingSpec(d=int(d), p=int(p), field=QQ if field == "QQ" else PrimeField(int(field)))
+            cases.append((ring, int(tdeg), [], []))
+        elif kind == "gen":
+            cases[-1][2].append(parse_polynomial(cases[-1][0], rest))
+        else:
+            cases[-1][3].append(rest)
+    return cases
+
+
+def test_buchberger_matches_committed_fixture():
+    cases = _fixture_cases()
+    assert len(cases) == 40
+    for n, (ring, tdeg, gens, expected) in enumerate(cases):
+        basis = buchberger(GeneratorSet(ring, tdeg, tuple(gens)))
+        assert [str(g) for g in basis] == expected, n
+
+
+def test_buchberger_invariant_under_permuted_and_duplicated_generators():
+    rng = random.Random(31)
+    for n, (ring, tdeg, gens, expected) in enumerate(_fixture_cases()):
+        shuffled = gens + [rng.choice(gens), gens[0].scale(3)]
+        rng.shuffle(shuffled)
+        basis = buchberger(GeneratorSet(ring, tdeg, tuple(shuffled)))
+        assert [str(g) for g in basis] == expected, n
+
+
+def _assert_reduced(basis):
+    """Monic, leading terms pairwise indivisible, no term divisible by another
+    element's leading term, and every same-position S-pair reduces to 0."""
+    from brim.groebner import _spair
+
+    order = basis.order
+    elems = list(basis)
+    lts = basis.leading_terms()
+    for i, g in enumerate(elems):
+        assert g.leading_term(order)[1] == basis.ring.field.one
+        for j, lt in enumerate(lts):
+            if i == j:
+                continue
+            assert not any(lt.divides(m) for m, _ in g.items()), (str(g), str(elems[j]))
+            if lts[i].texp == lt.texp:
+                assert normal_form(_spair(g, elems[j], order), basis).is_zero()
+
+
+def test_buchberger_output_is_a_reduced_basis():
+    for ring, tdeg, gens, _ in _fixture_cases():
+        _assert_reduced(buchberger(GeneratorSet(ring, tdeg, tuple(gens))))
+    rng = random.Random(41)
+    for trial in range(20):
+        ring = [R21, R22][trial % 2]
+        gens = _random_generators(rng, ring, 1 + trial % 2, rng.randint(3, 5))
+        if gens:
+            gs = GeneratorSet(ring, 1 + trial % 2, tuple(gens))
+            for order in (DEGREVLEX_X, TOTAL_BLOCK):
+                _assert_reduced(buchberger(gs, order))
+
+
+def test_pair_cap_message_names_the_sizes_reached(monkeypatch):
+    from brim import groebner
+
+    monkeypatch.setattr(groebner, "PAIR_CAP", 3)
+    gs = gset(R21, ["x1^2*t1 + x2*t1", "x1*x2*t1 + x2^2*t1", "x2^3*t1"])
+    with pytest.raises(ResourceLimit) as info:
+        buchberger(gs)
+    msg = str(info.value)
+    assert "t-degree 1 slice" in msg
+    assert "3 pairs processed" in msg
+    assert "from 3 input generators" in msg
+    assert "pair cap 3" in msg
+    assert re.search(r"basis reached \d+ elements", msg), msg

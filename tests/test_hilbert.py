@@ -362,3 +362,17 @@ def test_tilde_ebr_direct_higher_degree_module():
     res = tilde_ebr(e)
     assert res.value == 3
     assert [res.table.values[(n,)] for n in range(1, 5)] == [3, 6, 9, 12]
+
+
+def test_slice_of_a_product_without_shift_is_the_product():
+    from brim.groebner import GeneratorSet, buchberger, colength
+    from brim.hilbert import Evaluator, build_slice_submodule
+
+    e1 = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
+    e2 = mk(R21, ["x1*t1 + x2*t1", "x2^2*t1"])
+    evaluator = Evaluator()
+    sub = build_slice_submodule(R21, (e1, e2), (2, 1), 0, (), evaluator)
+    prod = evaluator.product_of_powers((e1, e2), (2, 1))
+    assert sub is prod
+    fresh = buchberger(GeneratorSet(R21, prod.tdeg, prod.spec.gens))
+    assert sub.colength_report().value == colength(fresh).value

@@ -326,3 +326,18 @@ def test_joint_reduction_propagates_to_next_exponent(m):
     lhs = _joint_lhs(xs, (m, i), n, 0, ev)
     rhs = ev.product_of_powers((m, i), (n, n))
     assert all(nf(g, lhs.basis).is_zero() for g in rhs.gens)
+
+
+def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
+    from brim import InternalError, jointred
+
+    calls = []
+
+    def first_missing(target, inside):
+        calls.append(target)
+        return None if len(calls) == 1 else "x1^3*t1^3"
+
+    monkeypatch.setattr(jointred, "_first_missing", first_missing)
+    u = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
+    with pytest.raises(InternalError, match=r"E\^3 = U E\^2 fails"):
+        is_reduction(u, m2)

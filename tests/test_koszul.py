@@ -140,3 +140,21 @@ def test_g_mult_rank_two_bridge():
     value = g_mult_et(spec).value
     module = GradedSubmodule.from_gens(r22, 1, texts)
     assert value == ebr(module).value == 3
+
+
+def test_rank_above_the_matrix_side_is_an_internal_error(monkeypatch):
+    from brim import InternalError, koszul
+
+    monkeypatch.setattr(koszul, "matrix_rank", lambda rows, fld: len(rows) + len(rows[0]))
+    monkeypatch.setattr(koszul, "_sweep_cache", {})
+    with pytest.raises(InternalError, match="exceeds its smaller side"):
+        g_mult_et(K(R21, ["x1*t1", "x2*t1"]))
+
+
+def test_negative_homology_dimension_is_an_internal_error(monkeypatch):
+    from brim import InternalError, koszul
+
+    monkeypatch.setattr(koszul, "chain_dim", lambda spec, i, t, delta: 0)
+    monkeypatch.setattr(koszul, "_sweep_cache", {})
+    with pytest.raises(InternalError, match="negative homology"):
+        g_mult_et(K(R21, ["x1*t1", "x2*t1"]))
