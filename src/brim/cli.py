@@ -6,13 +6,17 @@ wall-clock timing and execution knobs (thread count, cache mode) live in the
 separate "runtime" key, which golden comparisons drop.
 
 Length tables backing the multiplicity commands are cached on disk under
-./.brim-cache/, keyed by a SHA-256 of the canonicalized spec plus the
-semantic command; BRIM_CACHE=off disables the cache.
+./.brim-cache/, keyed by a SHA-256 of the canonicalized spec and semantic
+command together with the brim version and the extraction config, so a
+table computed by other code is never served; each entry is written to a
+temporary file and renamed into place.  BRIM_CACHE=off disables the cache.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -171,7 +175,21 @@ def cache_enabled() -> bool:
 
 
 def cache_key(spec: SpecFile, command: dict) -> str:
+    """Hash of the canonical spec and semantic command: the report's inputs_hash."""
     blob = canonical_json({"spec": spec.doc, "command": command})
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def cache_entry_key(spec: SpecFile, command: dict) -> str:
+    """Name of a cache entry: the inputs plus the code and settings that
+    computed its table."""
+    blob = canonical_json(
+        {
+            "inputs": cache_key(spec, command),
+            "version": __version__,
+            "config": dataclasses.asdict(DEFAULT_CONFIG),
+        }
+    )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -187,19 +205,24 @@ def cache_load_table(key: str):
 
 
 def cache_store_table(key: str, table: LengthTable):
+    """Write the entry to a temporary file, then rename it into place, so a
+    failed write never leaves a partial entry under the key."""
+    directory = Path(CACHE_DIR)
+    tmp = directory / f"{key}.{os.getpid()}.tmp"
     try:
-        Path(CACHE_DIR).mkdir(exist_ok=True)
-        path = Path(CACHE_DIR) / f"{key}.json"
-        with open(path, "w", encoding="utf-8") as fh:
+        directory.mkdir(exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(table.to_json(), fh, sort_keys=True, separators=(",", ":"))
-    except OSError:
-        pass  # caching is best-effort
+        os.replace(tmp, directory / f"{key}.json")
+    except OSError:  # caching is best-effort
+        with contextlib.suppress(OSError):
+            tmp.unlink()
 
 
 def cached_multiplicity(spec, command, kind, orders, compute):
     """Reuse the cached length table when present; the extraction itself is a
     pure function of the table."""
-    key = cache_key(spec, command)
+    key = cache_entry_key(spec, command)
     if cache_enabled():
         table = cache_load_table(key)
         if table is not None:

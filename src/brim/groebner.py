@@ -69,8 +69,8 @@ class _Reducer:
         self.field = field
         self.by_pos = {}
 
-    def add(self, g: Polynomial):
-        lt, _ = g.leading_term(self.order)
+    def add(self, g: Polynomial, lt: Monomial):
+        """Add the monic divisor g, whose leading monomial is lt."""
         tail = tuple((m, c) for m, c in g.items() if m != lt)
         self.by_pos.setdefault(lt.texp, []).append((lt.xexp, tail))
 
@@ -131,7 +131,7 @@ class GroebnerBasis:
         self.elements = elems
         self._reducer = _Reducer(order, ring.field)
         for g in elems:
-            self._reducer.add(g)
+            self._reducer.add(g, g.leading_term(order)[0])
 
     def leading_terms(self):
         return tuple(g.leading_term(self.order)[0] for g in self.elements)
@@ -161,8 +161,11 @@ def contains(basis: GroebnerBasis, v: Polynomial) -> bool:
 
 def _spair(f: Polynomial, g: Polynomial, order) -> Polynomial:
     # leading positions agree; both monic
-    lf, _ = f.leading_term(order)
-    lg, _ = g.leading_term(order)
+    return _spair_of(f, g, f.leading_term(order)[0], g.leading_term(order)[0])
+
+
+def _spair_of(f: Polynomial, g: Polynomial, lf: Monomial, lg: Monomial) -> Polynomial:
+    # lf, lg: the leading monomials of the monic f and g; their positions agree
     lcm = tuple(max(a, b) for a, b in zip(lf.xexp, lg.xexp))
     mf = Monomial((0,) * len(lf.texp), tuple(l - a for l, a in zip(lcm, lf.xexp)))
     mg = Monomial((0,) * len(lg.texp), tuple(l - a for l, a in zip(lcm, lg.xexp)))
@@ -225,7 +228,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         G.append(g)
         lts.append(lt)
         sugars.append(_sugar(g))
-        reducer.add(g)
+        reducer.add(g, lt)
         pos, x = lt.texp, lt.xexp
         at_pos.setdefault(pos, []).append(k)
         live = queued.setdefault(pos, {})
@@ -271,7 +274,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         _, i, j = heapq.heappop(pairs)
         if queued[lts[i].texp].pop((i, j), None) is None:
             continue
-        rem = reducer.reduce(dict(_spair(G[i], G[j], order).items()))
+        rem = reducer.reduce(dict(_spair_of(G[i], G[j], lts[i], lts[j]).items()))
         if rem:
             append(Polynomial._raw(ring, rem).monic(order))
 
@@ -287,7 +290,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     # tail-reduce: an element's own leading term divides none of its tail terms
     tails = _Reducer(order, ring.field)
     for i in keep:
-        tails.add(G[i])
+        tails.add(G[i], lts[i])
     one = ring.field.one
     keep.sort(key=lambda i: order.key(lts[i]))
     reduced = []

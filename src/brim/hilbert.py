@@ -446,10 +446,7 @@ def mixed(
         raise InvalidInput(f"type vector must sum to d+p-1 = {D}")
     kind = {"type": "mixed", "dvec": list(dvec)}
     if len(modules) == 1:
-        for m in modules:
-            m.primarity()
-        res = _univariate(modules[0], dvec[0], kind, config, evaluator, False)
-        return res
+        return _univariate(modules[0], dvec[0], kind, config, evaluator, False)
     return _multigraded(modules, dvec, None, kind, config, evaluator, threads)
 
 

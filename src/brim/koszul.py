@@ -28,8 +28,6 @@ from .poly import (
 DELTA_CAP = 40
 STAB_WIDTH = 3
 
-_sweep_cache = {}
-
 
 @dataclass(frozen=True)
 class KoszulSpec:
@@ -122,10 +120,6 @@ def _diff_matrix(spec: KoszulSpec, n: int, t: int, delta: int):
 def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
     """Per-delta homology dimensions h[i], scanned until a trailing width-3
     window of zero contribution."""
-    key = (spec, t, delta_cap)
-    cached = _sweep_cache.get(key)
-    if cached is not None:
-        return cached
     m = spec.m
     fld = spec.ring.field
     per_delta = []
@@ -148,7 +142,6 @@ def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
         if all(v == 0 for v in h):
             zero_run += 1
             if zero_run >= STAB_WIDTH and delta >= STAB_WIDTH:
-                _sweep_cache[key] = per_delta
                 return per_delta
         else:
             zero_run = 0

@@ -93,3 +93,33 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
                     rows.append(row)
     r = rank(rows, fld) if rows else 0
     return len(cols) - r
+
+
+class DensePairedSpan:
+    """Reference for ``brim.linalg.PairedSpan``: the same elimination on dense
+    lists, rows kept in pivot order, each monic at its pivot."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot_col, w_row, v_row)
+
+    def add(self, w, v):
+        fld = self.field
+        w = list(w)
+        v = list(v)
+        for pivot, wr, vr in self.rows:
+            c = w[pivot]
+            if not fld.is_zero(c):
+                w = [fld.sub(a, fld.mul(c, b)) for a, b in zip(w, wr)]
+                v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, vr)]
+        for i, val in enumerate(w):
+            if not fld.is_zero(val):
+                inv = fld.invert(val)
+                w = [fld.mul(a, inv) for a in w]
+                v = [fld.mul(a, inv) for a in v]
+                self.rows.append((i, w, v))
+                self.rows.sort(key=lambda t: t[0])
+                return ("new", None)
+        if any(not fld.is_zero(a) for a in v):
+            return ("kernel", v)
+        return ("dependent", None)

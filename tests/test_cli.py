@@ -206,3 +206,62 @@ def test_internal_error_exit_4(specfile, monkeypatch, capsys):
     code = cli.main(["check", "reduction", specfile, "-u", "U", "-m", "m2"])
     assert code == 4
     assert "internal error: invariant broken" in capsys.readouterr().err
+
+
+
+@pytest.fixture
+def cli_in_tmp(tmp_path, monkeypatch):
+    """brim.cli with the cache on and ./.brim-cache under tmp_path."""
+    from brim import cli
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("BRIM_CACHE", raising=False)
+    return cli
+
+
+def test_cache_entry_of_other_code_is_recomputed(cli_in_tmp, tmp_path, monkeypatch):
+    from brim.hilbert import ExtractionConfig
+
+    cli = cli_in_tmp
+    spec = cli.SpecFile(SPEC)
+    command = {"subcommand": "ebr", "modules": ["m"]}
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return cli.ebr(spec.module("m"), cli.DEFAULT_CONFIG)
+
+    def run():
+        return cli.cached_multiplicity(spec, command, {"type": "ebr"}, (2,), compute).value
+
+    assert run() == run() == 1
+    assert len(calls) == 1  # the second run was served from the cache
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert run() == 1
+    assert len(calls) == 2
+    monkeypatch.setattr(cli, "DEFAULT_CONFIG", ExtractionConfig(n_max=13))
+    assert run() == 1
+    assert len(calls) == 3
+    assert len(list((tmp_path / ".brim-cache").glob("*.json"))) == 3
+    # the report's inputs_hash names only the inputs
+    assert cli.cache_key(spec, command) != cli.cache_entry_key(spec, command)
+
+
+def test_failed_cache_write_leaves_no_entry(cli_in_tmp, tmp_path, monkeypatch):
+    cli = cli_in_tmp
+    spec = cli.SpecFile(SPEC)
+    key = cli.cache_entry_key(spec, {"subcommand": "ebr", "modules": ["m"]})
+    table = cli.ebr(spec.module("m"), cli.DEFAULT_CONFIG).table
+    dump = cli.json.dump
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"axes": [')
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", failing_dump)
+    cli.cache_store_table(key, table)
+    assert list((tmp_path / ".brim-cache").iterdir()) == []
+    monkeypatch.setattr(cli.json, "dump", dump)
+    cli.cache_store_table(key, table)
+    assert [p.name for p in (tmp_path / ".brim-cache").iterdir()] == [f"{key}.json"]
+    assert cli.cache_load_table(key).to_json() == table.to_json()

@@ -146,7 +146,6 @@ def test_rank_above_the_matrix_side_is_an_internal_error(monkeypatch):
     from brim import InternalError, koszul
 
     monkeypatch.setattr(koszul, "matrix_rank", lambda rows, fld: len(rows) + len(rows[0]))
-    monkeypatch.setattr(koszul, "_sweep_cache", {})
     with pytest.raises(InternalError, match="exceeds its smaller side"):
         g_mult_et(K(R21, ["x1*t1", "x2*t1"]))
 
@@ -155,6 +154,24 @@ def test_negative_homology_dimension_is_an_internal_error(monkeypatch):
     from brim import InternalError, koszul
 
     monkeypatch.setattr(koszul, "chain_dim", lambda spec, i, t, delta: 0)
-    monkeypatch.setattr(koszul, "_sweep_cache", {})
     with pytest.raises(InternalError, match="negative homology"):
         g_mult_et(K(R21, ["x1*t1", "x2*t1"]))
+
+
+def test_g_mult_agrees_over_qq_and_a_prime_field():
+    """The exact ranks over QQ and GF(32003) give the same homology."""
+    from brim import PrimeField
+
+    gf = PrimeField(32003)
+    cases = [
+        (R21, ["x1*t1", "x2*t1"]),
+        (R21, ["x1^2*t1", "x2*t1"]),
+        (R21, ["x1*t1", "x2^2*t1"]),
+        (R21, ["x1^2*t1", "x2^3*t1"]),
+        (RingSpec(d=2, p=2), ["x1*t1", "x2*t2", "x1*t2 + x2*t1"]),
+    ]
+    for ring, texts in cases:
+        over_qq = g_mult_et(K(ring, texts))
+        over_gf = g_mult_et(K(RingSpec(d=ring.d, p=ring.p, field=gf), texts))
+        assert over_qq.value == over_gf.value, texts
+        assert over_qq.homology_dims == over_gf.homology_dims, texts

@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from brim import InvalidInput
-from brim.linalg import bareiss_rank, rank
+from brim.linalg import PairedSpan, rank
 from brim.ring import QQ, PrimeField
 
-# Above every minor of the matrices below (Hadamard: (4 * 6**0.5)**6 < 10**6),
-# so the rank mod BIG_PRIME equals the rank over QQ.
+from .oracles import DensePairedSpan
+
+# Above every minor of a matrix of at most 6x6 entries in [-4, 4] (Hadamard:
+# (4 * 6**0.5)**6 < 10**6), so its rank mod BIG_PRIME equals its rank over QQ.
 BIG_PRIME = 1_000_000_007
 
 
@@ -31,7 +33,6 @@ def fraction_rank(rows) -> int:
 def test_bareiss_rank_scales_rows_with_zero_in_the_pivot_column():
     rows = [[2, 0, 1, -1], [0, 0, 0, -1], [3, 0, -1, 3], [0, -1, 1, 0]]
     assert fraction_rank(rows) == 4
-    assert bareiss_rank(rows) == 4
     assert rank(rows, QQ) == 4
 
 
@@ -46,10 +47,65 @@ def test_bareiss_rank_matches_fraction_and_modular_rank():
             for _ in range(n)
         ]
         expected = fraction_rank(rows)
-        assert bareiss_rank(rows) == expected, rows
+        assert rank(rows, QQ) == expected, rows
         assert rank(rows, gf) == expected, rows
 
 
 def test_rank_rejects_unknown_field():
     with pytest.raises(InvalidInput):
         rank([[1, 2]], object())
+
+
+def modular_rank(rows, p) -> int:
+    """Reference: dense Gaussian elimination mod p."""
+    m = [[v % p for v in r] for r in rows]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        for i in range(r + 1, len(m)):
+            f = m[i][c] * inv % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_of_sparse_matrices_matches_dense_elimination():
+    rng = random.Random(11)
+    for _ in range(300):
+        n, cols = rng.randint(1, 12), rng.randint(1, 12)
+        zero_frac = rng.uniform(0.5, 0.95)
+        rows = [
+            [0 if rng.random() < zero_frac else rng.randint(-4, 4) for _ in range(cols)]
+            for _ in range(n)
+        ]
+        assert rank(rows, QQ) == fraction_rank(rows), rows
+        for p in (2, BIG_PRIME):
+            assert rank(rows, PrimeField(p)) == modular_rank(rows, p), (p, rows)
+
+
+def test_paired_span_matches_the_dense_reference():
+    """Same statuses and the same kernel vectors as dense elimination."""
+    rng = random.Random(5)
+    statuses = set()
+    for field in (QQ, PrimeField(2), PrimeField(7), PrimeField(32003)):
+        for _ in range(300):
+            width, vwidth = rng.randint(1, 6), rng.randint(1, 6)
+            density = rng.uniform(0.2, 0.9)
+
+            def draw(size):
+                return [
+                    field.coerce(rng.randint(-3, 3)) if rng.random() < density else field.zero
+                    for _ in range(size)
+                ]
+
+            span, ref = PairedSpan(field), DensePairedSpan(field)
+            for _ in range(rng.randint(1, 10)):
+                w, v = draw(width), draw(vwidth)
+                got, expected = span.add(w, v), ref.add(w, v)
+                assert got == expected, (field, w, v)
+                statuses.add(got[0])
+    assert statuses == {"new", "kernel", "dependent"}

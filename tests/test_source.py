@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import brim
@@ -16,3 +17,24 @@ def test_no_assert_statements_in_the_package():
     ]
     assert SRC.name == "brim" and len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+def test_every_traced_name_resolves():
+    """The benchmark's tracer wraps these names where brim looks them up; a
+    rename fails here instead of only in a traced benchmark run."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for owner_path, attr, *_ in tracing.SPANNED + tracing.COUNTED:
+        try:
+            owner = tracing._resolve(owner_path)
+        except (ImportError, AttributeError):
+            missing.append(owner_path)
+            continue
+        # patched in the owner's own dict: an inherited attribute does not count
+        if attr not in vars(owner):
+            missing.append(f"{owner_path}.{attr}")
+    assert len(tracing.SPANNED) > 40 and tracing.COUNTED
+    assert missing == []
