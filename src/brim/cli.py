@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 user error, 3 computational limit, 4 internal
 invariant failure.  Reports are byte-identical for identical inputs and seed;
-wall-clock timing and execution knobs (thread count, cache mode) live in the
-separate "runtime" key, which golden comparisons drop.
+wall-clock timing and the cache mode live in the separate "runtime" key,
+which golden comparisons drop.
 
 Length tables backing the multiplicity commands are cached on disk under
 ./.brim-cache/, keyed by a SHA-256 of the canonicalized spec and semantic
@@ -194,13 +194,15 @@ def cache_entry_key(spec: SpecFile, command: dict) -> str:
 
 
 def cache_load_table(key: str):
+    """The cached table, or None (a miss) when the entry is absent or does
+    not decode to a full table."""
     path = Path(CACHE_DIR) / f"{key}.json"
     if not path.is_file():
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return LengthTable.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError):
+    except (OSError, ValueError, KeyError, TypeError):
         return None
 
 
@@ -260,7 +262,7 @@ def cmd_length(spec: SpecFile, args) -> dict:
     return {"length": value}
 
 
-def _mult_command(spec: SpecFile, args, kind: str, threads: int) -> dict:
+def _mult_command(spec: SpecFile, args, kind: str) -> dict:
     names = _split(args.modules)
     mods = [spec.module(n) for n in names]
     ring = spec.ring
@@ -268,15 +270,14 @@ def _mult_command(spec: SpecFile, args, kind: str, threads: int) -> dict:
     if kind in ("ebr", "tilde_ebr"):
         if len(mods) != 1:
             raise InvalidInput(f"{kind} takes exactly one module")
-        orders = (D,)
-        command = {"subcommand": kind, "modules": names}
-        if kind == "ebr":
-            compute = lambda: ebr(mods[0], DEFAULT_CONFIG)
-            kind_obj = {"type": "ebr"}
-        else:
-            compute = lambda: tilde_ebr(mods[0], DEFAULT_CONFIG)
-            kind_obj = {"type": "tilde_ebr"}
-        res = cached_multiplicity(spec, command, kind_obj, orders, compute)
+        extract = ebr if kind == "ebr" else tilde_ebr
+        res = cached_multiplicity(
+            spec,
+            {"subcommand": kind, "modules": names},
+            {"type": kind},
+            (D,),
+            lambda: extract(mods[0], DEFAULT_CONFIG),
+        )
     elif kind == "mixed":
         dvec = tuple(int(v) for v in _split(args.dvec))
         command = {"subcommand": "mixed", "modules": names, "dvec": list(dvec)}
@@ -285,7 +286,7 @@ def _mult_command(spec: SpecFile, args, kind: str, threads: int) -> dict:
             command,
             {"type": "mixed", "dvec": list(dvec)},
             dvec,
-            lambda: mixed(mods, dvec, DEFAULT_CONFIG, threads=threads),
+            lambda: mixed(mods, dvec, DEFAULT_CONFIG),
         )
     else:
         dvec = tuple(int(v) for v in _split(args.dvec))
@@ -301,7 +302,7 @@ def _mult_command(spec: SpecFile, args, kind: str, threads: int) -> dict:
             command,
             {"type": "assoc", "j": j, "dvec": list(dvec)},
             tuple(dvec) + (j,),
-            lambda: assoc_mixed(mods, dvec, j, DEFAULT_CONFIG, threads=threads),
+            lambda: assoc_mixed(mods, dvec, j, DEFAULT_CONFIG),
         )
     return mult_to_json(res)
 
@@ -438,7 +439,7 @@ def run(args) -> dict:
     if sub == "length":
         payload = cmd_length(spec, args)
     elif sub in ("ebr", "tilde-ebr", "mixed", "assoc"):
-        payload = _mult_command(spec, args, sub.replace("-", "_"), args.threads)
+        payload = _mult_command(spec, args, sub.replace("-", "_"))
     elif sub == "gmult":
         payload = cmd_gmult(spec, args)
     elif sub == "check":

@@ -118,23 +118,31 @@ class _Reducer:
         return rem
 
 
-class GroebnerBasis:
-    """Reduced basis: inter-reduced, monic, leading terms pairwise indivisible."""
+def _monic(g: Polynomial, order: MonomialOrder):
+    """g scaled to leading coefficient one, and its leading monomial."""
+    lt, lc = g.leading_term(order)
+    fld = g.ring.field
+    return (g if lc == fld.one else g.scale(fld.invert(lc))), lt
 
-    __slots__ = ("ring", "tdeg", "order", "elements", "_reducer")
+
+class GroebnerBasis:
+    """Reduced basis: inter-reduced, monic, leading terms pairwise indivisible.
+
+    ``lts`` holds each element's leading monomial, in element order.
+    """
+
+    __slots__ = ("ring", "tdeg", "order", "elements", "lts", "_reducer")
 
     def __init__(self, ring, tdeg, order, elements):
         self.ring = ring
         self.tdeg = tdeg
         self.order = order
-        elems = tuple(g.monic(order) for g in elements)
-        self.elements = elems
+        pairs = [_monic(g, order) for g in elements]
+        self.elements = tuple(g for g, _ in pairs)
+        self.lts = tuple(lt for _, lt in pairs)
         self._reducer = _Reducer(order, ring.field)
-        for g in elems:
-            self._reducer.add(g, g.leading_term(order)[0])
-
-    def leading_terms(self):
-        return tuple(g.leading_term(self.order)[0] for g in self.elements)
+        for g, lt in pairs:
+            self._reducer.add(g, lt)
 
     def __iter__(self):
         return iter(self.elements)
@@ -191,13 +199,10 @@ def _minimalize_monomials(ring, tdeg, order, monos):
         at_pos = kept.setdefault(m.texp, [])
         if not any(_xdivides(k, m.xexp) for k in at_pos):
             at_pos.append(m.xexp)
-    elems = [
-        Polynomial.from_monomial(ring, Monomial(pos, x), 1)
-        for pos, xs in kept.items()
-        for x in xs
-    ]
-    elems.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    return GroebnerBasis(ring, tdeg, order, elems)
+    lts = sorted((Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=order.key)
+    return GroebnerBasis(
+        ring, tdeg, order, [Polynomial.from_monomial(ring, m, 1) for m in lts]
+    )
 
 
 def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
@@ -223,8 +228,9 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     pairs = []  # heap of (sugar, i, j); entries gone from queued are skipped
 
     def append(g):
+        """Add g, made monic, to the basis and queue its surviving pairs."""
         k = len(G)
-        lt = g.leading_term(order)[0]
+        g, lt = _monic(g, order)
         G.append(g)
         lts.append(lt)
         sugars.append(_sugar(g))
@@ -260,7 +266,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         olds.append(k)
 
     for g in gset.gens:
-        append(g.monic(order))
+        append(g)
 
     processed = 0
     while pairs:
@@ -276,7 +282,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
             continue
         rem = reducer.reduce(dict(_spair_of(G[i], G[j], lts[i], lts[j]).items()))
         if rem:
-            append(Polynomial._raw(ring, rem).monic(order))
+            append(Polynomial._raw(ring, rem))
 
     # minimalize: drop elements whose leading term another leading term divides
     keep = [
@@ -337,8 +343,7 @@ def colength(
     d = ring.d
     positions = t_monomials(ring, basis.tdeg)
     lead = {}
-    for g in basis.elements:
-        lt, _ = g.leading_term(basis.order)
+    for lt in basis.lts:
         lead.setdefault(lt.texp, []).append(lt.xexp)
 
     per_pos = []

@@ -11,8 +11,6 @@ when stabilization fails.
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -23,7 +21,7 @@ from .errors import (
     NoStabilization,
     WindowTooSmall,
 )
-from .poly import Monomial, Polynomial, t_monomials
+from .poly import Polynomial, t_shifts
 from .rees import GradedSubmodule, SubmoduleSpec, product
 from .ring import RingSpec
 
@@ -68,9 +66,11 @@ class LengthTable:
         axes = tuple(doc["axes"])
         window = tuple((int(lo), int(hi)) for lo, hi in doc["window"])
         table = cls(axes, window, {})
+        indices = list(table.indices())
         flat = doc["values"]
-        for i, idx in enumerate(table.indices()):
-            table.values[idx] = int(flat[i])
+        if len(flat) != len(indices):
+            raise ValueError(f"{len(flat)} values for a window of {len(indices)} cells")
+        table.values = {idx: int(v) for idx, v in zip(indices, flat)}
         return table
 
 
@@ -94,45 +94,33 @@ DEFAULT_CONFIG = ExtractionConfig()
 
 
 class Evaluator:
-    """Caches powers, products of powers, and length cells for one computation."""
+    """Caches products of powers and length cells for one computation.
+
+    Both memos are keyed by the module objects themselves; GradedSubmodule
+    hashes by identity, so two modules with equal specs never share an entry,
+    and the memo keeps its modules alive.
+    """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._products = {}
         self._lengths = {}
-        self._pinned = []  # keep id()-keyed modules alive for the cache's lifetime
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
-        key = (tuple(id(m) for m in modules), tuple(exponents))
-        with self._lock:
-            self._pinned.extend(modules)
-            if key in self._products:
-                return self._products[key]
-        parts = [m.power(n) for m, n in zip(modules, exponents) if n >= 1]
-        result = None
-        if parts:
-            result = parts[0]
-            for part in parts[1:]:
-                result = product(result, part)
-        with self._lock:
-            self._products.setdefault(key, result)
-            return self._products[key]
+        key = (tuple(modules), tuple(exponents))
+        if key not in self._products:
+            parts = [m.power(n) for m, n in zip(modules, exponents) if n >= 1]
+            result = None
+            if parts:
+                result = parts[0]
+                for part in parts[1:]:
+                    result = product(result, part)
+            self._products[key] = result
+        return self._products[key]
 
     def length(self, query: LengthQuery) -> int:
-        key = (
-            tuple(id(m) for m in query.modules),
-            query.exponents,
-            query.qdeg,
-            query.quotient_elems,
-        )
-        with self._lock:
-            self._pinned.extend(query.modules)
-            if key in self._lengths:
-                return self._lengths[key]
-        value = _length_uncached(query, self)
-        with self._lock:
-            self._lengths.setdefault(key, value)
-            return self._lengths[key]
+        if query not in self._lengths:
+            self._lengths[query] = _length_uncached(query, self)
+        return self._lengths[query]
 
 
 def build_slice_submodule(
@@ -148,32 +136,20 @@ def build_slice_submodule(
     evaluator = evaluator or Evaluator()
     amb = sum(m.tdeg * n for m, n in zip(modules, exponents)) + qdeg
     prod = evaluator.product_of_powers(modules, exponents)
-    gens = []
     if prod is None:
-        # empty product acts as the unit: the full degree-q slice
-        gens = [
-            Polynomial.from_monomial(ring, Monomial(tuple(pos), (0,) * ring.d), 1)
-            for pos in t_monomials(ring, amb)
-        ]
-    elif qdeg == 0:
-        if not quotient_elems:
-            return prod  # presented by its reduced basis already
-        gens = list(prod.gens)
+        # empty product acts as the unit: the full degree-amb slice
+        gens = t_shifts(ring, [Polynomial.constant(ring, 1)], amb)
+    elif qdeg == 0 and not quotient_elems:
+        return prod  # presented by its reduced basis already
     else:
-        shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, qdeg)]
-        gens = [g.mul_term(s, 1) for g in prod.gens for s in shifts]
+        gens = t_shifts(ring, prod.gens, qdeg)
     for elem in quotient_elems:
         etd = elem.tdeg_if_homogeneous()
         if etd is None:
             raise InvalidInput("quotient elements must be t-homogeneous and nonzero")
-        c = amb - etd
-        if c < 0:
+        if etd > amb:
             raise InvalidInput("quotient element t-degree exceeds the ambient degree")
-        if c == 0:
-            gens.append(elem)
-        else:
-            for pos in t_monomials(ring, c):
-                gens.append(elem.mul_term(Monomial(tuple(pos), (0,) * ring.d), 1))
+        gens.extend(t_shifts(ring, [elem], amb - etd))
     return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
 
 
@@ -221,7 +197,6 @@ def table(
     qdeg: int = 0,
     quotient_elems: Sequence[Polynomial] = (),
     evaluator: Optional[Evaluator] = None,
-    threads: int = 1,
 ) -> LengthTable:
     """Evaluate lengths over the window; module powers are memoized.
 
@@ -234,24 +209,15 @@ def table(
         axes = axes + ("q",)
         win = win + ((int(q_window[0]), int(q_window[1])),)
 
-    def cell(idx):
+    tbl = LengthTable(axes, win, {})
+    for idx in tbl.indices():
         if q_window is not None:
             exps, q = idx[:-1], idx[-1]
         else:
             exps, q = idx, qdeg
-        return evaluator.length(
+        tbl.values[idx] = evaluator.length(
             LengthQuery(tuple(modules), tuple(exps), q, tuple(quotient_elems))
         )
-
-    tbl = LengthTable(axes, win, {})
-    indices = list(tbl.indices())
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for idx, val in zip(indices, pool.map(cell, indices)):
-                tbl.values[idx] = val
-    else:
-        for idx in indices:
-            tbl.values[idx] = cell(idx)
     return tbl
 
 
@@ -395,7 +361,6 @@ def _multigraded(
     kind: dict,
     config: ExtractionConfig,
     evaluator: Optional[Evaluator],
-    threads: int = 1,
 ) -> MultiplicityResult:
     for m in modules:
         m.primarity()
@@ -408,9 +373,7 @@ def _multigraded(
     while True:
         window = [(1, hi) for hi in his]
         q_window = None if q_hi is None else (0, q_hi)
-        tbl = table(
-            modules, window, q_window=q_window, evaluator=evaluator, threads=threads
-        )
+        tbl = table(modules, window, q_window=q_window, evaluator=evaluator)
         orders = list(dvec) + ([] if j is None else [j])
         try:
             value, cert = stabilized_difference(tbl, orders, width)
@@ -430,7 +393,6 @@ def mixed(
     dvec: Sequence[int],
     config: ExtractionConfig = DEFAULT_CONFIG,
     evaluator: Optional[Evaluator] = None,
-    threads: int = 1,
 ) -> MultiplicityResult:
     """Mixed multiplicity of type dvec: the certified mixed difference
     Delta_1^d1 ... Delta_k^dk of the multigraded length table."""
@@ -447,7 +409,7 @@ def mixed(
     kind = {"type": "mixed", "dvec": list(dvec)}
     if len(modules) == 1:
         return _univariate(modules[0], dvec[0], kind, config, evaluator, False)
-    return _multigraded(modules, dvec, None, kind, config, evaluator, threads)
+    return _multigraded(modules, dvec, None, kind, config, evaluator)
 
 
 def assoc_mixed(
@@ -456,7 +418,6 @@ def assoc_mixed(
     j: int,
     config: ExtractionConfig = DEFAULT_CONFIG,
     evaluator: Optional[Evaluator] = None,
-    threads: int = 1,
 ) -> MultiplicityResult:
     """Associated mixed multiplicity: adds the auxiliary ambient degree q as
     a table axis and differences it j times."""
@@ -471,4 +432,4 @@ def assoc_mixed(
     if sum(dvec) + j != D:
         raise InvalidInput(f"j + |dvec| must equal d+p-1 = {D}")
     kind = {"type": "assoc", "j": j, "dvec": list(dvec)}
-    return _multigraded(modules, dvec, j, kind, config, evaluator, threads)
+    return _multigraded(modules, dvec, j, kind, config, evaluator)

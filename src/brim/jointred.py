@@ -44,7 +44,7 @@ from .hilbert import (
     mixed,
 )
 from .linalg import PairedSpan
-from .poly import DEFAULT_ORDER, Monomial, Polynomial, t_monomials
+from .poly import DEFAULT_ORDER, Monomial, Polynomial, t_monomials, t_shifts
 from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check
 
 
@@ -310,16 +310,12 @@ def _joint_lhs(xs, modules, n, q, evaluator):
     total_e = sum(m.tdeg for m in modules)
     amb = n * total_e + q
     gens = []
-    shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, q)]
     for i in range(k):
         mods = tuple(modules[:i] + modules[i + 1 :]) + tuple(modules)
         exps = (1,) * (k - 1) + (n - 1,) * k
         part = evaluator.product_of_powers(mods, exps)
         base = [xs[i]] if part is None else [xs[i] * g for g in part.gens]
-        if q == 0:
-            gens.extend(base)
-        else:
-            gens.extend(g.mul_term(s, 1) for g in base for s in shifts)
+        gens.extend(t_shifts(ring, base, q))
     return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
 
 
@@ -347,23 +343,14 @@ def is_joint_reduction(
     ring = modules[0].ring
     window = {"n_max": n_max, "q_max": q_max}
     counterexample = None
-    shifts_cache = {}
     for n in range(1, n_max + 1):
         ok = True
         for q in range(0, q_max + 1):
             lhs = _joint_lhs(xs, modules, n, q, evaluator)
             rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
-            if q == 0:
-                rhs_gens = rhs.gens
-            else:
-                shifts = shifts_cache.setdefault(
-                    q,
-                    [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, q)],
-                )
-                rhs_gens = [g.mul_term(s, 1) for g in rhs.gens for s in shifts]
             missing = None
             basis = lhs.basis
-            for g in rhs_gens:
+            for g in t_shifts(ring, rhs.gens, q):
                 r = normal_form(g, basis)
                 if not r.is_zero():
                     lt, _ = r.leading_term(DEFAULT_ORDER)

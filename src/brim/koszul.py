@@ -22,7 +22,7 @@ from .poly import (
     Monomial,
     compositions_desc,
     count_bidegree,
-    t_monomials,
+    t_shifts,
 )
 
 DELTA_CAP = 40
@@ -169,11 +169,8 @@ def _multiplicity_system_gate(spec: KoszulSpec, t: int):
     ring = spec.ring
     gens = []
     for a, kt in zip(spec.elems, spec.tdegs):
-        c = t - kt
-        if c < 0:
-            continue
-        for pos in t_monomials(ring, c):
-            gens.append(a.mul_term(Monomial(tuple(pos), (0,) * ring.d), 1))
+        if kt <= t:
+            gens.extend(t_shifts(ring, [a], t - kt))
     basis = buchberger(GeneratorSet(ring, t, gens))
     report = colength(basis, keep_monomials=False)
     if not report.finite:

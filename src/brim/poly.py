@@ -321,6 +321,13 @@ def t_monomials(ring: RingSpec, deg: int):
     return list(compositions_desc(deg, ring.p))
 
 
+def t_shifts(ring: RingSpec, polys, deg: int) -> list:
+    """Every g * mu, for g in polys (outer loop) and mu over the degree-deg
+    t-monomials lex descending; deg = 0 gives copies of the inputs."""
+    shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, deg)]
+    return [g.mul_term(mu, 1) for g in polys for mu in shifts]
+
+
 def count_monomials(nvars: int, deg: int) -> int:
     if deg < 0:
         return 0

@@ -12,7 +12,6 @@ supported there, which is what mprimary_check certifies.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOrigin
@@ -53,7 +52,6 @@ class GradedSubmodule:
 
     def __init__(self, spec: SubmoduleSpec):
         self.spec = spec
-        self._lock = threading.RLock()  # cached properties call one another
         self._basis = None
         self._colength = None
         self._primarity = None
@@ -101,12 +99,9 @@ class GradedSubmodule:
     @property
     def basis(self) -> GroebnerBasis:
         if self._basis is None:
-            with self._lock:
-                if self._basis is None:
-                    self._basis = buchberger(
-                        GeneratorSet(self.ring, self.tdeg, self.spec.gens),
-                        DEFAULT_ORDER,
-                    )
+            self._basis = buchberger(
+                GeneratorSet(self.ring, self.tdeg, self.spec.gens), DEFAULT_ORDER
+            )
         return self._basis
 
     @property
@@ -116,9 +111,7 @@ class GradedSubmodule:
 
     def colength_report(self):
         if self._colength is None:
-            with self._lock:
-                if self._colength is None:
-                    self._colength = colength(self.basis)
+            self._colength = colength(self.basis)
         return self._colength
 
     def contains(self, v: Polynomial) -> bool:
@@ -127,12 +120,10 @@ class GradedSubmodule:
     def primarity(self) -> PrimarityCertificate:
         """Cached mprimary_check; raises on every call if the gate failed."""
         if self._primarity is None:
-            with self._lock:
-                if self._primarity is None:
-                    try:
-                        self._primarity = mprimary_check(self)
-                    except (InfiniteColength, SupportOffOrigin) as exc:
-                        self._primarity = exc
+            try:
+                self._primarity = mprimary_check(self)
+            except (InfiniteColength, SupportOffOrigin) as exc:
+                self._primarity = exc
         if isinstance(self._primarity, Exception):
             raise self._primarity
         return self._primarity
@@ -140,15 +131,9 @@ class GradedSubmodule:
     def power(self, n: int) -> "GradedSubmodule":
         if n < 1:
             raise InvalidInput("power exponent must be >= 1")
-        with self._lock:
-            cached = self._powers.get(n)
-        if cached is not None:
-            return cached
-        prev = self.power(n - 1)
-        result = product(self, prev)
-        with self._lock:
-            self._powers.setdefault(n, result)
-            return self._powers[n]
+        if n not in self._powers:
+            self._powers[n] = product(self, self.power(n - 1))
+        return self._powers[n]
 
     def __repr__(self):
         return f"<submodule tdeg={self.tdeg} gens={len(self.spec.gens)}>"

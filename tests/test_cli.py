@@ -265,3 +265,23 @@ def test_failed_cache_write_leaves_no_entry(cli_in_tmp, tmp_path, monkeypatch):
     cli.cache_store_table(key, table)
     assert [p.name for p in (tmp_path / ".brim-cache").iterdir()] == [f"{key}.json"]
     assert cli.cache_load_table(key).to_json() == table.to_json()
+
+
+@pytest.mark.parametrize("corruption", ["values-short", "values-long", "not-an-object"])
+def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
+    on = {"BRIM_CACHE": "on"}
+    cold = payload(brim("ebr", specfile, "-m", "I", cwd=tmp_path, env_extra=on))
+    [entry] = (tmp_path / ".brim-cache").glob("*.json")
+    written = entry.read_text()
+    doc = json.loads(written)
+    if corruption == "values-short":
+        doc["values"] = doc["values"][:-1]
+    elif corruption == "values-long":
+        doc["values"].append(doc["values"][-1])
+    else:
+        doc = [1, 2]
+    entry.write_text(json.dumps(doc))
+    proc = brim("ebr", specfile, "-m", "I", cwd=tmp_path, env_extra=on)
+    assert proc.returncode == 0, proc.stderr
+    assert payload(proc) == cold
+    assert entry.read_text() == written  # recomputed and written back

@@ -33,7 +33,7 @@ def gset(ring, gens, tdeg=1):
 
 
 def lt_strings(basis):
-    return sorted(str(Polynomial.from_monomial(basis.ring, m, 1)) for m in basis.leading_terms())
+    return sorted(str(Polynomial.from_monomial(basis.ring, m, 1)) for m in basis.lts)
 
 
 def test_buchberger_already_reduced():
@@ -368,7 +368,7 @@ def _assert_reduced(basis):
 
     order = basis.order
     elems = list(basis)
-    lts = basis.leading_terms()
+    lts = basis.lts
     for i, g in enumerate(elems):
         assert g.leading_term(order)[1] == basis.ring.field.one
         for j, lt in enumerate(lts):

@@ -77,12 +77,29 @@ def test_table_bigraded_corners():
     assert t.values == {(1, 1): 4, (2, 1): 7, (1, 2): 9, (2, 2): 13}
 
 
-def test_table_parallel_matches_sequential():
-    m = mk(R21, ["x1*t1", "x2*t1"])
-    i = mk(R21, ["x1^2*t1", "x2*t1"])
-    seq = table([m, i], [(1, 3), (1, 3)], threads=1)
-    par = table([m, i], [(1, 3), (1, 3)], threads=4)
-    assert seq.values == par.values
+def test_evaluator_computes_a_repeated_cell_once(monkeypatch):
+    from brim import hilbert
+
+    calls = []
+    uncached = hilbert._length_uncached
+
+    def counting(query, evaluator):
+        calls.append(query)
+        return uncached(query, evaluator)
+
+    monkeypatch.setattr(hilbert, "_length_uncached", counting)
+    e = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
+    twin = GradedSubmodule(e.spec)
+    ev = Evaluator()
+    value = ev.length(LengthQuery((e,), (2,)))
+    assert ev.length(LengthQuery((e,), (2,))) == value
+    assert len(calls) == 1
+    # equal specs, distinct modules: the memo keys on the module object
+    assert ev.length(LengthQuery((twin,), (2,))) == value
+    assert len(calls) == 2
+    prod = ev.product_of_powers((e,), (2,))
+    assert ev.product_of_powers((e,), (2,)) is prod
+    assert ev.product_of_powers((twin,), (2,)) is not prod
 
 
 def test_finite_difference_first_order():

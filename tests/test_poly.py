@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from brim import (
     order_compare,
     parse_polynomial,
 )
+from brim.poly import t_shifts
 
 R21 = RingSpec(d=2, p=1)
 R22 = RingSpec(d=2, p=2)
@@ -144,3 +146,27 @@ def test_parse_rejects_garbage():
         P("x9")
     with pytest.raises(InvalidInput):
         P("x1 ^")
+
+
+@pytest.mark.parametrize("ring", [R22, RingSpec(d=2, p=3)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), deg=st.integers(min_value=0, max_value=3))
+def test_t_shifts_matches_the_nested_loop(ring, data, deg):
+    polys = data.draw(st.lists(polynomials(ring), max_size=4))
+    # degree-deg t-exponents, lex descending, enumerated independently
+    positions = sorted(
+        (e for e in itertools.product(range(deg + 1), repeat=ring.p) if sum(e) == deg),
+        reverse=True,
+    )
+    expected = [
+        g * Polynomial.from_monomial(ring, Monomial(pos, (0,) * ring.d))
+        for g in polys
+        for pos in positions
+    ]
+    got = t_shifts(ring, polys, deg)
+    assert got == expected
+    assert [[m for m, _ in g.items()] for g in got] == [
+        [m for m, _ in g.items()] for g in expected
+    ]
+    if deg == 0:
+        assert got == polys and all(a is not b for a, b in zip(got, polys))

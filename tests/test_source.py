@@ -38,3 +38,23 @@ def test_every_traced_name_resolves():
             missing.append(f"{owner_path}.{attr}")
     assert len(tracing.SPANNED) > 40 and tracing.COUNTED
     assert missing == []
+
+
+def test_the_package_imports_no_thread_machinery():
+    """The computation is single-threaded: no locks, no pools."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] in ("threading", "concurrent")
+            ]
+    assert SRC.name == "brim" and len(list(SRC.glob("*.py"))) > 5
+    assert found == []
