@@ -2,7 +2,7 @@
 finitely generated submodules of free modules over polynomial rings, with
 reduction and joint-reduction deciders."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (  # noqa: F401
     BrimError,

@@ -128,20 +128,24 @@ def _monic(g: Polynomial, order: MonomialOrder):
 class GroebnerBasis:
     """Reduced basis: inter-reduced, monic, leading terms pairwise indivisible.
 
-    ``lts`` holds each element's leading monomial, in element order.
+    ``lts`` holds each element's leading monomial, in element order.  A
+    caller that already holds them passes ``lts`` with monic elements.
     """
 
     __slots__ = ("ring", "tdeg", "order", "elements", "lts", "_reducer")
 
-    def __init__(self, ring, tdeg, order, elements):
+    def __init__(self, ring, tdeg, order, elements, lts=None):
         self.ring = ring
         self.tdeg = tdeg
         self.order = order
-        pairs = [_monic(g, order) for g in elements]
-        self.elements = tuple(g for g, _ in pairs)
-        self.lts = tuple(lt for _, lt in pairs)
+        if lts is None:
+            pairs = [_monic(g, order) for g in elements]
+            elements = [g for g, _ in pairs]
+            lts = [lt for _, lt in pairs]
+        self.elements = tuple(elements)
+        self.lts = tuple(lts)
         self._reducer = _Reducer(order, ring.field)
-        for g, lt in pairs:
+        for g, lt in zip(self.elements, self.lts):
             self._reducer.add(g, lt)
 
     def __iter__(self):
@@ -201,7 +205,7 @@ def _minimalize_monomials(ring, tdeg, order, monos):
             at_pos.append(m.xexp)
     lts = sorted((Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=order.key)
     return GroebnerBasis(
-        ring, tdeg, order, [Polynomial.from_monomial(ring, m, 1) for m in lts]
+        ring, tdeg, order, [Polynomial.from_monomial(ring, m, 1) for m in lts], lts
     )
 
 
@@ -304,7 +308,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         lt = lts[i]
         tail = tails.reduce({m: c for m, c in G[i].items() if m != lt})
         reduced.append(Polynomial._raw(ring, {lt: one, **tail}))
-    return GroebnerBasis(ring, gset.tdeg, order, reduced)
+    return GroebnerBasis(ring, gset.tdeg, order, reduced, [lts[i] for i in keep])
 
 
 def submodule_eq(a: GeneratorSet, b: GeneratorSet, order: Optional[MonomialOrder] = None) -> bool:

@@ -6,6 +6,13 @@ degree-D polynomial the D-th difference is constant and equals D! times the
 leading coefficient.  Constancy over a trailing window (default width 3, with
 one margin cell) is the stabilization certificate; windows extend adaptively
 when stabilization fails.
+
+A length cell is counted one of two ways.  When every module's reduced basis
+and every quotient element is x-homogeneous, the cell's submodule N is graded
+and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
+N built degree by degree from the minimal generators of the product
+(``rees.DegreeSweep``).  Otherwise the cell's submodule is presented by
+generators and its colength is read off its reduced Groebner basis.
 """
 
 from __future__ import annotations
@@ -17,12 +24,23 @@ from typing import Optional, Sequence
 from .errors import (
     DegreeDeficiency,
     InfiniteColength,
+    InternalError,
     InvalidInput,
     NoStabilization,
+    ResourceLimit,
     WindowTooSmall,
 )
-from .poly import Polynomial, t_shifts
-from .rees import GradedSubmodule, SubmoduleSpec, product
+from .groebner import STANDARD_MONOMIAL_CAP
+from .poly import Polynomial, count_bidegree, t_shifts
+from .rees import (
+    PRODUCT_GENERATOR_CAP,
+    DegreeSweep,
+    GradedSubmodule,
+    SubmoduleSpec,
+    by_xdegree,
+    minimal_subset,
+    product,
+)
 from .ring import RingSpec
 
 
@@ -96,14 +114,41 @@ DEFAULT_CONFIG = ExtractionConfig()
 class Evaluator:
     """Caches products of powers and length cells for one computation.
 
-    Both memos are keyed by the module objects themselves; GradedSubmodule
+    Every memo is keyed by the module objects themselves; GradedSubmodule
     hashes by identity, so two modules with equal specs never share an entry,
     and the memo keeps its modules alive.
     """
 
     def __init__(self):
         self._products = {}
+        self._minimal_products = {}
         self._lengths = {}
+
+    def minimal_product(self, modules, exponents) -> tuple:
+        """Minimal generators of E1^n1 ... Ek^nk for modules whose reduced
+        bases are x-homogeneous, one factor at a time as in
+        product_of_powers: lower the last positive exponent by one, multiply
+        the minimal generators of that product by those of its module, and
+        keep the graded Nakayama subset of the products."""
+        key = (tuple(modules), tuple(exponents))
+        if key not in self._minimal_products:
+            last = max(i for i, n in enumerate(exponents) if n >= 1)
+            lowered = list(exponents)
+            lowered[last] -= 1
+            gens = modules[last].minimal_gens
+            if any(lowered):
+                prev = self.minimal_product(modules, lowered)
+                if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
+                    raise ResourceLimit(
+                        f"product n={list(exponents)} would form "
+                        f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
+                    )
+                tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
+                gens = minimal_subset(
+                    modules[0].ring, tdeg, [f * g for f in prev for g in gens]
+                )
+            self._minimal_products[key] = gens
+        return self._minimal_products[key]
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
         key = (tuple(modules), tuple(exponents))
@@ -143,17 +188,35 @@ def build_slice_submodule(
         return prod  # presented by its reduced basis already
     else:
         gens = t_shifts(ring, prod.gens, qdeg)
+    gens.extend(_quotient_shifts(ring, amb, quotient_elems))
+    return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
+
+
+def _quotient_shifts(ring: RingSpec, amb: int, quotient_elems) -> list:
+    """Every quotient element times every t-monomial that lifts it to t-degree amb."""
+    shifts = []
     for elem in quotient_elems:
         etd = elem.tdeg_if_homogeneous()
         if etd is None:
             raise InvalidInput("quotient elements must be t-homogeneous and nonzero")
         if etd > amb:
             raise InvalidInput("quotient element t-degree exceeds the ambient degree")
-        gens.extend(t_shifts(ring, [elem], amb - etd))
-    return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
+        shifts.extend(t_shifts(ring, [elem], amb - etd))
+    return shifts
+
+
+def _cell_name(query: LengthQuery) -> str:
+    return (
+        f"length cell n={list(query.exponents)}, q={query.qdeg}, "
+        f"t-degree {query.ambient_tdeg()}"
+    )
 
 
 def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
+    if all(
+        m.minimal_gens is not None for m, n in zip(query.modules, query.exponents) if n >= 1
+    ) and by_xdegree(query.quotient_elems) is not None:
+        return _graded_length(query, evaluator)
     ring = query.modules[0].ring
     sub = build_slice_submodule(
         ring,
@@ -166,9 +229,53 @@ def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
     report = sub.colength_report()
     if not report.finite:
         raise InfiniteColength(
-            "length cell is infinite; an input module violates the primarity gate"
+            f"{_cell_name(query)} is infinite; an input module violates the primarity gate"
         )
     return report.value
+
+
+def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
+    """The cell's length as the sum over x-degrees of the codimension of
+    N_delta, where N = E1^n1 ... Ek^nk S_q + (quotient elements) is generated
+    by the product's minimal generators times the degree-q t-monomials and by
+    the shifted quotient elements.  Stops at the first degree where N is
+    everything, which is exact because m * S_delta = S_(delta+1)."""
+    ring = query.modules[0].ring
+    amb = query.ambient_tdeg()
+    cell = _cell_name(query)
+    factors = [(m, n) for m, n in zip(query.modules, query.exponents) if n >= 1]
+    try:
+        # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
+        killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
+        if factors:
+            products = evaluator.minimal_product(query.modules, query.exponents)
+        else:  # every exponent is zero: the unit
+            products = (Polynomial.constant(ring, 1),)
+    except (InfiniteColength, ResourceLimit) as exc:
+        raise type(exc)(f"{cell}: {exc}") from exc
+    gens = t_shifts(ring, products, query.qdeg) if query.qdeg else products
+    sweep = DegreeSweep(
+        ring,
+        amb,
+        by_xdegree(itertools.chain(gens, _quotient_shifts(ring, amb, query.quotient_elems))),
+    )
+    bound = max(sweep.top, killed)
+    total = sum(count_bidegree(ring, amb, delta) for delta in range(sweep.start))
+    while True:
+        sweep.advance()
+        total += sweep.count - sweep.rank
+        if total > STANDARD_MONOMIAL_CAP:
+            raise ResourceLimit(
+                f"{cell}: more than {STANDARD_MONOMIAL_CAP} standard monomials "
+                f"by x-degree {sweep.delta}"
+            )
+        if sweep.rank == sweep.count:
+            return total
+        if sweep.delta >= bound:
+            raise InternalError(
+                f"{cell}: x-degree {sweep.delta} piece has rank {sweep.rank} of "
+                f"{sweep.count}, but the primarity bound {bound} says it is full"
+            )
 
 
 def length(query: LengthQuery, evaluator: Optional[Evaluator] = None) -> int:

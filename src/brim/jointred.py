@@ -44,8 +44,15 @@ from .hilbert import (
     mixed,
 )
 from .linalg import PairedSpan
-from .poly import DEFAULT_ORDER, Monomial, Polynomial, t_monomials, t_shifts
-from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check
+from .poly import (
+    DEFAULT_ORDER,
+    Monomial,
+    Polynomial,
+    compositions_desc,
+    t_monomials,
+    t_shifts,
+)
+from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check, product
 
 
 class Verdict(Enum):
@@ -278,21 +285,17 @@ def is_reduction(
         e_primary = False
     if e_primary and not u.colength_report().finite:
         # a reduction of an m-primary module must itself be m-primary
-        from .rees import product as _product
-
-        ce = _first_missing(e.power(2), _product(u, e))
+        ce = _first_missing(e.power(2), product(u, e))
         return Decision(Verdict.FALSE, None, ce, {**window, "reason": "infinite colength"})
-
-    from .rees import product as _product
 
     counterexample = None
     for n in range(1, n_max + 1):
-        lhs = _product(u, e.power(n))
+        lhs = product(u, e.power(n))
         target = e.power(n + 1)
         missing = _first_missing(target, lhs)
         if missing is None:
             if verify_propagation:
-                nxt = _first_missing(e.power(n + 2), _product(u, e.power(n + 1)))
+                nxt = _first_missing(e.power(n + 2), product(u, e.power(n + 1)))
                 if nxt is not None:
                     raise InternalError(
                         f"reduction equality E^{n + 1} = U E^{n} holds but "
@@ -388,8 +391,6 @@ def mn_joint_reduction_witness(
     mprimary_check(span)  # propagate gate failures
     if n < 1:
         raise InvalidInput("n must be >= 1")
-    from .poly import compositions_desc
-
     mnf_gens = [
         Polynomial.from_monomial(ring, Monomial(tuple(pos), tuple(xe)), 1)
         for pos in t_monomials(ring, 1)

@@ -8,18 +8,32 @@ cached reduced Groebner basis is the canonical generator set at each step).
 Lengths computed downstream are global standard-monomial counts; they agree
 with lengths over the local ring at the origin exactly when the quotient is
 supported there, which is what mprimary_check certifies.
+
+When the reduced basis is x-homogeneous the submodule is graded by x-degree,
+and ``DegreeSweep`` builds its degree pieces by linear algebra; graded
+Nakayama then picks the minimal generators out of the reduced basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOrigin
 from .groebner import GeneratorSet, GroebnerBasis, buchberger, colength, contains
-from .poly import DEFAULT_ORDER, Monomial, Polynomial, parse_polynomial, t_monomials
+from .linalg import Echelon
+from .poly import (
+    DEFAULT_ORDER,
+    Monomial,
+    Polynomial,
+    compositions_desc,
+    parse_polynomial,
+    t_monomials,
+)
 from .ring import RingSpec  # noqa: F401  (re-exported: ambient data lives here)
 
 PRODUCT_GENERATOR_CAP = 50_000
+_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,7 @@ class GradedSubmodule:
         self._basis = None
         self._colength = None
         self._primarity = None
+        self._minimal = _UNSET
         self._powers = {1: self}
 
     @classmethod
@@ -109,6 +124,14 @@ class GradedSubmodule:
         """Canonical (inter-reduced) generators: the reduced basis elements."""
         return self.basis.elements
 
+    @property
+    def minimal_gens(self):
+        """The reduced basis elements that graded Nakayama keeps, a minimal
+        generating set; None when the basis is not x-homogeneous."""
+        if self._minimal is _UNSET:
+            self._minimal = minimal_subset(self.ring, self.tdeg, self.basis.elements)
+        return self._minimal
+
     def colength_report(self):
         if self._colength is None:
             self._colength = colength(self.basis)
@@ -137,6 +160,106 @@ class GradedSubmodule:
 
     def __repr__(self):
         return f"<submodule tdeg={self.tdeg} gens={len(self.spec.gens)}>"
+
+
+def by_xdegree(gens):
+    """{x-degree: generators of that degree}, in the given order; None
+    unless every generator is nonzero and x-homogeneous."""
+    groups = {}
+    for g in gens:
+        degs = {m.xdeg for m, _ in g.items()}
+        if len(degs) != 1:
+            return None
+        groups.setdefault(degs.pop(), []).append(g)
+    return groups
+
+
+class DegreeSweep:
+    """The x-degree pieces N_delta of the submodule N of the degree-tdeg
+    slice generated by x-homogeneous generators, built upward one degree at
+    a time.
+
+    ``groups`` maps x-degrees to generators (see ``by_xdegree``); ``start``
+    and ``top`` are its lowest and highest degree.  ``advance()`` moves from
+    delta-1 to delta: N_delta = x_1 N_(delta-1) + ... + x_d N_(delta-1) +
+    span(generators of degree delta), with N_(start-1) = 0.  Columns of
+    degree delta are the bidegree (tdeg, delta) monomials in DEFAULT_ORDER,
+    descending, so a row's pivot is its leading monomial; ``count`` is their
+    number and ``rank`` is dim N_delta.
+    """
+
+    def __init__(self, ring: RingSpec, tdeg: int, groups: dict):
+        self.ring = ring
+        self._groups = groups
+        self.start, self.top = min(groups), max(groups)
+        self.delta = self.start - 1
+        self.count = 0
+        self._positions = {pos: i for i, pos in enumerate(t_monomials(ring, tdeg))}
+        self._xexps = []
+        self._echelon = Echelon(ring.field)
+
+    @property
+    def rank(self) -> int:
+        return len(self._echelon.rows)
+
+    def advance(self) -> list:
+        """Step to the next degree; returns its generators that enlarged the
+        span.  Once N_delta is the whole degree piece the remaining rows are
+        skipped."""
+        self.delta += 1
+        # ascending on the reversed exponents is degrevlex descending
+        new = sorted(compositions_desc(self.delta, self.ring.d), key=lambda x: x[::-1])
+        index = {x: j for j, x in enumerate(new)}
+        width = len(new)
+        positions = self._positions
+        count = self.count = len(positions) * width
+        rows = (
+            (g, {positions[m.texp] * width + index[m.xexp]: c for m, c in g.items()})
+            for g in self._groups.get(self.delta, ())
+        )
+        echelon = Echelon(self.ring.field)
+        kept = []
+        for g, vec in chain(self._shifted_rows(index, width), rows):
+            if len(echelon.rows) == count:
+                break
+            rem = echelon.reduce(vec)
+            if rem:
+                echelon.insert(rem)
+                if g is not None:
+                    kept.append(g)
+        self._echelon, self._xexps = echelon, new
+        return kept
+
+    def _shifted_rows(self, index: dict, width: int):
+        """(None, x_i * row) for every row of N_(delta-1), then every
+        variable, as vectors over the degree-delta columns."""
+        one = self.ring.field.one
+        old_width = len(self._xexps)
+        bumps = [
+            [index[x[:i] + (x[i] + 1,) + x[i + 1:]] for x in self._xexps]
+            for i in range(self.ring.d)
+        ]
+        for pivot, tail in self._echelon.rows.items():
+            for bump in bumps:
+                vec = {}
+                for col, val in chain(((pivot, one),), tail.items()):
+                    pos, j = divmod(col, old_width)
+                    vec[pos * width + bump[j]] = val
+                yield None, vec
+
+
+def minimal_subset(ring: RingSpec, tdeg: int, gens):
+    """The gens outside m times the submodule they generate, taken degree by
+    degree in the given order: a minimal generating set by graded Nakayama.
+    None unless every generator is x-homogeneous."""
+    groups = by_xdegree(gens)
+    if not groups:
+        return None if groups is None else ()
+    sweep = DegreeSweep(ring, tdeg, groups)
+    kept = []
+    while sweep.delta < sweep.top:
+        kept.extend(sweep.advance())
+    return tuple(kept)
 
 
 def embed_w(ring: RingSpec, h) -> Polynomial:

@@ -32,10 +32,6 @@ def gset(ring, gens, tdeg=1):
     return GeneratorSet(ring, tdeg, tuple(parse_polynomial(ring, g) for g in gens))
 
 
-def lt_strings(basis):
-    return sorted(str(Polynomial.from_monomial(basis.ring, m, 1)) for m in basis.lts)
-
-
 def test_buchberger_already_reduced():
     basis = buchberger(gset(R21, ["x1*t1", "x2*t1"]))
     assert sorted(str(g) for g in basis) == ["x1*t1", "x2*t1"]

@@ -393,3 +393,183 @@ def test_slice_of_a_product_without_shift_is_the_product():
     assert sub is prod
     fresh = buchberger(GeneratorSet(R21, prod.tdeg, prod.spec.gens))
     assert sub.colength_report().value == colength(fresh).value
+
+
+# ---------------------------------------------------------------------------
+# the graded length path against Buchberger
+
+from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from brim import (  # noqa: E402
+    QQ,
+    InternalError,
+    PrimarityCertificate,
+    PrimeField,
+    ResourceLimit,
+    SubmoduleSpec,
+)
+from brim import hilbert  # noqa: E402
+from brim.hilbert import build_slice_submodule  # noqa: E402
+from brim.poly import Monomial, Polynomial, compositions_desc, t_monomials  # noqa: E402
+
+R31 = RingSpec(d=3, p=1)
+GF2 = PrimeField(2)
+GF32003 = PrimeField(32003)
+
+# every x-homogeneous module given in this file and in tests/test_acceptance.py
+GRADED_FIXTURES = [
+    (R11, ["x1^2*t1"]),
+    (R11, ["t1"]),
+    (R21, ["x1*t1", "x2*t1"]),
+    (R21, ["x1^2*t1", "x2*t1"]),
+    (R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"]),
+    (R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"]),
+    (R21, ["x1*t1 + x2*t1", "x2^2*t1"]),
+    (R21, ["x1^2*t1", "x2^2*t1"]),
+    (R21, ["x1*t1", "x2^3*t1"]),
+    (R22, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"]),
+    (R22, ["x1^2*t1", "x2^2*t1", "x1*t2", "x2^3*t2"]),
+    (R22, ["x1*t1", "x2*t1 + 3*x1*t2", "x2*t2 + 5*x1*t1"]),
+    (R12, ["x1^2*t1", "x1^3*t2"]),
+    (R31, ["x1^2*t1 + x2*x3*t1", "x2^2*t1 + x1*x3*t1", "x3^2*t1 + x1*x2*t1"]),
+]
+
+
+def _both_paths(query):
+    """(graded path, Buchberger path) lengths of one cell."""
+    ring = query.modules[0].ring
+    graded = hilbert._graded_length(query, Evaluator())
+    sub = build_slice_submodule(
+        ring, query.modules, query.exponents, query.qdeg, query.quotient_elems, Evaluator()
+    )
+    return graded, sub.colength_report().value
+
+
+def test_graded_path_matches_buchberger_on_the_fixtures():
+    for ring, gens in GRADED_FIXTURES:
+        e = mk(ring, gens)
+        assert e.minimal_gens is not None, gens
+        x = mk(ring, [f"x1*t{ring.p}"]).gens[0]
+        cells = [((1,), 0, ()), ((2,), 0, ()), ((3,), 0, ()), ((2,), 1, ()), ((2,), 0, (x,))]
+        for exps, q, elems in cells:
+            graded, reference = _both_paths(LengthQuery((e,), exps, q, elems))
+            assert graded == reference, (gens, exps, q, elems)
+    m = mk(R21, ["x1*t1", "x2*t1"])
+    i = mk(R21, ["x1^2*t1", "x2*t1"])
+    for exps in [(1, 1), (2, 1), (1, 3), (0, 2)]:
+        graded, reference = _both_paths(LengthQuery((m, i), exps, 1))
+        assert graded == reference, exps
+
+
+@st.composite
+def graded_cells(draw):
+    """An x-homogeneous m-primary module: pure powers at every position plus
+    up to two random x-homogeneous elements, and a cell over it."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    ring = RingSpec(d=d, p=p, field=draw(st.sampled_from([QQ, GF2, GF32003])))
+    positions = t_monomials(ring, 1)
+    gens = []
+    for pos in positions:
+        for i in range(d):
+            a = draw(st.integers(1, 2))
+            xe = tuple(a if j == i else 0 for j in range(d))
+            gens.append(Polynomial(ring, {Monomial(pos, xe): 1}))
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(1, 2))
+        monos = [Monomial(pos, xe) for pos in positions for xe in compositions_desc(deg, d)]
+        picked = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=3, unique=True))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(picked), max_size=len(picked)))
+        gens.append(Polynomial(ring, dict(zip(picked, coeffs))))
+    e = GradedSubmodule(SubmoduleSpec(ring, 1, gens))
+    n = draw(st.integers(1, 3))
+    q = draw(st.integers(0, 3))
+    assume((n + q) * d * p <= 12)
+    elems = ()
+    if draw(st.booleans()):
+        pos = draw(st.sampled_from(t_monomials(ring, draw(st.integers(1, n + q)))))
+        xe = draw(st.sampled_from(list(compositions_desc(draw(st.integers(1, 2)), d))))
+        elems = (Polynomial(ring, {Monomial(pos, xe): 1}),)
+    return LengthQuery((e,), (n,), q, elems)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graded_cells())
+def test_graded_path_matches_buchberger_on_drawn_modules(query):
+    graded, reference = _both_paths(query)
+    assert graded == reference
+
+
+def test_non_homogeneous_cell_takes_the_buchberger_path(monkeypatch):
+    def refuse(query, evaluator):
+        raise RuntimeError("graded path entered")
+
+    monkeypatch.setattr(hilbert, "_graded_length", refuse)
+    nonhomog = mk(R21, ["x1^2*t1 + x2^3*t1", "x1*x2*t1", "x2^4*t1"])
+    assert nonhomog.minimal_gens is None
+    value = Evaluator().length(LengthQuery((nonhomog,), (1,)))
+    assert value == GradedSubmodule(nonhomog.spec).colength_report().value
+    # a graded module alongside, or a non-homogeneous quotient element, also
+    # sends the cell to Buchberger
+    m = mk(R21, ["x1*t1", "x2*t1"])
+    Evaluator().length(LengthQuery((m, nonhomog), (1, 1)))
+    odd = mk(R21, ["x1*t1 + x2^2*t1"]).gens[0]
+    assert Evaluator().length(LengthQuery((m,), (2,), 0, (odd,))) == 2
+    with pytest.raises(RuntimeError, match="graded path entered"):
+        Evaluator().length(LengthQuery((m,), (2,)))
+
+
+def test_graded_path_raises_when_the_primarity_bound_is_too_small(monkeypatch):
+    e = mk(R21, ["x1^2*t1", "x2^2*t1"])
+    assert length(LengthQuery((e,), (1,))) == 4
+    # the true exponent is 3; claiming 0 makes the bound the generator degree 2
+    monkeypatch.setattr(e, "_primarity", PrimarityCertificate(colength=4, nakayama_exponent=0))
+    with pytest.raises(InternalError, match=r"n=\[1\], q=0, t-degree 1"):
+        Evaluator().length(LengthQuery((e,), (1,)))
+
+
+def test_graded_path_limits_name_the_cell(monkeypatch):
+    e = mk(R22, ["x1*t1", "x2*t1 + 3*x1*t2", "x2*t2 + 5*x1*t1"])
+    monkeypatch.setattr(hilbert, "STANDARD_MONOMIAL_CAP", 10)
+    with pytest.raises(ResourceLimit, match=r"n=\[2\], q=1, t-degree 3"):
+        length(LengthQuery((e,), (2,), 1))
+    monkeypatch.undo()
+    monkeypatch.setattr(hilbert, "PRODUCT_GENERATOR_CAP", 8)
+    with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2.*cap 8"):
+        length(LengthQuery((e,), (2,)))
+
+
+def test_infinite_buchberger_cell_names_the_cell():
+    from brim import InfiniteColength
+
+    line = mk(R21, ["x1*t1 + x2^2*t1"])
+    with pytest.raises(InfiniteColength, match=r"n=\[2\], q=1, t-degree 3"):
+        Evaluator().length(LengthQuery((line,), (2,), 1))
+
+
+# ---------------------------------------------------------------------------
+# heavy non-monomial cases
+
+
+def test_ebr_of_the_generic_ternary_quadrics():
+    e = mk(R31, ["x1^2*t1 + x2*x3*t1", "x2^2*t1 + x1*x3*t1", "x3^2*t1 + x1*x2*t1"])
+    res = ebr(e)
+    assert res.value == 8
+    assert [res.table.values[(n,)] for n in range(1, 5)] == [8, 32, 80, 160]
+
+
+def test_mixed_of_a_non_monomial_module_against_mF():
+    e = mk(R22, ["x1*t1", "x2*t2", "x1*t2 + x2*t1"])
+    mf = mk(R22, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])
+    assert mixed([e, mf], (2, 1)).value == 3
+
+
+def test_parameter_module_table_has_the_closed_form():
+    e = mk(R22, ["x1*t1", "x2*t1 + 3*x1*t2", "x2*t2 + 5*x1*t1"])
+    mf = mk(R22, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])
+    tbl = table([e, mf], [(1, 4), (1, 4)])
+    for (a, b), value in tbl.values.items():
+        s = a + b
+        assert value == (s + 1) * s * (s + 1) // 2, (a, b)
+    assert tbl.values[(4, 4)] == 324

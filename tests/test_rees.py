@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brim import (
     GeneratorSet,
@@ -151,3 +153,62 @@ def test_from_vectors_matches_embed():
 def test_zero_generators_dropped():
     sub = GradedSubmodule.from_gens(R11, 1, ["0", "x1*t1"])
     assert len(sub.spec.gens) == 1
+
+
+def _strings(polys):
+    return sorted(str(g) for g in polys)
+
+
+def test_minimal_gens_keep_a_monomial_basis_monomial():
+    e = mk(R21, ["x1*t1 + x2*t1", "x2*t1"])
+    assert _strings(e.minimal_gens) == ["x1*t1", "x2*t1"]
+
+
+def test_minimal_gens_drop_the_bloat_of_the_reduced_basis():
+    e = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
+    assert "x2^3*t1" in _strings(e.gens)
+    assert _strings(e.minimal_gens) == ["x1*x2*t1", "x1^2*t1 + x2^2*t1"]
+
+
+def test_minimal_gens_of_a_non_homogeneous_basis_is_none():
+    assert mk(R21, ["x1^2*t1 + x2^3*t1"]).minimal_gens is None
+
+
+def _m_times(e):
+    """m*E, presented by x_i times each generator."""
+    ring = e.ring
+    xs = [parse_polynomial(ring, f"x{i + 1}") for i in range(ring.d)]
+    return GradedSubmodule(SubmoduleSpec(ring, e.tdeg, [x * g for x in xs for g in e.gens]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([R21, R22, R12, RingSpec(d=3, p=1)]),
+    st.integers(3, 4),
+    st.lists(st.integers(0, 40), min_size=1, max_size=4),
+    st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+)
+def test_minimal_gens_number_dim_e_mod_m_e(ring, pure, picks, coeffs):
+    """A minimal generating set spans E and has dim_k(E / mE) elements,
+    where dim_k(E / mE) = l(F / mE) - l(F / E) comes from two Buchberger
+    colengths.  Pure powers make every drawn module m-primary; the quadrics
+    often put pure powers and basis elements of degree 3 into mE."""
+    gens = [
+        f"x{i + 1}^{pure}*t{j + 1}" for i in range(ring.d) for j in range(ring.p)
+    ]
+    monos = [
+        f"x{a + 1}*x{b + 1}*t{j + 1}"
+        for a in range(ring.d)
+        for b in range(a, ring.d)
+        for j in range(ring.p)
+    ]
+    for k, pick in enumerate(picks):
+        first, second = monos[pick % len(monos)], monos[(pick * 7 + k) % len(monos)]
+        gens.append(f"{coeffs[k] or 1}*{first} + {coeffs[k + 1]}*{second}")
+    e = mk(ring, gens)
+    minimal = e.minimal_gens
+    assert minimal is not None
+    assert set(minimal) <= set(e.gens)
+    assert spans_equal(e, GradedSubmodule(SubmoduleSpec(ring, 1, minimal)))
+    quotient_dim = _m_times(e).colength_report().value - e.colength_report().value
+    assert len(minimal) == quotient_dim
