@@ -30,6 +30,7 @@ SPEC = {
         "U": {"tdeg": 1, "gens": ["x1^2*t1", "x2^2*t1"]},
         "M2": {"tdeg": 2, "gens": ["x1*t1^2", "x2^2*t1^2"]},
         "Q": {"tdeg": 1, "gens": ["x1^2*t1+x2^2*t1", "x1*x2*t1"]},
+        "A": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1", "x2^3*t1"]},
     },
     "elements": {"a1": "x1*t1", "a2": "x2*t1", "b1": "x1^2*t1"},
 }
@@ -40,6 +41,7 @@ COMMANDS = [
     ["tilde-ebr", "-m", "M2"],
     ["ebr", "-m", "Q"],
     ["mixed", "-m", "m,I", "-d", "1,1"],
+    ["mixed", "-m", "A,A", "-d", "1,1"],
     ["assoc", "-m", "m", "-d", "1", "-j", "1"],
     ["gmult", "-e", "a1,a2"],
     ["check", "reduction", "-u", "U", "-m", "m2"],

@@ -6,6 +6,11 @@ requires equal t-exponents and componentwise <= on x-exponents.  S-pairs are
 only formed between elements whose leading positions coincide, and leading
 terms are indexed by position, so every scan stays inside one position.
 
+Input generators are queued with the S-pairs by sugar degree, as in the
+sugar strategy of Giovini et al. (ISSAC 1991): each is reduced by the basis
+built so far when its turn comes and joins only if its remainder is nonzero,
+so a redundant generator never forms pairs.
+
 Pairs are pruned by the Gebauer-Moeller update (J. Symb. Comput. 6, 1988),
 applied one position at a time as each element joins the basis: criterion
 B_k drops queued pairs that now have a chain through the new element, and
@@ -23,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput, ResourceLimit
+from .errors import InternalError, InvalidInput, ResourceLimit
 from .poly import DEFAULT_ORDER, Monomial, MonomialOrder, Polynomial, t_monomials
 from .ring import RingSpec
 
@@ -79,11 +84,11 @@ class _Reducer:
         order_key = self.order.key
         fld = self.field
         by_pos = self.by_pos
-        heap = [tuple(-k for k in order_key(m)) + (m,) for m in work]
+        heap = [(tuple(-k for k in order_key(m)), m) for m in work]
         heapq.heapify(heap)
         rem = {}
         while heap:
-            m = heapq.heappop(heap)[-1]
+            top, m = heapq.heappop(heap)
             c = work.get(m)
             if c is None:
                 continue
@@ -108,7 +113,14 @@ class _Reducer:
                     nc = fld.neg(fld.mul(c, gc))
                     if not fld.is_zero(nc):
                         work[mm] = nc
-                        heapq.heappush(heap, tuple(-k for k in order_key(mm)) + (mm,))
+                        key = tuple(-k for k in order_key(mm))
+                        if key <= top:
+                            raise InternalError(
+                                f"division by a divisor whose leading monomial is not "
+                                f"{Monomial(m.texp, lx)}: tail term {mm} does not sort "
+                                f"below {m}"
+                            )
+                        heapq.heappush(heap, (key, mm))
                 else:
                     acc = fld.sub(acc, fld.mul(c, gc))
                     if fld.is_zero(acc):
@@ -129,7 +141,8 @@ class GroebnerBasis:
     """Reduced basis: inter-reduced, monic, leading terms pairwise indivisible.
 
     ``lts`` holds each element's leading monomial, in element order.  A
-    caller that already holds them passes ``lts`` with monic elements.
+    caller that already holds them passes ``lts`` with monic elements; each
+    given lt must be a term of its element with coefficient one.
     """
 
     __slots__ = ("ring", "tdeg", "order", "elements", "lts", "_reducer")
@@ -142,6 +155,15 @@ class GroebnerBasis:
             pairs = [_monic(g, order) for g in elements]
             elements = [g for g, _ in pairs]
             lts = [lt for _, lt in pairs]
+        else:
+            if len(lts) != len(elements):
+                raise InternalError(f"{len(lts)} leading monomials for {len(elements)} elements")
+            one = ring.field.one
+            for g, lt in zip(elements, lts):
+                if g._terms.get(lt) != one:
+                    raise InternalError(
+                        f"leading monomial {lt} given for {g} is not a term with coefficient one"
+                    )
         self.elements = tuple(elements)
         self.lts = tuple(lts)
         self._reducer = _Reducer(order, ring.field)
@@ -212,8 +234,11 @@ def _minimalize_monomials(ring, tdeg, order, monos):
 def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic for a fixed input generator order.
 
-    Pairs are processed by the normal strategy (sugar degree, then input
-    index); pairs with distinct leading positions are never formed.
+    Input generators and S-pairs share one queue, ordered by sugar degree;
+    at equal sugar the inputs come first, in input order, then the pairs by
+    index.  An input is reduced by the current basis when it is popped and
+    joins it only if the remainder is nonzero.  Pairs with distinct leading
+    positions are never formed, and ``PAIR_CAP`` counts S-pairs only.
     """
     order = order or DEFAULT_ORDER
     ring = gset.ring
@@ -269,22 +294,26 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         olds[:] = [i for i in olds if not _xdivides(x, lts[i].xexp)]
         olds.append(k)
 
-    for g in gset.gens:
-        append(g)
+    # input k waits as (sugar, -1, k), ahead of the S-pairs of its sugar
+    for k, g in enumerate(gset.gens):
+        heapq.heappush(pairs, (_sugar(g), -1, k))
 
     processed = 0
     while pairs:
-        processed += 1
-        if processed > PAIR_CAP:
-            raise ResourceLimit(
-                f"Buchberger on the t-degree {gset.tdeg} slice: {processed - 1} pairs "
-                f"processed from {len(gset.gens)} input generators, basis reached "
-                f"{len(G)} elements (pair cap {PAIR_CAP})"
-            )
         _, i, j = heapq.heappop(pairs)
-        if queued[lts[i].texp].pop((i, j), None) is None:
-            continue
-        rem = reducer.reduce(dict(_spair_of(G[i], G[j], lts[i], lts[j]).items()))
+        if i < 0:
+            rem = reducer.reduce(dict(gset.gens[j].items()))
+        else:
+            processed += 1
+            if processed > PAIR_CAP:
+                raise ResourceLimit(
+                    f"Buchberger on the t-degree {gset.tdeg} slice: {processed - 1} pairs "
+                    f"processed from {len(gset.gens)} input generators, basis reached "
+                    f"{len(G)} elements (pair cap {PAIR_CAP})"
+                )
+            if queued[lts[i].texp].pop((i, j), None) is None:
+                continue
+            rem = reducer.reduce(dict(_spair_of(G[i], G[j], lts[i], lts[j]).items()))
         if rem:
             append(Polynomial._raw(ring, rem))
 
@@ -317,12 +346,9 @@ def submodule_eq(a: GeneratorSet, b: GeneratorSet, order: Optional[MonomialOrder
         raise InvalidInput("submodules over different rings")
     if a.tdeg != b.tdeg:
         raise InvalidInput("submodules live in different t-degree slices")
-    return bases_eq(buchberger(a, order), buchberger(b, order), a.gens, b.gens)
-
-
-def bases_eq(basis_a: GroebnerBasis, basis_b: GroebnerBasis, gens_a, gens_b) -> bool:
-    return all(contains(basis_b, g) for g in gens_a) and all(
-        contains(basis_a, g) for g in gens_b
+    basis_a, basis_b = buchberger(a, order), buchberger(b, order)
+    return all(contains(basis_b, g) for g in a.gens) and all(
+        contains(basis_a, g) for g in b.gens
     )
 
 
@@ -342,6 +368,10 @@ def colength(
 
     Finite iff at every position the leading-term staircase contains a pure
     power of every x-variable; infinite is a valid report, not an error.
+    At a position the pure powers bound a box.  The count runs over the heads
+    (e_1..e_(d-1)) of that box: the standard monomials over a head are
+    x^head * x_d^j for j below the smallest last exponent among the minimal
+    leading monomials whose other exponents divide the head.
     """
     ring = basis.ring
     d = ring.d
@@ -373,14 +403,17 @@ def colength(
             box *= b
         if box > cap:
             raise ResourceLimit("standard monomial enumeration exceeds the cap")
-        for cand in itertools.product(*(range(b) for b in bounds)):
-            if any(all(a <= b for a, b in zip(e, cand)) for e in minimal):
-                continue
-            total += 1
+        for head in itertools.product(*(range(b) for b in bounds[:-1])):
+            height = bounds[-1]
+            for e in minimal:
+                if e[-1] < height and all(a <= b for a, b in zip(e, head)):
+                    height = e[-1]
+            total += height
             if total > cap:
                 raise ResourceLimit("standard monomial enumeration exceeds the cap")
-            if keep_monomials and len(monomials) < KEEP_MONOMIALS_CAP:
-                monomials.append(Monomial(pos, cand))
+            if keep_monomials:
+                for last in range(min(height, KEEP_MONOMIALS_CAP - len(monomials))):
+                    monomials.append(Monomial(pos, head + (last,)))
     kept = None
     if keep_monomials and total <= KEEP_MONOMIALS_CAP:
         kept = tuple(sorted(monomials, key=basis.order.key))

@@ -1,8 +1,10 @@
 """Independent oracles used to freeze expected values.
 
-The staircase count here deliberately uses a different algorithm than the
-production code (inclusion-exclusion over generator subsets instead of a box
-scan) so the two can cross-check each other on monomial inputs.
+The staircase counts here deliberately use other algorithms than the
+production code, which counts one column of the pure-power box at a time:
+``monomial_staircase_count`` uses inclusion-exclusion over generator subsets,
+and ``box_scan_colength`` tests every cell of the box against every minimal
+leading monomial.  The three cross-check each other on monomial inputs.
 """
 
 import itertools
@@ -35,6 +37,49 @@ def monomial_staircase_count(d, minimal_exps):
                 size *= max(0, b - l)
             total += (-1) ** k * size
     return total
+
+
+def box_scan_colength(basis, cap, keep_cap):
+    """(finite, value, standard monomials) of a Groebner basis's slice, by
+    testing every cell of each position's pure-power box.  ``ResourceLimit``
+    when a box or the count exceeds ``cap``; the monomials, sorted by the
+    basis order, are None above ``keep_cap``."""
+    from brim import ResourceLimit
+    from brim.poly import Monomial
+
+    d = basis.ring.d
+    lead = {}
+    for lt in basis.lts:
+        lead.setdefault(lt.texp, []).append(lt.xexp)
+    per_pos = []
+    for pos in t_monomials(basis.ring, basis.tdeg):
+        minimal = []
+        for e in sorted(set(lead.get(tuple(pos), []))):
+            if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
+                minimal.append(e)
+        bounds = []
+        for i in range(d):
+            pure = [e[i] for e in minimal if all(e[j] == 0 for j in range(d) if j != i)]
+            if not pure:
+                return False, None, None
+            bounds.append(min(pure))
+        per_pos.append((tuple(pos), minimal, bounds))
+    monomials = []
+    for pos, minimal, bounds in per_pos:
+        box = 1
+        for b in bounds:
+            box *= b
+        if box > cap:
+            raise ResourceLimit("box exceeds the cap")
+        for cand in itertools.product(*(range(b) for b in bounds)):
+            if not any(all(a <= b for a, b in zip(e, cand)) for e in minimal):
+                monomials.append(Monomial(pos, cand))
+                if len(monomials) > cap:
+                    raise ResourceLimit("count exceeds the cap")
+    kept = None
+    if len(monomials) <= keep_cap:
+        kept = tuple(sorted(monomials, key=basis.order.key))
+    return True, len(monomials), kept
 
 
 def monomial_module_colength(ring, tdeg, monomials):

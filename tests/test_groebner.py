@@ -1,11 +1,17 @@
+import contextlib
 import random
 import re
+import signal
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from brim import (
     GeneratorSet,
+    InternalError,
     InvalidInput,
     Monomial,
     Polynomial,
@@ -18,10 +24,12 @@ from brim import (
     parse_polynomial,
     submodule_eq,
 )
-from brim.poly import DEGREVLEX_X, TOTAL_BLOCK
+from brim import groebner
+from brim.groebner import KEEP_MONOMIALS_CAP, STANDARD_MONOMIAL_CAP, GroebnerBasis
+from brim.poly import DEGREVLEX_X, TOTAL_BLOCK, t_monomials
 from brim.ring import QQ, PrimeField
 
-from .oracles import monomial_module_colength
+from .oracles import box_scan_colength, monomial_module_colength
 
 R11 = RingSpec(d=1, p=1)
 R21 = RingSpec(d=2, p=1)
@@ -357,6 +365,23 @@ def test_buchberger_invariant_under_permuted_and_duplicated_generators():
         assert [str(g) for g in basis] == expected, n
 
 
+def test_buchberger_ignores_redundant_inputs():
+    """Inputs padded with x_i-multiples and sums of generators, all of which
+    reduce to zero once the basis holds the originals."""
+    rng = random.Random(43)
+    for n, (ring, tdeg, gens, expected) in enumerate(_fixture_cases()):
+        padded = list(gens)
+        for g in gens:
+            i = rng.randrange(ring.d)
+            shift = Monomial((0,) * ring.p, tuple(int(j == i) for j in range(ring.d)))
+            padded.append(g.mul_term(shift, 1))
+        for _ in range(len(gens)):
+            padded.append(rng.choice(gens) + rng.choice(gens).scale(rng.randint(1, 3)))
+        rng.shuffle(padded)
+        basis = buchberger(GeneratorSet(ring, tdeg, tuple(padded)))
+        assert [str(g) for g in basis] == expected, n
+
+
 def _assert_reduced(basis):
     """Monic, leading terms pairwise indivisible, no term divisible by another
     element's leading term, and every same-position S-pair reduces to 0."""
@@ -401,3 +426,90 @@ def test_pair_cap_message_names_the_sizes_reached(monkeypatch):
     assert "from 3 input generators" in msg
     assert "pair cap 3" in msg
     assert re.search(r"basis reached \d+ elements", msg), msg
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_basis_with_a_wrong_leading_monomial_raises():
+    g = parse_polynomial(R21, "x1*x2*t1 + x2*t1")
+    with _deadline(1.0):
+        with pytest.raises(InternalError):  # not a term of g
+            GroebnerBasis(R21, 1, DEGREVLEX_X, [g], [Monomial((1,), (0, 2))])
+        with pytest.raises(InternalError):  # a term, but not with coefficient one
+            GroebnerBasis(R21, 1, DEGREVLEX_X, [g.scale(2)], [Monomial((1,), (1, 1))])
+        with pytest.raises(InternalError):
+            GroebnerBasis(R21, 1, DEGREVLEX_X, [g], [])
+        # x2*t1 is a term of g with coefficient one, but not its leading one:
+        # dividing by it would trade x2*t1 for x1*x2*t1, then x1^2*x2*t1, ...
+        basis = GroebnerBasis(R21, 1, DEGREVLEX_X, [g], [Monomial((1,), (0, 1))])
+        with pytest.raises(InternalError, match="does not sort below"):
+            normal_form(parse_polynomial(R21, "x2*t1"), basis)
+
+
+# ---------------------------------------------------------------------------
+# the column count against the box scan and inclusion-exclusion
+
+
+@st.composite
+def monomial_modules(draw):
+    """Monomial generators of a slice: most pure powers at every position,
+    so that most draws are finite, plus a few random monomials."""
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 2))
+    tdeg = draw(st.integers(1, 2))
+    ring = RingSpec(d=d, p=p)
+    positions = [tuple(pos) for pos in t_monomials(ring, tdeg)]
+    monos = []
+    for pos in positions:
+        for i in range(d):
+            if draw(st.integers(0, 5)):
+                a = draw(st.integers(1, 4))
+                monos.append(Monomial(pos, tuple(a if j == i else 0 for j in range(d))))
+    extra = st.tuples(st.sampled_from(positions), st.tuples(*[st.integers(0, 3)] * d))
+    monos += [Monomial(pos, xe) for pos, xe in draw(st.lists(extra, max_size=5))]
+    assume(monos)
+    return ring, tdeg, monos
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    monomial_modules(),
+    st.one_of(st.just(STANDARD_MONOMIAL_CAP), st.integers(1, 40)),
+    st.sampled_from([None, -1, 0, 1]),
+    st.booleans(),
+)
+def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap, keep_slack, keep):
+    """Every report field and the cap; the slack puts the count just under,
+    at or just over the cap on kept monomials."""
+    ring, tdeg, monos = module
+    gens = tuple(Polynomial.from_monomial(ring, m, 1) for m in monos)
+    basis = buchberger(GeneratorSet(ring, tdeg, gens))
+    expected = monomial_module_colength(ring, tdeg, monos)
+    keep_cap = KEEP_MONOMIALS_CAP
+    if keep_slack is not None and expected is not None:
+        keep_cap = max(0, expected + keep_slack)
+    try:
+        finite, value, standard = box_scan_colength(basis, cap, keep_cap)
+    except ResourceLimit:
+        with pytest.raises(ResourceLimit):
+            colength(basis, cap=cap, keep_monomials=keep)
+        return
+    with mock.patch.object(groebner, "KEEP_MONOMIALS_CAP", keep_cap):
+        rep = colength(basis, cap=cap, keep_monomials=keep)
+    assert (rep.finite, rep.value) == (finite, value)
+    assert rep.standard_monomials == (standard if keep else None)
+    assert rep.value == expected

@@ -565,6 +565,32 @@ def test_mixed_of_a_non_monomial_module_against_mF():
     assert mixed([e, mf], (2, 1)).value == 3
 
 
+# not x-homogeneous, so every cell over it takes the Buchberger path
+A_GENS = ["x1^3*t1 + x2^2*t1", "x1*x2*t1", "x2^3*t1"]
+
+
+def test_products_of_a_non_homogeneous_module_match_its_powers():
+    """|A^n1|*|B^n2| product generators, most of them redundant, give the
+    reduced basis of A^(n1+n2) for two separately built copies of A."""
+    from brim import product
+
+    a, b = mk(R21, A_GENS), mk(R21, A_GENS)
+    assert a.minimal_gens is None
+    for n1 in range(1, 4):
+        for n2 in range(1, 4):
+            prod = product(a.power(n1), b.power(n2))
+            expected = [str(g) for g in a.power(n1 + n2).basis]
+            assert [str(g) for g in prod.basis] == expected, (n1, n2)
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
+def test_mixed_of_a_non_homogeneous_module_with_itself_is_its_ebr(field):
+    ring = RingSpec(d=2, p=1, field=field)
+    a, b = mk(ring, A_GENS), mk(ring, A_GENS)
+    assert mixed((a, b), (1, 1)).value == 5
+    assert ebr(a).value == 5
+
+
 def test_parameter_module_table_has_the_closed_form():
     e = mk(R22, ["x1*t1", "x2*t1 + 3*x1*t2", "x2*t2 + 5*x1*t1"])
     mf = mk(R22, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])
