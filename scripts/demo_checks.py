@@ -48,6 +48,7 @@ COMMANDS = [
     ["check", "joint", "-x", "a1,a2", "-m", "m,m"],
     ["check", "converse", "-x", "a1,a2", "-m", "m,I"],
     ["check", "risler", "-m", "m", "-d", "2", "--seed", "0"],
+    ["check", "risler", "-m", "Q", "-d", "2"],
 ]
 
 

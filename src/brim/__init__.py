@@ -66,7 +66,6 @@ from .jointred import (  # noqa: F401
 from .koszul import GMultResult, KoszulSpec, chain_dim, g_mult_et, homology_dim  # noqa: F401
 from .poly import (  # noqa: F401
     DEGREVLEX_X,
-    TOTAL_BLOCK,
     Monomial,
     MonomialOrder,
     Polynomial,

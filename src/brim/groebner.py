@@ -2,9 +2,11 @@
 
 A t-homogeneous polynomial of degree e is a vector over R = k[x1..xd] whose
 positions are the degree-e t-monomials; leading-term divisibility therefore
-requires equal t-exponents and componentwise <= on x-exponents.  S-pairs are
-only formed between elements whose leading positions coincide, and leading
-terms are indexed by position, so every scan stays inside one position.
+requires equal t-exponents and componentwise <= on x-exponents.  Leading
+terms are taken in the one term order of ``poly``, ``DEGREVLEX_X``:
+positions first, then degrevlex on x.  S-pairs are only formed between
+elements whose leading positions coincide, and leading terms are indexed by
+position, so every scan stays inside one position.
 
 Input generators are queued with the S-pairs by sugar degree, as in the
 sugar strategy of Giovini et al. (ISSAC 1991): each is reduced by the basis
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .poly import DEFAULT_ORDER, Monomial, MonomialOrder, Polynomial, t_monomials
+from .poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
 from .ring import RingSpec
 
 STANDARD_MONOMIAL_CAP = 10**6
@@ -67,10 +69,9 @@ class GeneratorSet:
 class _Reducer:
     """Division engine: monic divisors indexed by leading position."""
 
-    __slots__ = ("order", "field", "by_pos")
+    __slots__ = ("field", "by_pos")
 
-    def __init__(self, order: MonomialOrder, field):
-        self.order = order
+    def __init__(self, field):
         self.field = field
         self.by_pos = {}
 
@@ -81,7 +82,7 @@ class _Reducer:
 
     def reduce(self, work: dict) -> dict:
         """Full normal form of the term dict; consumes and returns dicts."""
-        order_key = self.order.key
+        order_key = DEGREVLEX_X.key
         fld = self.field
         by_pos = self.by_pos
         heap = [(tuple(-k for k in order_key(m)), m) for m in work]
@@ -130,9 +131,9 @@ class _Reducer:
         return rem
 
 
-def _monic(g: Polynomial, order: MonomialOrder):
+def _monic(g: Polynomial):
     """g scaled to leading coefficient one, and its leading monomial."""
-    lt, lc = g.leading_term(order)
+    lt, lc = g.leading_term()
     fld = g.ring.field
     return (g if lc == fld.one else g.scale(fld.invert(lc))), lt
 
@@ -145,14 +146,13 @@ class GroebnerBasis:
     given lt must be a term of its element with coefficient one.
     """
 
-    __slots__ = ("ring", "tdeg", "order", "elements", "lts", "_reducer")
+    __slots__ = ("ring", "tdeg", "elements", "lts", "_reducer")
 
-    def __init__(self, ring, tdeg, order, elements, lts=None):
+    def __init__(self, ring, tdeg, elements, lts=None):
         self.ring = ring
         self.tdeg = tdeg
-        self.order = order
         if lts is None:
-            pairs = [_monic(g, order) for g in elements]
+            pairs = [_monic(g) for g in elements]
             elements = [g for g, _ in pairs]
             lts = [lt for _, lt in pairs]
         else:
@@ -166,7 +166,7 @@ class GroebnerBasis:
                     )
         self.elements = tuple(elements)
         self.lts = tuple(lts)
-        self._reducer = _Reducer(order, ring.field)
+        self._reducer = _Reducer(ring.field)
         for g, lt in zip(self.elements, self.lts):
             self._reducer.add(g, lt)
 
@@ -193,11 +193,6 @@ def contains(basis: GroebnerBasis, v: Polynomial) -> bool:
     return normal_form(v, basis).is_zero()
 
 
-def _spair(f: Polynomial, g: Polynomial, order) -> Polynomial:
-    # leading positions agree; both monic
-    return _spair_of(f, g, f.leading_term(order)[0], g.leading_term(order)[0])
-
-
 def _spair_of(f: Polynomial, g: Polynomial, lf: Monomial, lg: Monomial) -> Polynomial:
     # lf, lg: the leading monomials of the monic f and g; their positions agree
     lcm = tuple(max(a, b) for a, b in zip(lf.xexp, lg.xexp))
@@ -218,20 +213,20 @@ def _xlcm(a: tuple, b: tuple) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def _minimalize_monomials(ring, tdeg, order, monos):
+def _minimalize_monomials(ring, tdeg, monos):
     """Reduced basis for monomial generators: drop dominated monomials."""
     kept = {}  # position -> kept x-exponents
     for m in sorted(set(monos)):  # componentwise divisors sort first
         at_pos = kept.setdefault(m.texp, [])
         if not any(_xdivides(k, m.xexp) for k in at_pos):
             at_pos.append(m.xexp)
-    lts = sorted((Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=order.key)
-    return GroebnerBasis(
-        ring, tdeg, order, [Polynomial.from_monomial(ring, m, 1) for m in lts], lts
+    lts = sorted(
+        (Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=DEGREVLEX_X.key
     )
+    return GroebnerBasis(ring, tdeg, [Polynomial.from_monomial(ring, m, 1) for m in lts], lts)
 
 
-def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> GroebnerBasis:
+def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     """Reduced Groebner basis; deterministic for a fixed input generator order.
 
     Input generators and S-pairs share one queue, ordered by sugar degree;
@@ -240,14 +235,11 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     joins it only if the remainder is nonzero.  Pairs with distinct leading
     positions are never formed, and ``PAIR_CAP`` counts S-pairs only.
     """
-    order = order or DEFAULT_ORDER
     ring = gset.ring
     if all(g.num_terms() == 1 for g in gset.gens):
-        return _minimalize_monomials(
-            ring, gset.tdeg, order, [g.leading_term(order)[0] for g in gset.gens]
-        )
+        return _minimalize_monomials(ring, gset.tdeg, [g.leading_term()[0] for g in gset.gens])
 
-    reducer = _Reducer(order, ring.field)
+    reducer = _Reducer(ring.field)
     G = []
     lts = []
     sugars = []
@@ -259,7 +251,7 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
     def append(g):
         """Add g, made monic, to the basis and queue its surviving pairs."""
         k = len(G)
-        g, lt = _monic(g, order)
+        g, lt = _monic(g)
         G.append(g)
         lts.append(lt)
         sugars.append(_sugar(g))
@@ -327,26 +319,26 @@ def buchberger(gset: GeneratorSet, order: Optional[MonomialOrder] = None) -> Gro
         )
     ]
     # tail-reduce: an element's own leading term divides none of its tail terms
-    tails = _Reducer(order, ring.field)
+    tails = _Reducer(ring.field)
     for i in keep:
         tails.add(G[i], lts[i])
     one = ring.field.one
-    keep.sort(key=lambda i: order.key(lts[i]))
+    keep.sort(key=lambda i: DEGREVLEX_X.key(lts[i]))
     reduced = []
     for i in keep:
         lt = lts[i]
         tail = tails.reduce({m: c for m, c in G[i].items() if m != lt})
         reduced.append(Polynomial._raw(ring, {lt: one, **tail}))
-    return GroebnerBasis(ring, gset.tdeg, order, reduced, [lts[i] for i in keep])
+    return GroebnerBasis(ring, gset.tdeg, reduced, [lts[i] for i in keep])
 
 
-def submodule_eq(a: GeneratorSet, b: GeneratorSet, order: Optional[MonomialOrder] = None) -> bool:
+def submodule_eq(a: GeneratorSet, b: GeneratorSet) -> bool:
     """Span equality by mutual membership of generators."""
     if a.ring != b.ring:
         raise InvalidInput("submodules over different rings")
     if a.tdeg != b.tdeg:
         raise InvalidInput("submodules live in different t-degree slices")
-    basis_a, basis_b = buchberger(a, order), buchberger(b, order)
+    basis_a, basis_b = buchberger(a), buchberger(b)
     return all(contains(basis_b, g) for g in a.gens) and all(
         contains(basis_a, g) for g in b.gens
     )
@@ -416,5 +408,5 @@ def colength(
                     monomials.append(Monomial(pos, head + (last,)))
     kept = None
     if keep_monomials and total <= KEEP_MONOMIALS_CAP:
-        kept = tuple(sorted(monomials, key=basis.order.key))
+        kept = tuple(sorted(monomials, key=DEGREVLEX_X.key))
     return ColengthReport(True, total, kept)

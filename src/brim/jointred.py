@@ -45,7 +45,6 @@ from .hilbert import (
 )
 from .linalg import PairedSpan
 from .poly import (
-    DEFAULT_ORDER,
     Monomial,
     Polynomial,
     compositions_desc,
@@ -109,12 +108,20 @@ class CriterionReport:
 
 def sample_superficial(modules: Sequence[GradedSubmodule], seed) -> SuperficialCandidate:
     """Deterministic random field-linear combination of the first module's
-    canonical generators; the reduced basis is linearly independent, so the
-    combination is nonzero."""
+    minimal generators, in reduced-basis order, or of its reduced basis when
+    that is not x-homogeneous.  A non-minimal basis element would make every
+    combination x-inhomogeneous (x2^3*t1 in the basis of (x1^2+x2^2, x1x2)t1).
+    Either set is linearly independent (minimal generators even modulo m
+    times the module; basis elements by distinct leading monomials), and no
+    coefficient is zero, so the combination is nonzero."""
     if not modules:
         raise InvalidInput("need at least one module")
     e1 = modules[0]
     gens = e1.gens
+    minimal = e1.minimal_gens
+    if minimal is not None:
+        minimal = set(minimal)
+        gens = [g for g in gens if g in minimal]
     if not gens:
         raise ZeroModule("cannot sample from the zero module")
     rng = random.Random(f"superficial:{seed}")
@@ -248,23 +255,18 @@ def verify_superficial(
     )
 
 
-def _first_missing(target: GradedSubmodule, inside: GradedSubmodule):
-    """Leading monomial of the first generator of target not inside."""
-    basis = inside.basis
-    for g in target.gens:
+def _first_missing(basis, gens):
+    """Leading monomial, as text, of the normal form of the first of gens
+    outside the span of the basis; None when all are inside."""
+    for g in gens:
         r = normal_form(g, basis)
         if not r.is_zero():
-            lt, _ = r.leading_term(DEFAULT_ORDER)
-            return str(Polynomial.from_monomial(target.ring, lt, 1))
+            lt, _ = r.leading_term()
+            return str(Polynomial.from_monomial(basis.ring, lt, 1))
     return None
 
 
-def is_reduction(
-    u: GradedSubmodule,
-    e: GradedSubmodule,
-    n_max: int = 6,
-    verify_propagation: bool = True,
-) -> Decision:
+def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Decision:
     """Decide whether U is a reduction of E: E^(n+1) = U E^n at some n <= n_max.
 
     One verified exponent suffices (multiplying the equality by E propagates
@@ -285,22 +287,21 @@ def is_reduction(
         e_primary = False
     if e_primary and not u.colength_report().finite:
         # a reduction of an m-primary module must itself be m-primary
-        ce = _first_missing(e.power(2), product(u, e))
+        ce = _first_missing(product(u, e).basis, e.power(2).gens)
         return Decision(Verdict.FALSE, None, ce, {**window, "reason": "infinite colength"})
 
     counterexample = None
     for n in range(1, n_max + 1):
         lhs = product(u, e.power(n))
         target = e.power(n + 1)
-        missing = _first_missing(target, lhs)
+        missing = _first_missing(lhs.basis, target.gens)
         if missing is None:
-            if verify_propagation:
-                nxt = _first_missing(e.power(n + 2), product(u, e.power(n + 1)))
-                if nxt is not None:
-                    raise InternalError(
-                        f"reduction equality E^{n + 1} = U E^{n} holds but "
-                        f"E^{n + 2} = U E^{n + 1} fails at {nxt}"
-                    )
+            nxt = _first_missing(product(u, e.power(n + 1)).basis, e.power(n + 2).gens)
+            if nxt is not None:
+                raise InternalError(
+                    f"reduction equality E^{n + 1} = U E^{n} holds but "
+                    f"E^{n + 2} = U E^{n + 1} fails at {nxt}"
+                )
             return Decision(Verdict.TRUE, n, None, window)
         counterexample = missing
     return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
@@ -351,14 +352,7 @@ def is_joint_reduction(
         for q in range(0, q_max + 1):
             lhs = _joint_lhs(xs, modules, n, q, evaluator)
             rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
-            missing = None
-            basis = lhs.basis
-            for g in t_shifts(ring, rhs.gens, q):
-                r = normal_form(g, basis)
-                if not r.is_zero():
-                    lt, _ = r.leading_term(DEFAULT_ORDER)
-                    missing = str(Polynomial.from_monomial(ring, lt, 1))
-                    break
+            missing = _first_missing(lhs.basis, t_shifts(ring, rhs.gens, q))
             if missing is not None:
                 ok = False
                 if q == 0:

@@ -18,7 +18,7 @@ from .errors import InternalError, InvalidInput, NoStabilization, NotMultiplicit
 from .groebner import GeneratorSet, buchberger, colength
 from .linalg import rank as matrix_rank
 from .poly import (
-    DEFAULT_ORDER,
+    DEGREVLEX_X,
     Monomial,
     compositions_desc,
     count_bidegree,
@@ -91,7 +91,7 @@ def _slice_basis(spec: KoszulSpec, n: int, t: int, delta: int):
             for te in compositions_desc(kt, ring.p)
             for xe in compositions_desc(kx, ring.d)
         ]
-        monos.sort(key=DEFAULT_ORDER.key, reverse=True)
+        monos.sort(key=DEGREVLEX_X.key, reverse=True)
         basis.extend((subset, mo) for mo in monos)
     return basis
 

@@ -1,10 +1,10 @@
 """Sparse bigraded polynomials in S = k[x1..xd, t1..tp].
 
-Monomials carry separate x- and t-exponent blocks.  The two supported term
-orders are position-over-term style: "degrevlex-x" compares t-exponents
-lexicographically first (positions), then degrevlex on the x-block;
-"total-block" inserts the total t-degree in front.  Both are multiplicative
-total orders and restrict to the same order on any fixed t-degree slice.
+Monomials carry separate x- and t-exponent blocks.  There is one term order,
+position over term: t-exponents compare lexicographically first (positions),
+then degrevlex on the x-block.  It is a multiplicative total order.  Every
+computation stays inside one t-degree slice, where any position-over-term
+order with degrevlex on x agrees with it, so no other order is offered.
 """
 
 from __future__ import annotations
@@ -40,12 +40,6 @@ class Monomial(NamedTuple):
             a <= b for a, b in zip(self.xexp, other.xexp)
         )
 
-    def div(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(a - b for a, b in zip(self.texp, other.texp)),
-            tuple(a - b for a, b in zip(self.xexp, other.xexp)),
-        )
-
 
 def one_monomial(ring: RingSpec) -> Monomial:
     return Monomial((0,) * ring.p, (0,) * ring.d)
@@ -57,40 +51,21 @@ def _degrevlex_key(xexp: tuple) -> tuple:
 
 
 class MonomialOrder:
-    """Total multiplicative order on monomials; kind in {degrevlex-x, total-block}."""
-
-    KINDS = ("degrevlex-x", "total-block")
-
-    def __init__(self, kind: str):
-        if kind not in self.KINDS:
-            raise InvalidInput(f"unknown order kind {kind!r}")
-        self.kind = kind
+    """The term order: t-exponents lexicographically, then degrevlex on x.
+    Larger keys are larger monomials."""
 
     def key(self, m: Monomial) -> tuple:
-        if self.kind == "degrevlex-x":
-            return m.texp + _degrevlex_key(m.xexp)
-        return (sum(m.texp),) + m.texp + _degrevlex_key(m.xexp)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and other.kind == self.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"MonomialOrder({self.kind!r})"
+        return m.texp + _degrevlex_key(m.xexp)
 
 
-DEGREVLEX_X = MonomialOrder("degrevlex-x")
-TOTAL_BLOCK = MonomialOrder("total-block")
-DEFAULT_ORDER = DEGREVLEX_X
+DEGREVLEX_X = MonomialOrder()
 
 
-def order_compare(u: Monomial, v: Monomial, order: MonomialOrder = DEFAULT_ORDER) -> int:
+def order_compare(u: Monomial, v: Monomial) -> int:
     """Return 1, 0 or -1 as u >, =, < v; 0 only for identical exponents."""
     if len(u.texp) != len(v.texp) or len(u.xexp) != len(v.xexp):
         raise InvalidInput("monomials from different rings")
-    ku, kv = order.key(u), order.key(v)
+    ku, kv = DEGREVLEX_X.key(u), DEGREVLEX_X.key(v)
     return (ku > kv) - (ku < kv)
 
 
@@ -151,9 +126,11 @@ class Polynomial:
     def num_terms(self) -> int:
         return len(self._terms)
 
-    def terms(self, order: MonomialOrder = DEFAULT_ORDER):
-        """Term list sorted descending under the given order."""
-        return tuple(sorted(self._terms.items(), key=lambda mc: order.key(mc[0]), reverse=True))
+    def terms(self):
+        """Term list sorted descending under the term order."""
+        return tuple(
+            sorted(self._terms.items(), key=lambda mc: DEGREVLEX_X.key(mc[0]), reverse=True)
+        )
 
     def items(self):
         return self._terms.items()
@@ -161,10 +138,10 @@ class Polynomial:
     def coeff(self, m: Monomial):
         return self._terms.get(m, self.ring.field.zero)
 
-    def leading_term(self, order: MonomialOrder = DEFAULT_ORDER):
+    def leading_term(self):
         if not self._terms:
             raise Undefined("leading term of the zero polynomial")
-        m = max(self._terms, key=order.key)
+        m = max(self._terms, key=DEGREVLEX_X.key)
         return m, self._terms[m]
 
     def _check_same_ring(self, other: "Polynomial"):
@@ -242,10 +219,10 @@ class Polynomial:
                         res[m] = acc
         return Polynomial._raw(self.ring, res)
 
-    def monic(self, order: MonomialOrder = DEFAULT_ORDER) -> "Polynomial":
+    def monic(self) -> "Polynomial":
         if not self._terms:
             return self
-        _, lc = self.leading_term(order)
+        _, lc = self.leading_term()
         fld = self.ring.field
         if lc == fld.one:
             return self
@@ -453,12 +430,12 @@ def _format_coeff_and_vars(ring: RingSpec, m: Monomial, c) -> str:
     return f"{cs}*{body}"
 
 
-def format_polynomial(f: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> str:
-    """Canonical text: terms descending under the order; round-trips via parse."""
+def format_polynomial(f: Polynomial) -> str:
+    """Canonical text: terms descending under the term order; round-trips via parse."""
     if f.is_zero():
         return "0"
     out = []
-    for m, c in f.terms(order):
+    for m, c in f.terms():
         s = _format_coeff_and_vars(f.ring, m, c)
         if not out:
             out.append(s)

@@ -23,7 +23,6 @@ from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOri
 from .groebner import GeneratorSet, GroebnerBasis, buchberger, colength, contains
 from .linalg import Echelon
 from .poly import (
-    DEFAULT_ORDER,
     Monomial,
     Polynomial,
     compositions_desc,
@@ -36,21 +35,8 @@ PRODUCT_GENERATOR_CAP = 50_000
 _UNSET = object()
 
 
-@dataclass(frozen=True)
-class SubmoduleSpec:
-    """Canonical form of a submodule presentation: t-homogeneous generators."""
-
-    ring: RingSpec
-    tdeg: int
-    gens: tuple
-
-    def __init__(self, ring: RingSpec, tdeg: int, gens):
-        if tdeg < 1:
-            raise InvalidInput("slice degree must be >= 1")
-        gset = GeneratorSet(ring, tdeg, tuple(gens))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "tdeg", tdeg)
-        object.__setattr__(self, "gens", gset.gens)
+# the presentation a GradedSubmodule wraps; callers import it by this name
+SubmoduleSpec = GeneratorSet
 
 
 @dataclass(frozen=True)
@@ -65,6 +51,8 @@ class GradedSubmodule:
     """A submodule of a slice with a lazily computed, cached reduced basis."""
 
     def __init__(self, spec: SubmoduleSpec):
+        if spec.tdeg < 1:
+            raise InvalidInput("slice degree must be >= 1")
         self.spec = spec
         self._basis = None
         self._colength = None
@@ -114,9 +102,7 @@ class GradedSubmodule:
     @property
     def basis(self) -> GroebnerBasis:
         if self._basis is None:
-            self._basis = buchberger(
-                GeneratorSet(self.ring, self.tdeg, self.spec.gens), DEFAULT_ORDER
-            )
+            self._basis = buchberger(self.spec)
         return self._basis
 
     @property
@@ -183,7 +169,7 @@ class DegreeSweep:
     and ``top`` are its lowest and highest degree.  ``advance()`` moves from
     delta-1 to delta: N_delta = x_1 N_(delta-1) + ... + x_d N_(delta-1) +
     span(generators of degree delta), with N_(start-1) = 0.  Columns of
-    degree delta are the bidegree (tdeg, delta) monomials in DEFAULT_ORDER,
+    degree delta are the bidegree (tdeg, delta) monomials in the term order,
     descending, so a row's pivot is its leading monomial; ``count`` is their
     number and ``rank`` is dim N_delta.
     """

@@ -59,10 +59,6 @@ class Rationals:
         return 1 / Fraction(a)
 
     @staticmethod
-    def div(a, b):
-        return Fraction(a) / b
-
-    @staticmethod
     def is_zero(a) -> bool:
         return a == 0
 
@@ -122,9 +118,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return (a * self.invert(b)) % self.p
-
     @staticmethod
     def is_zero(a) -> bool:
         return a == 0
@@ -152,8 +145,6 @@ class PrimeField:
 
 
 QQ = Rationals()
-
-DEFAULT_PRIME = 32003
 
 
 def field_from_config(cfg):
@@ -190,8 +181,3 @@ class RingSpec:
     @property
     def tvars(self):
         return tuple(f"t{i + 1}" for i in range(self.p))
-
-    def field_config(self):
-        if isinstance(self.field, Rationals):
-            return "QQ"
-        return {"GF": self.field.p}

@@ -5,12 +5,14 @@ production code, which counts one column of the pure-power box at a time:
 ``monomial_staircase_count`` uses inclusion-exclusion over generator subsets,
 and ``box_scan_colength`` tests every cell of the box against every minimal
 leading monomial.  The three cross-check each other on monomial inputs.
+``spair`` forms S-polynomials for the Groebner checks by plain polynomial
+products, apart from the production division code.
 """
 
 import itertools
 from math import comb
 
-from brim.poly import t_monomials
+from brim.poly import DEGREVLEX_X, Polynomial, t_monomials
 
 
 def monomial_staircase_count(d, minimal_exps):
@@ -43,7 +45,7 @@ def box_scan_colength(basis, cap, keep_cap):
     """(finite, value, standard monomials) of a Groebner basis's slice, by
     testing every cell of each position's pure-power box.  ``ResourceLimit``
     when a box or the count exceeds ``cap``; the monomials, sorted by the
-    basis order, are None above ``keep_cap``."""
+    term order, are None above ``keep_cap``."""
     from brim import ResourceLimit
     from brim.poly import Monomial
 
@@ -78,8 +80,25 @@ def box_scan_colength(basis, cap, keep_cap):
                     raise ResourceLimit("count exceeds the cap")
     kept = None
     if len(monomials) <= keep_cap:
-        kept = tuple(sorted(monomials, key=basis.order.key))
+        kept = tuple(sorted(monomials, key=DEGREVLEX_X.key))
     return True, len(monomials), kept
+
+
+def spair(f, g):
+    """S-polynomial of f and g, whose leading monomials share a position:
+    lcm/lt(f) * f / lc(f) - lcm/lt(g) * g / lc(g), lcm the x-lcm of the two
+    leading monomials."""
+    from brim.poly import Monomial
+
+    ring = f.ring
+    (lf, cf), (lg, cg) = f.leading_term(), g.leading_term()
+    lcm = [max(a, b) for a, b in zip(lf.xexp, lg.xexp)]
+
+    def lift(h, lead, lc):
+        shift = Monomial((0,) * ring.p, tuple(m - a for m, a in zip(lcm, lead.xexp)))
+        return h * Polynomial.from_monomial(ring, shift, ring.field.invert(lc))
+
+    return lift(f, lf, cf) - lift(g, lg, cg)
 
 
 def monomial_module_colength(ring, tdeg, monomials):

@@ -1,12 +1,14 @@
 import pytest
 
 from brim import (
+    QQ,
     GradedSubmodule,
     InvalidDegree,
     NotDeskCase,
     NotMember,
     NotSubmodule,
     Polynomial,
+    PrimeField,
     RingSpec,
     Verdict,
     converse_criterion,
@@ -292,6 +294,24 @@ def test_risler_teissier_forward_direction(m):
     assert dec.verdict is Verdict.TRUE
     span = GradedSubmodule.from_gens(R21, 1, ["x1*t1", "x2*t1"])
     assert ebr(span).value == mixed([m, m], (1, 1)).value
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(32003)], ids=["QQ", "GF"])
+def test_risler_samples_minimal_generators(field):
+    """Q = (x1^2+x2^2, x1x2)t1 has the non-minimal x2^3*t1 in its reduced
+    basis; sampling combines only the minimal generators, so every seed
+    gives the mixed multiplicity."""
+    ring = RingSpec(d=2, p=1, field=field)
+    q = mk(ring, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
+    mm = mk(ring, ["x1*t1", "x2*t1"])
+    assert len(q.gens) == 3 and len(q.minimal_gens) == 2
+    pair = risler_teissier_check([q, mm], (1, 1), seeds=(0, 1, 2))
+    assert pair.consistent and pair.lhs_mult.value == 2
+    assert pair.values_by_seed == {"0": 2, "1": 2, "2": 2}
+    assert all(len(c.coefficients) == 2 for c in pair.candidates[::2])
+    alone = risler_teissier_check([q], (2,), seeds=(0, 1, 2))
+    assert alone.consistent and alone.lhs_mult.value == ebr(q).value == 4
+    assert alone.values_by_seed == {"0": 4, "1": 4, "2": 4}
 
 
 def test_risler_sampling_gate_rejects_off_origin_spans(m):

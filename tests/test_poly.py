@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from brim import (
     DEGREVLEX_X,
-    TOTAL_BLOCK,
     InvalidInput,
     Monomial,
     Polynomial,
@@ -61,22 +61,20 @@ def test_bidegree_of_zero_undefined():
 def test_order_compare_degrevlex():
     x2 = Monomial((0,), (2, 0))
     xy = Monomial((0,), (1, 1))
-    assert order_compare(x2, xy, DEGREVLEX_X) == 1
+    assert order_compare(x2, xy) == 1
     assert order_compare(xy, xy) == 0
 
 
 def test_order_compare_positions():
     t1 = Monomial((1, 0), (0, 0))
     t2 = Monomial((0, 1), (0, 0))
-    assert order_compare(t1, t2, DEGREVLEX_X) == 1
-    assert order_compare(t1, t2, TOTAL_BLOCK) == 1
+    assert order_compare(t1, t2) == 1
 
 
 def test_orders_differ_across_tdeg():
     t1 = Monomial((1, 0), (0, 0))
     t2sq = Monomial((0, 2), (0, 0))
-    assert order_compare(t1, t2sq, DEGREVLEX_X) == 1
-    assert order_compare(t1, t2sq, TOTAL_BLOCK) == -1
+    assert order_compare(t1, t2sq) == 1
 
 
 # -- random polynomials -----------------------------------------------------
@@ -114,8 +112,43 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(monomials(), monomials(), monomials())
 def test_order_multiplicative(u, v, w):
-    for order in (DEGREVLEX_X, TOTAL_BLOCK):
-        assert order_compare(u, v, order) == order_compare(u.mul(w), v.mul(w), order)
+    assert order_compare(u, v) == order_compare(u.mul(w), v.mul(w))
+
+
+def _reference_compare(u, v):
+    """1, 0 or -1 as u >, =, < v: positions lexicographically first, then
+    total x-degree, then reverse lex on x (at the last x-variable where they
+    differ, the smaller exponent wins)."""
+    for a, b in zip(u.texp, v.texp):
+        if a != b:
+            return 1 if a > b else -1
+    du, dv = sum(u.xexp), sum(v.xexp)
+    if du != dv:
+        return 1 if du > dv else -1
+    for a, b in zip(reversed(u.xexp), reversed(v.xexp)):
+        if a != b:
+            return 1 if a < b else -1
+    return 0
+
+
+@st.composite
+def monomial_lists(draw):
+    d = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    small = st.integers(0, 3)
+    mono = st.builds(
+        Monomial, st.tuples(*[small] * p), st.tuples(*[small] * d)
+    )
+    return draw(st.lists(mono, min_size=2, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_lists())
+def test_order_matches_an_independent_comparator(monos):
+    for u, v in itertools.product(monos, repeat=2):
+        assert order_compare(u, v) == _reference_compare(u, v), (u, v)
+    expected = sorted(monos, key=functools.cmp_to_key(_reference_compare))
+    assert sorted(monos, key=DEGREVLEX_X.key) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -150,6 +150,13 @@ def test_from_vectors_matches_embed():
     assert spans_equal(sub, expected)
 
 
+def test_slice_degree_zero_is_rejected():
+    with pytest.raises(InvalidInput, match="slice degree must be >= 1"):
+        GradedSubmodule(SubmoduleSpec(R21, 0, []))
+    with pytest.raises(InvalidInput, match="slice degree must be >= 1"):
+        GradedSubmodule(SubmoduleSpec(R21, 0, [parse_polynomial(R21, "x1")]))
+
+
 def test_zero_generators_dropped():
     sub = GradedSubmodule.from_gens(R11, 1, ["0", "x1*t1"])
     assert len(sub.spec.gens) == 1
