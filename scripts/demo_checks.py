@@ -31,6 +31,8 @@ SPEC = {
         "M2": {"tdeg": 2, "gens": ["x1*t1^2", "x2^2*t1^2"]},
         "Q": {"tdeg": 1, "gens": ["x1^2*t1+x2^2*t1", "x1*x2*t1"]},
         "A": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1", "x2^3*t1"]},
+        # non-integer coefficients: exact ranks clear the denominators first
+        "Qr": {"tdeg": 1, "gens": ["1/2*x1^2*t1+2/3*x2^2*t1", "3/4*x1*x2*t1"]},
     },
     "elements": {"a1": "x1*t1", "a2": "x2*t1", "b1": "x1^2*t1"},
 }
@@ -40,6 +42,7 @@ COMMANDS = [
     ["ebr", "-m", "m"],
     ["tilde-ebr", "-m", "M2"],
     ["ebr", "-m", "Q"],
+    ["ebr", "-m", "Qr"],
     ["mixed", "-m", "m,I", "-d", "1,1"],
     ["mixed", "-m", "A,A", "-d", "1,1"],
     ["assoc", "-m", "m", "-d", "1", "-j", "1"],

@@ -63,6 +63,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _named_blocks(doc: dict, key: str):
+    """The (name, block) pairs of the spec's ``key`` object, names nonempty."""
+    blocks = doc.get(key) or {}
+    if not isinstance(blocks, dict):
+        raise InvalidInput(f"'{key}' must be an object mapping names to entries")
+    for name in blocks:
+        if not name:
+            raise InvalidInput(f"{key[:-1]} names must be nonempty")
+    return blocks.items()
+
+
 class SpecFile:
     """Parsed spec document: ring block, named modules, named elements."""
 
@@ -77,11 +88,25 @@ class SpecFile:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed ring block: {exc}") from exc
         self.modules = {}
-        for name, block in (doc.get("modules") or {}).items():
-            if not name:
-                raise InvalidInput("module names must be nonempty")
-            tdeg = int(block.get("tdeg", 1))
+        for name, block in _named_blocks(doc, "modules"):
+            if not isinstance(block, dict):
+                raise InvalidInput(f"module {name}: expected an object with 'tdeg' and 'gens'")
+            try:
+                tdeg = int(block.get("tdeg", 1))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInput(
+                    f"module {name}: tdeg {block['tdeg']!r} is not an integer"
+                ) from exc
             gens = block.get("gens", [])
+            if not isinstance(gens, list):
+                raise InvalidInput(f"module {name}: gens must be a list")
+            for g in gens:
+                entries = g if isinstance(g, list) else [g]
+                if not all(isinstance(e, str) for e in entries):
+                    raise InvalidInput(
+                        f"module {name}: generator {g!r} is neither a polynomial string "
+                        "nor a list of polynomial strings"
+                    )
             strings = [g for g in gens if isinstance(g, str)]
             vectors = [g for g in gens if isinstance(g, list)]
             if strings and vectors:
@@ -93,9 +118,9 @@ class SpecFile:
             else:
                 self.modules[name] = GradedSubmodule.from_gens(self.ring, tdeg, strings)
         self.elements = {}
-        for name, text in (doc.get("elements") or {}).items():
-            if not name:
-                raise InvalidInput("element names must be nonempty")
+        for name, text in _named_blocks(doc, "elements"):
+            if not isinstance(text, str):
+                raise InvalidInput(f"element {name}: {text!r} is not a polynomial string")
             self.elements[name] = parse_polynomial(self.ring, text)
         self.doc = doc
 

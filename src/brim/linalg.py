@@ -1,77 +1,136 @@
-"""Exact linear algebra over the coefficient fields: one sparse echelon kernel.
+"""Exact linear algebra over the coefficient fields: one sparse integer kernel.
 
-Vectors are sparse ``{column: value}`` dicts over a field of ``brim.ring``.
-An ``Echelon`` holds rows keyed by their pivot.  A row's pivot is its
-smallest column and its entry there is one, so only the entries after the
-pivot are stored.  ``reduce`` eliminates every pivot column of a vector in
-increasing order; subtracting a row changes no column below its pivot, so
-the remainder has no entry in any pivot column.  ``insert`` stores a nonzero
-remainder as a new row.  ``rank`` and ``PairedSpan`` both run on it.
+Vectors are sparse ``{column: int}`` dicts, for both fields.  Over GF(p) the
+ints are residues in [0, p).  Over QQ they are integers: a vector of
+rationals enters once, times the lcm of its denominators
+(``Echelon.integral``), and no fraction is formed inside the elimination.
+
+An ``Echelon`` holds rows keyed by their pivot, the smallest column, and
+each row stores its pivot entry a.  A GF(p) row is monic (a = 1); a QQ row
+is primitive (the gcd of its entries is one) with a > 0.  ``reduce``
+eliminates every pivot column of a vector in increasing order.  With c the
+vector's entry in the pivot column and g = gcd(a, c), one step is
+v <- (a/g) v - (c/g) row over QQ and v <- (v - c row) mod p over GF(p).  A
+step changes no column below its pivot, so the remainder has no entry in any
+pivot column.  ``insert`` stores a nonzero remainder as a new row.
+
+Remainders are exact.  The rows are independent with distinct pivots, and
+a nonzero combination of them is nonzero at the smallest pivot it uses.  So
+a vector u has exactly one remainder: the vector of u + span(rows) with no
+pivot-column entry, whatever the order or scale of the rows.  The integer
+remainder is that vector times the product of the factors a/g, which
+``reduce`` returns; dividing by it (and by the lcm of the input's
+denominators) once gives the remainder that elimination over fractions
+gives.  ``PairedSpan`` does so for its kernel vectors; ``rank`` and
+``rees.DegreeSweep`` need only whether a remainder is zero.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .errors import InvalidInput
 from .ring import PrimeField, Rationals
 
 
 class Echelon:
-    """Sparse rows in echelon form over a field, keyed by pivot column."""
+    """Sparse integer rows in echelon form, keyed by pivot column."""
 
     def __init__(self, field):
+        if isinstance(field, PrimeField):
+            self.modulus = field.p
+        elif isinstance(field, Rationals):
+            self.modulus = 0
+        else:
+            raise InvalidInput(f"linear algebra over unsupported field {field!r}")
         self.field = field
-        self.rows = {}  # pivot column -> {column: value} after the pivot
+        self.rows = {}  # pivot column -> {column: int}, the pivot entry included
 
-    def reduce(self, vec: dict) -> dict:
-        """Remainder of vec after eliminating every pivot column; consumes vec."""
-        fld = self.field
+    def integral(self, vec: dict) -> int:
+        """Make a vector of field elements integral in place; returns the
+        factor it now carries.  Over QQ the values, ints or fractions, are
+        multiplied by the lcm of their denominators; GF(p) residues are
+        integral already."""
+        if self.modulus:
+            return 1
+        den = lcm(*(v.denominator for v in vec.values()))
+        for j, v in vec.items():
+            vec[j] = v.numerator * (den // v.denominator)
+        return den
+
+    def reduce(self, vec: dict) -> int:
+        """Eliminate every pivot column of vec in place.  Returns the factor
+        s with vec_out = s * (vec_in - a combination of rows); s is one
+        over GF(p)."""
+        p = self.modulus
         rows = self.rows
+        scale = 1
         heap = [j for j in vec if j in rows]
-        heapq.heapify(heap)
+        heapify(heap)
         while heap:
-            pivot = heapq.heappop(heap)
-            c = vec.pop(pivot, None)
+            pivot = heappop(heap)
+            c = vec.get(pivot)
             if c is None:  # pushed twice, or cancelled since it was pushed
                 continue
-            for j, b in rows[pivot].items():
-                a = vec.get(j)
-                if a is None:
-                    vec[j] = fld.neg(fld.mul(c, b))
+            row = rows[pivot]
+            a = row[pivot]
+            if a != 1:  # over QQ only: v <- (a/g) v - (c/g) row
+                g = gcd(a, c)
+                a //= g
+                c //= g
+                if a != 1:
+                    scale *= a
+                    for j in vec:
+                        vec[j] *= a
+            for j, b in row.items():  # cancels the pivot entry too
+                v = vec.get(j)
+                if v is None:
+                    v = -c * b
                     if j in rows:
-                        heapq.heappush(heap, j)
+                        heappush(heap, j)
                 else:
-                    a = fld.sub(a, fld.mul(c, b))
-                    if fld.is_zero(a):
-                        del vec[j]
-                    else:
-                        vec[j] = a
-        return vec
+                    v -= c * b
+                if p:
+                    v %= p
+                if v:
+                    vec[j] = v
+                else:
+                    del vec[j]
+        return scale
 
     def insert(self, rem: dict):
-        """Store a nonzero remainder of ``reduce`` as a row, monic at its pivot."""
-        fld = self.field
+        """Store a nonzero remainder of ``reduce`` as a row: monic over
+        GF(p), primitive with a positive pivot over QQ."""
         pivot = min(rem)
-        inv = fld.invert(rem.pop(pivot))
-        self.rows[pivot] = {j: fld.mul(a, inv) for j, a in rem.items()}
+        a = rem[pivot]
+        p = self.modulus
+        if p:
+            inv = pow(a, -1, p)
+            rem = {j: v * inv % p for j, v in rem.items()}
+        else:
+            g = gcd(*rem.values())
+            if a < 0:
+                g = -g
+            if g != 1:
+                rem = {j: v // g for j, v in rem.items()}
+        self.rows[pivot] = rem
 
 
 def rank(rows, field) -> int:
-    """Exact rank over the given field of a matrix given as dense rows."""
-    if not isinstance(field, (Rationals, PrimeField)):
-        raise InvalidInput(f"rank over unsupported field {field!r}")
+    """Exact rank over the given field of a matrix given as dense rows.
+    Over GF(p) the entries are coerced to residues; over QQ, ints and
+    fractions enter as they are."""
     echelon = Echelon(field)
     for row in rows:
-        vec = {}
-        for j, v in enumerate(row):
-            if v:  # most entries are zero: skip them before coercing
-                c = field.coerce(v)
-                if not field.is_zero(c):
-                    vec[j] = c
-        rem = echelon.reduce(vec)
-        if rem:
-            echelon.insert(rem)
+        if echelon.modulus:
+            vec = {j: c for j, v in enumerate(row) if v and (c := field.coerce(v))}
+        else:
+            vec = {j: v for j, v in enumerate(row) if v}
+            echelon.integral(vec)
+        echelon.reduce(vec)
+        if vec:
+            echelon.insert(vec)
     return len(echelon.rows)
 
 
@@ -82,21 +141,23 @@ class PairedSpan(Echelon):
     after it.  It returns ("new", None) when w enlarges the image span,
     ("kernel", u) when w reduces to zero but the carried preimage u does not
     (a witness that the map is not injective on the accumulated span), and
-    ("dependent", None) when both collapse.
+    ("dependent", None) when both collapse.  u is the exact remainder of v,
+    in field elements.
     """
 
     def add(self, w, v):
-        fld = self.field
         width = len(w)
-        vec = {j: a for j, a in enumerate(w) if not fld.is_zero(a)}
-        vec.update((width + j, a) for j, a in enumerate(v) if not fld.is_zero(a))
-        rem = self.reduce(vec)
-        if not rem:
+        vec = {j: a for j, a in enumerate(w) if a}
+        vec.update((width + j, a) for j, a in enumerate(v) if a)
+        scale = self.integral(vec)
+        scale *= self.reduce(vec)
+        if not vec:
             return ("dependent", None)
-        if min(rem) < width:
-            self.insert(rem)
+        if min(vec) < width:
+            self.insert(vec)
             return ("new", None)
+        fld = self.field
         u = [fld.zero] * len(v)
-        for j, a in rem.items():
-            u[j - width] = a
+        for j, a in vec.items():
+            u[j - width] = fld.from_fraction(a, scale)
         return ("kernel", u)

@@ -199,36 +199,41 @@ class DegreeSweep:
         width = len(new)
         positions = self._positions
         count = self.count = len(positions) * width
-        rows = (
-            (g, {positions[m.texp] * width + index[m.xexp]: c for m, c in g.items()})
-            for g in self._groups.get(self.delta, ())
-        )
         echelon = Echelon(self.ring.field)
         kept = []
-        for g, vec in chain(self._shifted_rows(index, width), rows):
+        rows = chain(self._shifted_rows(index, width), self._generator_rows(echelon, index, width))
+        for g, vec in rows:
             if len(echelon.rows) == count:
                 break
-            rem = echelon.reduce(vec)
-            if rem:
-                echelon.insert(rem)
+            echelon.reduce(vec)
+            if vec:
+                echelon.insert(vec)
                 if g is not None:
                     kept.append(g)
         self._echelon, self._xexps = echelon, new
         return kept
 
+    def _generator_rows(self, echelon: Echelon, index: dict, width: int):
+        """(g, g as an integer vector over the degree-delta columns) for
+        every generator g of degree delta."""
+        positions = self._positions
+        for g in self._groups.get(self.delta, ()):
+            vec = {positions[m.texp] * width + index[m.xexp]: c for m, c in g.items()}
+            echelon.integral(vec)
+            yield g, vec
+
     def _shifted_rows(self, index: dict, width: int):
         """(None, x_i * row) for every row of N_(delta-1), then every
         variable, as vectors over the degree-delta columns."""
-        one = self.ring.field.one
         old_width = len(self._xexps)
         bumps = [
             [index[x[:i] + (x[i] + 1,) + x[i + 1:]] for x in self._xexps]
             for i in range(self.ring.d)
         ]
-        for pivot, tail in self._echelon.rows.items():
+        for row in self._echelon.rows.values():
             for bump in bumps:
                 vec = {}
-                for col, val in chain(((pivot, one),), tail.items()):
+                for col, val in row.items():
                     pos, j = divmod(col, old_width)
                     vec[pos * width + bump[j]] = val
                 yield None, vec

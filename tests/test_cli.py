@@ -285,3 +285,22 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
     assert proc.returncode == 0, proc.stderr
     assert payload(proc) == cold
     assert entry.read_text() == written  # recomputed and written back
+
+
+@pytest.mark.parametrize(
+    "module, elements, message",
+    [
+        ({"tdeg": "x", "gens": ["x1*t1"]}, {}, "tdeg 'x' is not an integer"),
+        (["x1*t1", "x2*t1"], {}, "expected an object"),
+        ({"tdeg": 1, "gens": ["x1*t1", "x2*t1"]}, {"f": 7}, "7 is not a polynomial string"),
+        ({"tdeg": 1, "gens": ["x1*t1", 7]}, {}, "generator 7 is neither"),
+    ],
+    ids=["tdeg-not-int", "module-as-list", "element-as-number", "generator-as-number"],
+)
+def test_malformed_spec_block_exit_2(tmp_path, module, elements, message):
+    spec = {"ring": {"field": "QQ", "d": 2, "p": 1}, "modules": {"m": module}, "elements": elements}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "m", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr

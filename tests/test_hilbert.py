@@ -411,7 +411,13 @@ from brim import (  # noqa: E402
 )
 from brim import hilbert  # noqa: E402
 from brim.hilbert import build_slice_submodule  # noqa: E402
-from brim.poly import Monomial, Polynomial, compositions_desc, t_monomials  # noqa: E402
+from brim.poly import (  # noqa: E402
+    Monomial,
+    Polynomial,
+    compositions_desc,
+    parse_polynomial,
+    t_monomials,
+)
 
 R31 = RingSpec(d=3, p=1)
 GF2 = PrimeField(2)
@@ -460,6 +466,39 @@ def test_graded_path_matches_buchberger_on_the_fixtures():
     for exps in [(1, 1), (2, 1), (1, 3), (0, 2)]:
         graded, reference = _both_paths(LengthQuery((m, i), exps, 1))
         assert graded == reference, exps
+
+
+# Rational coefficients: the sweep clears denominators before it eliminates.
+# Each module comes with a rational multiple of one of its elements, written
+# unnormalized: as a quotient element it lies in E, so it leaves l(F/E) as it
+# is, which holds only if the sweep keeps the ratios of its coefficients.
+RATIONAL_FIXTURES = [
+    (R21, ["1/2*x1^2*t1 + 2/3*x2^2*t1", "3/4*x1*x2*t1"], "3/4*x1^2*t1 + x2^2*t1"),
+    (
+        R21,
+        ["1/2*x1^2*t1 + 2/3*x2^2*t1", "3/4*x1^2*t1 + x2^2*t1", "x1*x2*t1", "1/5*x2^3*t1"],
+        "1/3*x1^2*t1 + 4/9*x2^2*t1",
+    ),
+    (
+        R22,
+        ["1/2*x1*t1 + 1/3*x2*t2", "2/3*x2*t1 + 3/5*x1*t2", "x1^2*t2", "x2^2*t2"],
+        "3/4*x1*t1 + 1/2*x2*t2",
+    ),
+]
+
+
+def test_graded_path_matches_buchberger_with_rational_coefficients():
+    for ring, gens, inside in RATIONAL_FIXTURES:
+        e = mk(ring, gens)
+        generic = parse_polynomial(ring, f"1/3*x1*t1 + 1/2*x2*t{ring.p}")
+        inside = parse_polynomial(ring, inside)
+        for exps in [(1,), (2,)]:
+            for q in (0, 1):
+                for elems in [(), (generic,), (inside,)]:
+                    graded, reference = _both_paths(LengthQuery((e,), exps, q, elems))
+                    assert graded == reference, (gens, exps, q, elems)
+        alone = hilbert._graded_length(LengthQuery((e,), (1,)), Evaluator())
+        assert hilbert._graded_length(LengthQuery((e,), (1,), 0, (inside,)), Evaluator()) == alone
 
 
 @st.composite

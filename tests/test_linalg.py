@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -109,3 +110,62 @@ def test_paired_span_matches_the_dense_reference():
                 assert got == expected, (field, w, v)
                 statuses.add(got[0])
     assert statuses == {"new", "kernel", "dependent"}
+
+
+def draw_fraction(rng):
+    """A nonzero rational with denominator in 1..5."""
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5))
+
+
+def test_rank_of_fraction_matrices_matches_fraction_rank():
+    rng = random.Random(13)
+    for _ in range(500):
+        n, cols = rng.randint(1, 7), rng.randint(1, 7)
+        zero_frac = rng.uniform(0.0, 0.8)
+        rows = [
+            [Fraction(0) if rng.random() < zero_frac else draw_fraction(rng) for _ in range(cols)]
+            for _ in range(n)
+        ]
+        assert rank(rows, QQ) == fraction_rank(rows), rows
+    # dependent only over QQ: the second row is 5/6 times the first
+    f = Fraction
+    rows = [[f(1, 2), f(2, 3), f(3, 5)], [f(5, 12), f(5, 9), f(1, 2)]]
+    assert rank(rows, QQ) == fraction_rank(rows) == 1
+
+
+def sparse_monic(row: dict) -> dict:
+    """A row divided by its entry at its pivot, the smallest column."""
+    a = row[min(row)]
+    return {j: Fraction(v, a) for j, v in row.items()}
+
+
+def test_paired_span_on_fraction_entries_matches_the_dense_reference():
+    """Statuses and exact kernel vectors as dense elimination over fractions
+    gives them; every stored row is a primitive integer row with a positive
+    pivot, proportional to the reference's monic row."""
+    rng = random.Random(17)
+    statuses = set()
+    for _ in range(400):
+        width, vwidth = rng.randint(1, 5), rng.randint(1, 5)
+        density = rng.uniform(0.3, 0.9)
+
+        def draw(size):
+            return [draw_fraction(rng) if rng.random() < density else QQ.zero for _ in range(size)]
+
+        span, ref = PairedSpan(QQ), DensePairedSpan(QQ)
+        for _ in range(rng.randint(1, 8)):
+            w, v = draw(width), draw(vwidth)
+            got, expected = span.add(w, v), ref.add(w, v)
+            assert got == expected, (w, v)
+            statuses.add(got[0])
+            if got[0] == "kernel" and any(c.denominator > 1 for c in got[1]):
+                statuses.add("fractional kernel")
+            expected_rows = {}
+            for pivot, wr, vr in ref.rows:
+                dense = list(wr) + list(vr)
+                expected_rows[pivot] = {j: c for j, c in enumerate(dense) if c}
+            assert {p: sparse_monic(r) for p, r in span.rows.items()} == expected_rows
+            for pivot, row in span.rows.items():
+                assert all(type(c) is int for c in row.values()), row
+                assert row[pivot] > 0 and gcd(*row.values()) == 1, row
+    assert statuses == {"new", "kernel", "dependent", "fractional kernel"}
