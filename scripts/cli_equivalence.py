@@ -1,0 +1,195 @@
+#!/usr/bin/env python3
+"""Run a fixed set of brim CLI commands against two checkouts and compare.
+
+Usage, from the checkout root:
+
+    python3 scripts/cli_equivalence.py --checkout DIR
+
+Each command runs as ``python3 -m brim.cli ...`` once on this tree's
+``src/`` and once on ``DIR/src``, each time in a fresh directory holding
+only the spec file, with the length-table cache on.  The set covers every
+subcommand and all seven check kinds over QQ and GF(32003), with
+non-monomial modules, and user-error (exit 2) and limit (exit 3) cases.
+
+A command differs when its stdout outside the ``runtime`` key, its stderr,
+its exit code or the names of the ``.brim-cache`` entries it wrote differ.
+Every difference is printed; the exit status is 1 when any command differs
+and 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+R21_MODULES = {
+    "m": {"tdeg": 1, "gens": ["x1*t1", "x2*t1"]},
+    "I": {"tdeg": 1, "gens": ["x1^2*t1", "x2*t1"]},
+    "m2": {"tdeg": 1, "gens": ["x1^2*t1", "x1*x2*t1", "x2^2*t1"]},
+    "U": {"tdeg": 1, "gens": ["x1^2*t1", "x2^2*t1"]},
+    "A": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1", "x2^3*t1"]},
+    "m2sq": {"tdeg": 2, "gens": ["x1^2*t1^2", "x1*x2*t1^2", "x2^2*t1^2"]},
+    "line": {"tdeg": 1, "gens": ["x1*t1"]},
+}
+R21_ELEMENTS = {
+    "a1": "x1*t1",
+    "a2": "x2*t1",
+    "b1": "x1^2*t1",
+    "g1": "x1*t1+x2*t1",
+    "g2": "x1*t1+2*x2*t1",
+    "mixedt": "x1*t1 + x2^2*t1",
+}
+R22_MODULES = {
+    "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
+    "E": {"tdeg": 1, "gens": ["x1^2*t1+x2^3*t1", "x2*t1", "x1*t2+x2^2*t2", "x2^2*t2"]},
+}
+R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
+GF = {"GF": 32003}
+
+
+def spec(field, d, p, modules, elements=None) -> dict:
+    doc = {"ring": {"field": field, "d": d, "p": p}, "modules": modules}
+    if elements:
+        doc["elements"] = elements
+    return doc
+
+
+SPECS = {
+    "r21-qq": spec("QQ", 2, 1, R21_MODULES, R21_ELEMENTS),
+    "r21-gf": spec(GF, 2, 1, R21_MODULES, R21_ELEMENTS),
+    "r22-qq": spec("QQ", 2, 2, R22_MODULES),
+    "r22-gf": spec(GF, 2, 2, R22_MODULES),
+    "r12-qq": spec("QQ", 1, 2, R12_MODULES),
+    "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
+    "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
+    "gf-float": spec({"GF": 32003.7}, 2, 1, {"m": R21_MODULES["m"]}),
+    "tdeg-float": spec("QQ", 2, 1, {"m": {"tdeg": 1.5, "gens": ["x1*t1", "x2*t1"]}}),
+}
+
+# Commands run over both fields: (spec prefix, argv after the subcommand's spec).
+PER_FIELD = [
+    ("r21", "length -m m,m2 -n 1,1"),
+    ("r21", "length -m A -n 2 -q 1 --quotient a1"),
+    ("r21", "ebr -m m2"),
+    ("r21", "ebr -m A"),
+    ("r22", "ebr -m E"),
+    ("r21", "tilde-ebr -m m2sq"),
+    ("r21", "mixed -m m,I -d 1,1"),
+    ("r21", "mixed -m A,A -d 1,1"),
+    ("r21", "mixed -m A -d 2"),
+    ("r22", "mixed -m E,mF -d 2,1"),
+    ("r21", "assoc -m m -d 1 -j 1"),
+    ("r21", "gmult -e a1,a2"),
+    ("r21", "gmult -e b1,a2 -t 3"),
+    ("r21", "check reduction -u U -m m2"),
+    ("r21", "check reduction -u U -m m"),
+    ("r21", "check joint -x a1,a2 -m m,m"),
+    ("r21", "check joint -x g1,g2 -m m,m"),
+    ("r21", "check mn-joint -x a1,a2 -n 1"),
+    ("r21", "check superficial -x a1 -m m"),
+    ("r21", "check superficial -x b1 -m m2"),
+    ("r21", "check rees -u U -m m2"),
+    ("r21", "check converse -x a1,a2 -m m,m"),
+    ("r21", "check converse -x g1,g2 -m m,m"),
+    ("r21", "check risler -m m,m2 -d 1,1 --seed 3"),
+    ("r22", "check risler -m mF -d 3"),
+    # user errors (exit 2)
+    ("r21", "ebr -m line"),
+    ("r21", "ebr -m nosuch"),
+    ("r21", "check rees -u nosuch -m other"),
+    ("r21", "gmult -e mixedt"),
+    ("r21", "mixed -m m,m -d 1,2"),
+    ("r21", "check joint -x a1 -m m,m"),
+    ("r21", "check reduction -u U"),
+    ("r21", "check reduction -m m2"),
+    ("r21", "length -m m -n 1,x"),
+    ("r21", "check risler -m m -d 1.5"),
+    ("r21", "gmult -e a1 -t x"),
+    ("r21", "assoc -m m -d 1 -j x"),
+    ("r21", "check risler"),
+    # limits (exit 3): generic samples for (m, I) vanish off the origin
+    ("r21", "check risler -m m,I -d 1,1"),
+]
+
+COMMANDS = [
+    (f"{prefix}-{field}", argv)
+    for field in ("qq", "gf")
+    for prefix, argv in PER_FIELD
+] + [
+    ("r12-qq", "assoc -m E -d 1 -j 1"),
+    ("r21-qq", "check rees -u U"),
+    ("r21-qq", "check superficial -m m"),
+    ("d-float", "ebr -m m"),
+    ("p-bool", "ebr -m m"),
+    ("gf-float", "ebr -m m"),
+    ("tdeg-float", "ebr -m m"),
+]
+
+
+def run(checkout: Path, spec_name: str, argv: str) -> dict:
+    """Outcome of one command in a fresh directory on the checkout's brim."""
+    words = argv.split()
+    # the spec file follows the subcommand (and the check kind)
+    at = 2 if words[0] == "check" else 1
+    words[at:at] = ["spec.json"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(checkout / "src")
+    env["BRIM_CACHE"] = "on"
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        (cwd / "spec.json").write_text(json.dumps(SPECS[spec_name]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "brim.cli", *words],
+            cwd=cwd,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        cache = sorted(p.name for p in (cwd / ".brim-cache").glob("*"))
+    try:
+        report = json.loads(proc.stdout)
+        report.pop("runtime", None)
+        stdout = json.dumps(report, sort_keys=True)
+    except (json.JSONDecodeError, AttributeError):
+        stdout = proc.stdout
+    return {
+        "exit": proc.returncode,
+        "stdout": stdout,
+        "stderr": proc.stderr,
+        "cache": cache,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--checkout", required=True, type=Path, help="the other checkout")
+    args = parser.parse_args()
+    other = args.checkout.resolve()
+    differ = 0
+    for spec_name, argv in COMMANDS:
+        here = run(ROOT, spec_name, argv)
+        there = run(other, spec_name, argv)
+        fields = [key for key in here if here[key] != there[key]]
+        label = f"[{spec_name}] {argv}"
+        if not fields:
+            print(f"same   exit {here['exit']}  {label}")
+            continue
+        differ += 1
+        print(f"DIFFER {label}")
+        for key in fields:
+            print(f"    {key}: this tree {here[key]!r}")
+            print(f"    {key}: {other}  {there[key]!r}")
+    print(f"{len(COMMANDS)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

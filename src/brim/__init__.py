@@ -36,7 +36,6 @@ from .groebner import (  # noqa: F401
 )
 from .hilbert import (  # noqa: F401
     Evaluator,
-    ExtractionConfig,
     LengthQuery,
     LengthTable,
     MultiplicityResult,

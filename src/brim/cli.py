@@ -7,16 +7,16 @@ which golden comparisons drop.
 
 Length tables backing the multiplicity commands are cached on disk under
 ./.brim-cache/, keyed by a SHA-256 of the canonicalized spec and semantic
-command together with the brim version and the extraction config, so a
-table computed by other code is never served; each entry is written to a
-temporary file and renamed into place.  BRIM_CACHE=off disables the cache.
+command together with the brim version and the extraction settings
+(``hilbert.N_MAX``, ``STAB_WIDTH``, ``MAX_EXTENSIONS``, ``EXTENSION_STEP``),
+so a table computed by other code is never served; each entry is written to
+a temporary file and renamed into place.  BRIM_CACHE=off disables the cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import json
 import os
@@ -24,10 +24,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, hilbert
 from .errors import BrimError, ComputationLimit, InternalError, InvalidInput
 from .hilbert import (
-    DEFAULT_CONFIG,
     Evaluator,
     LengthQuery,
     LengthTable,
@@ -74,6 +73,13 @@ def _named_blocks(doc: dict, key: str):
     return blocks.items()
 
 
+def _json_int(value, field: str) -> int:
+    """A spec number: a JSON integer, never a float or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInput(f"{field} {value!r} is not an integer")
+    return value
+
+
 class SpecFile:
     """Parsed spec document: ring block, named modules, named elements."""
 
@@ -82,21 +88,17 @@ class SpecFile:
             raise InvalidInput("spec file must be a JSON object with a 'ring' block")
         rb = doc["ring"]
         try:
-            self.ring = RingSpec(
-                d=int(rb["d"]), p=int(rb["p"]), field=field_from_config(rb.get("field", "QQ"))
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            d, p, field = rb["d"], rb["p"], rb.get("field", "QQ")
+        except (KeyError, TypeError) as exc:
             raise InvalidInput(f"malformed ring block: {exc}") from exc
+        self.ring = RingSpec(
+            d=_json_int(d, "ring: d"), p=_json_int(p, "ring: p"), field=field_from_config(field)
+        )
         self.modules = {}
         for name, block in _named_blocks(doc, "modules"):
             if not isinstance(block, dict):
                 raise InvalidInput(f"module {name}: expected an object with 'tdeg' and 'gens'")
-            try:
-                tdeg = int(block.get("tdeg", 1))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInput(
-                    f"module {name}: tdeg {block['tdeg']!r} is not an integer"
-                ) from exc
+            tdeg = _json_int(block.get("tdeg", 1), f"module {name}: tdeg")
             gens = block.get("gens", [])
             if not isinstance(gens, list):
                 raise InvalidInput(f"module {name}: gens must be a list")
@@ -212,7 +214,12 @@ def cache_entry_key(spec: SpecFile, command: dict) -> str:
         {
             "inputs": cache_key(spec, command),
             "version": __version__,
-            "config": dataclasses.asdict(DEFAULT_CONFIG),
+            "config": {
+                "n_max": hilbert.N_MAX,
+                "stab_width": hilbert.STAB_WIDTH,
+                "max_extensions": hilbert.MAX_EXTENSIONS,
+                "extension_step": hilbert.EXTENSION_STEP,
+            },
         }
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -254,9 +261,7 @@ def cached_multiplicity(spec, command, kind, orders, compute):
         table = cache_load_table(key)
         if table is not None:
             try:
-                value, cert = stabilized_difference(
-                    table, orders, DEFAULT_CONFIG.stab_width
-                )
+                value, cert = stabilized_difference(table, orders)
                 return MultiplicityResult(value, kind, cert, table)
             except BrimError:
                 pass  # stale or incompatible cache entry: recompute
@@ -274,11 +279,32 @@ def _split(text: str):
     return [part for part in (text or "").split(",") if part]
 
 
-def cmd_length(spec: SpecFile, args) -> dict:
-    names = _split(args.modules)
+def _ints(text: str, flag: str) -> list:
+    """The comma list of integers given to ``flag``."""
+    try:
+        return [int(v) for v in _split(text)]
+    except ValueError:
+        raise InvalidInput(f"{flag} {text!r} is not a comma list of integers") from None
+
+
+def _int(text: str, flag: str) -> int:
+    values = _ints(text, flag)
+    if len(values) != 1:
+        raise InvalidInput(f"{flag} {text!r} is not one integer")
+    return values[0]
+
+
+def _names(text: str, command: str, what: str, flag: str) -> list:
+    """The names given to ``flag``, of which the command needs one or more."""
+    names = _split(text)
     if not names:
-        raise InvalidInput("length requires at least one module (-m)")
-    exps = [int(v) for v in _split(args.exponents)]
+        raise InvalidInput(f"{command} requires at least one {what} ({flag})")
+    return names
+
+
+def cmd_length(spec: SpecFile, args) -> dict:
+    names = _names(args.modules, "length", "module", "-m")
+    exps = _ints(args.exponents, "-n")
     mods = [spec.module(n) for n in names]
     quotient = tuple(spec.element(n) for n in _split(args.quotient))
     value = length(
@@ -301,21 +327,21 @@ def _mult_command(spec: SpecFile, args, kind: str) -> dict:
             {"subcommand": kind, "modules": names},
             {"type": kind},
             (D,),
-            lambda: extract(mods[0], DEFAULT_CONFIG),
+            lambda: extract(mods[0]),
         )
     elif kind == "mixed":
-        dvec = tuple(int(v) for v in _split(args.dvec))
+        dvec = tuple(_ints(args.dvec, "-d"))
         command = {"subcommand": "mixed", "modules": names, "dvec": list(dvec)}
         res = cached_multiplicity(
             spec,
             command,
             {"type": "mixed", "dvec": list(dvec)},
             dvec,
-            lambda: mixed(mods, dvec, DEFAULT_CONFIG),
+            lambda: mixed(mods, dvec),
         )
     else:
-        dvec = tuple(int(v) for v in _split(args.dvec))
-        j = int(args.j)
+        dvec = tuple(_ints(args.dvec, "-d"))
+        j = _int(args.j, "-j")
         command = {
             "subcommand": "assoc",
             "modules": names,
@@ -327,18 +353,16 @@ def _mult_command(spec: SpecFile, args, kind: str) -> dict:
             command,
             {"type": "assoc", "j": j, "dvec": list(dvec)},
             tuple(dvec) + (j,),
-            lambda: assoc_mixed(mods, dvec, j, DEFAULT_CONFIG),
+            lambda: assoc_mixed(mods, dvec, j),
         )
     return mult_to_json(res)
 
 
 def cmd_gmult(spec: SpecFile, args) -> dict:
-    names = _split(args.elements)
-    if not names:
-        raise InvalidInput("gmult requires at least one element (-e)")
+    names = _names(args.elements, "gmult", "element", "-e")
     elems = [spec.element(n) for n in names]
     kspec = KoszulSpec(spec.ring, elems)
-    t = int(args.t) if args.t is not None else None
+    t = _int(args.t, "-t") if args.t is not None else None
     res = g_mult_et(kspec, t)
     dims = sorted((i, delta, v) for (i, delta), v in res.homology_dims.items())
     return {
@@ -351,9 +375,12 @@ def cmd_gmult(spec: SpecFile, args) -> dict:
 def cmd_check(spec: SpecFile, args) -> dict:
     kind = args.kind
     n_max = int(args.nmax)
-    if kind == "reduction":
-        dec = is_reduction(spec.module(args.u), spec.module(_split(args.modules)[0]), n_max)
-        return {"decision": decision_to_json(dec)}
+    if kind in ("reduction", "rees"):
+        u = spec.module(_names(args.u, f"check {kind}", "module", "-u")[0])
+        e = spec.module(_names(args.modules, f"check {kind}", "module", "-m")[0])
+        if kind == "reduction":
+            return {"decision": decision_to_json(is_reduction(u, e, n_max))}
+        return {"criterion": criterion_to_json(rees_equivalence_check(u, e, n_max))}
     if kind == "joint":
         xs = [spec.element(n) for n in _split(args.x)]
         mods = [spec.module(n) for n in _split(args.modules)]
@@ -364,16 +391,11 @@ def cmd_check(spec: SpecFile, args) -> dict:
         dec = mn_joint_reduction_witness(xs, int(args.n), n_max)
         return {"decision": decision_to_json(dec)}
     if kind == "superficial":
-        x = spec.element(_split(args.x)[0])
+        x = spec.element(_names(args.x, "check superficial", "element", "-x")[0])
         mods = [spec.module(n) for n in _split(args.modules)]
         window = SuperficialWindow(c1=int(args.c1))
         dec = verify_superficial(x, mods, window)
         return {"decision": decision_to_json(dec)}
-    if kind == "rees":
-        rep = rees_equivalence_check(
-            spec.module(args.u), spec.module(_split(args.modules)[0]), n_max
-        )
-        return {"criterion": criterion_to_json(rep)}
     if kind == "converse":
         xs = [spec.element(n) for n in _split(args.x)]
         mods = [spec.module(n) for n in _split(args.modules)]
@@ -381,7 +403,7 @@ def cmd_check(spec: SpecFile, args) -> dict:
         return {"criterion": criterion_to_json(rep)}
     if kind == "risler":
         mods = [spec.module(n) for n in _split(args.modules)]
-        dvec = [int(v) for v in _split(args.dvec)]
+        dvec = _ints(args.dvec, "-d")
         base = int(args.seed)
         rep = risler_teissier_check(mods, dvec, seeds=[base, base + 1, base + 2])
         return {"criterion": criterion_to_json(rep)}

@@ -3,9 +3,12 @@
 Every multiplicity is the normalized leading coefficient of an integer-valued
 length polynomial, read off exactly by iterated forward differences: for a
 degree-D polynomial the D-th difference is constant and equals D! times the
-leading coefficient.  Constancy over a trailing window (default width 3, with
-one margin cell) is the stabilization certificate; windows extend adaptively
-when stabilization fails.
+leading coefficient.  Constancy over a trailing window of width STAB_WIDTH,
+with one margin cell, is the stabilization certificate.  A univariate table
+grows to n = N_MAX (further when the difference order needs it), a
+multi-index box starts at a size set by the type vector, and either extends
+MAX_EXTENSIONS times by EXTENSION_STEP when stabilization fails.  Every
+extraction uses these settings.
 
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
@@ -100,15 +103,10 @@ class MultiplicityResult:
     table: LengthTable
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    n_max: int = 12
-    stab_width: int = 3
-    max_extensions: int = 2
-    extension_step: int = 2
-
-
-DEFAULT_CONFIG = ExtractionConfig()
+N_MAX = 12
+STAB_WIDTH = 3
+MAX_EXTENSIONS = 2
+EXTENSION_STEP = 2
 
 
 class Evaluator:
@@ -301,13 +299,11 @@ def table(
     modules: Sequence[GradedSubmodule],
     window: Sequence[tuple],
     q_window: Optional[tuple] = None,
-    qdeg: int = 0,
-    quotient_elems: Sequence[Polynomial] = (),
     evaluator: Optional[Evaluator] = None,
 ) -> LengthTable:
     """Evaluate lengths over the window; module powers are memoized.
 
-    With q_window an extra trailing "q" axis is added; otherwise qdeg is fixed.
+    With q_window an extra trailing "q" axis is added; otherwise q = 0.
     """
     evaluator = evaluator or Evaluator()
     axes = tuple(f"n{i + 1}" for i in range(len(modules)))
@@ -317,14 +313,10 @@ def table(
         win = win + ((int(q_window[0]), int(q_window[1])),)
 
     tbl = LengthTable(axes, win, {})
+    k = len(modules)
     for idx in tbl.indices():
-        if q_window is not None:
-            exps, q = idx[:-1], idx[-1]
-        else:
-            exps, q = idx, qdeg
-        tbl.values[idx] = evaluator.length(
-            LengthQuery(tuple(modules), tuple(exps), q, tuple(quotient_elems))
-        )
+        q = idx[k] if q_window is not None else 0
+        tbl.values[idx] = evaluator.length(LengthQuery(tuple(modules), idx[:k], q))
     return tbl
 
 
@@ -358,20 +350,21 @@ def finite_difference(tbl: LengthTable, orders: Sequence[int]) -> LengthTable:
     return LengthTable(tbl.axes, tuple(window), vals)
 
 
-def stabilized_difference(tbl: LengthTable, orders: Sequence[int], width: int = 3):
-    """Certified constant of the iterated difference: the trailing width-box
-    must be constant and every differenced axis must keep one margin cell.
+def stabilized_difference(tbl: LengthTable, orders: Sequence[int]):
+    """Certified constant of the iterated difference: the trailing box of
+    width STAB_WIDTH must be constant and every differenced axis must keep
+    one margin cell.
 
     Returns (value, certificate) or raises NoStabilization.
     """
     diff = finite_difference(tbl, orders)
     trailing = []
     for (lo, hi) in diff.window:
-        if hi - lo + 1 < width + 1:
+        if hi - lo + 1 < STAB_WIDTH + 1:
             raise NoStabilization(
-                f"window of length {hi - lo + 1} cannot certify width {width}"
+                f"window of length {hi - lo + 1} cannot certify width {STAB_WIDTH}"
             )
-        trailing.append((hi - width + 1, hi))
+        trailing.append((hi - STAB_WIDTH + 1, hi))
     vals = {
         idx: diff.values[idx]
         for idx in itertools.product(*(range(lo, hi + 1) for lo, hi in trailing))
@@ -382,7 +375,7 @@ def stabilized_difference(tbl: LengthTable, orders: Sequence[int], width: int = 
     value = distinct.pop()
     certificate = {
         "orders": list(orders),
-        "width": width,
+        "width": STAB_WIDTH,
         "window": [[lo, hi] for lo, hi in trailing],
         "constant": value,
     }
@@ -393,36 +386,33 @@ def _univariate(
     module: GradedSubmodule,
     diff_order: int,
     kind: dict,
-    config: ExtractionConfig,
     evaluator: Optional[Evaluator],
-    deficiency_check: bool,
 ) -> MultiplicityResult:
     module.primarity()
     evaluator = evaluator or Evaluator()
-    width = config.stab_width
-    cap = max(config.n_max, diff_order + width + 1)
-    extensions = config.max_extensions
+    cap = max(N_MAX, diff_order + STAB_WIDTH + 1)
+    extensions = MAX_EXTENSIONS
     vals = {}
     n = 0
     while True:
         while n < cap:
             n += 1
             vals[(n,)] = evaluator.length(LengthQuery((module,), (n,)))
-            if n < diff_order + width + 1:
+            if n < diff_order + STAB_WIDTH + 1:
                 continue
             tbl = LengthTable(("n1",), ((1, n),), dict(vals))
             try:
-                value, cert = stabilized_difference(tbl, (diff_order,), width)
+                value, cert = stabilized_difference(tbl, (diff_order,))
             except NoStabilization:
                 continue
-            if deficiency_check and value == 0 and any(vals.values()):
+            if value == 0 and any(vals.values()):
                 raise DegreeDeficiency(
                     f"order-{diff_order} differences stabilize at 0 on a nonzero table"
                 )
             return MultiplicityResult(value, kind, cert, tbl)
         if extensions > 0:
             extensions -= 1
-            cap += config.extension_step
+            cap += EXTENSION_STEP
         else:
             raise NoStabilization(
                 f"no stabilization certificate within n <= {cap}"
@@ -430,9 +420,7 @@ def _univariate(
 
 
 def ebr(
-    module: GradedSubmodule,
-    config: ExtractionConfig = DEFAULT_CONFIG,
-    evaluator: Optional[Evaluator] = None,
+    module: GradedSubmodule, evaluator: Optional[Evaluator] = None
 ) -> MultiplicityResult:
     """Buchsbaum-Rim multiplicity of a degree-1 submodule: the certified
     order-(d+p-1) difference of n -> l(F^n / E^n)."""
@@ -440,25 +428,17 @@ def ebr(
         raise InvalidInput("ebr requires a submodule of the degree-1 slice")
     ring = module.ring
     D = ring.d + ring.p - 1
-    return _univariate(module, D, {"type": "ebr"}, config, evaluator, True)
+    return _univariate(module, D, {"type": "ebr"}, evaluator)
 
 
 def tilde_ebr(
-    module: GradedSubmodule,
-    config: ExtractionConfig = DEFAULT_CONFIG,
-    evaluator: Optional[Evaluator] = None,
+    module: GradedSubmodule, evaluator: Optional[Evaluator] = None
 ) -> MultiplicityResult:
     """Higher-degree variant for E inside the degree-e slice; at e = 1 it
     agrees with ebr."""
     ring = module.ring
     D = ring.d + ring.p - 1
-    return _univariate(module, D, {"type": "tilde_ebr"}, config, evaluator, True)
-
-
-def _box_windows(dvec, k, config):
-    width = config.stab_width
-    base = max(4, 12 // k)
-    return [max(d + width + 1, base) for d in dvec]
+    return _univariate(module, D, {"type": "tilde_ebr"}, evaluator)
 
 
 def _multigraded(
@@ -466,31 +446,29 @@ def _multigraded(
     dvec,
     j: Optional[int],
     kind: dict,
-    config: ExtractionConfig,
     evaluator: Optional[Evaluator],
 ) -> MultiplicityResult:
     for m in modules:
         m.primarity()
     evaluator = evaluator or Evaluator()
-    width = config.stab_width
-    k = len(modules)
-    his = _box_windows(dvec, k, config)
-    q_hi = None if j is None else max(4, j + width)
-    extensions = config.max_extensions
+    base = max(4, 12 // len(modules))
+    his = [max(d + STAB_WIDTH + 1, base) for d in dvec]
+    q_hi = None if j is None else max(4, j + STAB_WIDTH)
+    extensions = MAX_EXTENSIONS
     while True:
         window = [(1, hi) for hi in his]
         q_window = None if q_hi is None else (0, q_hi)
         tbl = table(modules, window, q_window=q_window, evaluator=evaluator)
         orders = list(dvec) + ([] if j is None else [j])
         try:
-            value, cert = stabilized_difference(tbl, orders, width)
+            value, cert = stabilized_difference(tbl, orders)
             return MultiplicityResult(value, kind, cert, tbl)
         except NoStabilization:
             if extensions > 0:
                 extensions -= 1
-                his = [hi + config.extension_step for hi in his]
+                his = [hi + EXTENSION_STEP for hi in his]
                 if q_hi is not None:
-                    q_hi += config.extension_step
+                    q_hi += EXTENSION_STEP
             else:
                 raise
 
@@ -498,7 +476,6 @@ def _multigraded(
 def mixed(
     modules: Sequence[GradedSubmodule],
     dvec: Sequence[int],
-    config: ExtractionConfig = DEFAULT_CONFIG,
     evaluator: Optional[Evaluator] = None,
 ) -> MultiplicityResult:
     """Mixed multiplicity of type dvec: the certified mixed difference
@@ -507,6 +484,8 @@ def mixed(
     dvec = tuple(int(d) for d in dvec)
     if len(modules) != len(dvec):
         raise InvalidInput("type vector length must match the module count")
+    if not modules:
+        raise InvalidInput("need at least one module")
     if any(d < 0 for d in dvec):
         raise InvalidInput("type vector entries must be non-negative")
     ring = modules[0].ring
@@ -515,15 +494,14 @@ def mixed(
         raise InvalidInput(f"type vector must sum to d+p-1 = {D}")
     kind = {"type": "mixed", "dvec": list(dvec)}
     if len(modules) == 1:
-        return _univariate(modules[0], dvec[0], kind, config, evaluator, False)
-    return _multigraded(modules, dvec, None, kind, config, evaluator)
+        return _univariate(modules[0], dvec[0], kind, evaluator)
+    return _multigraded(modules, dvec, None, kind, evaluator)
 
 
 def assoc_mixed(
     modules: Sequence[GradedSubmodule],
     dvec: Sequence[int],
     j: int,
-    config: ExtractionConfig = DEFAULT_CONFIG,
     evaluator: Optional[Evaluator] = None,
 ) -> MultiplicityResult:
     """Associated mixed multiplicity: adds the auxiliary ambient degree q as
@@ -532,6 +510,8 @@ def assoc_mixed(
     dvec = tuple(int(d) for d in dvec)
     if len(modules) != len(dvec):
         raise InvalidInput("type vector length must match the module count")
+    if not modules:
+        raise InvalidInput("need at least one module")
     if any(d < 0 for d in dvec) or j < 0:
         raise InvalidInput("type vector entries and j must be non-negative")
     ring = modules[0].ring
@@ -539,4 +519,4 @@ def assoc_mixed(
     if sum(dvec) + j != D:
         raise InvalidInput(f"j + |dvec| must equal d+p-1 = {D}")
     kind = {"type": "assoc", "j": j, "dvec": list(dvec)}
-    return _multigraded(modules, dvec, j, kind, config, evaluator)
+    return _multigraded(modules, dvec, j, kind, evaluator)

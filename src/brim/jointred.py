@@ -35,9 +35,7 @@ from .errors import (
 )
 from .groebner import normal_form
 from .hilbert import (
-    DEFAULT_CONFIG,
     Evaluator,
-    ExtractionConfig,
     MultiplicityResult,
     build_slice_submodule,
     ebr,
@@ -52,6 +50,9 @@ from .poly import (
     t_shifts,
 )
 from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check, product
+
+JOINT_Q_MAX = 2
+SAMPLING_ATTEMPTS = 5
 
 
 class Verdict(Enum):
@@ -327,11 +328,10 @@ def is_joint_reduction(
     xs: Sequence[Polynomial],
     modules: Sequence[GradedSubmodule],
     n_max: int = 6,
-    q_max: int = 2,
     evaluator: Optional[Evaluator] = None,
 ) -> Decision:
     """Decide the joint-reduction equality at some n <= n_max, for all
-    q <= q_max; True at the first verified n (the equality propagates)."""
+    q <= JOINT_Q_MAX; True at the first verified n (the equality propagates)."""
     xs = tuple(xs)
     modules = tuple(modules)
     if len(xs) != len(modules) or not xs:
@@ -345,11 +345,11 @@ def is_joint_reduction(
         m.primarity()
     evaluator = evaluator or Evaluator()
     ring = modules[0].ring
-    window = {"n_max": n_max, "q_max": q_max}
+    window = {"n_max": n_max, "q_max": JOINT_Q_MAX}
     counterexample = None
     for n in range(1, n_max + 1):
         ok = True
-        for q in range(0, q_max + 1):
+        for q in range(0, JOINT_Q_MAX + 1):
             lhs = _joint_lhs(xs, modules, n, q, evaluator)
             rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
             missing = _first_missing(lhs.basis, t_shifts(ring, rhs.gens, q))
@@ -369,7 +369,6 @@ def mn_joint_reduction_witness(
     xs: Sequence[Polynomial],
     n: int,
     n_max: int = 6,
-    q_max: int = 2,
     evaluator: Optional[Evaluator] = None,
 ) -> Decision:
     """Joint-reduction decision for the sequence ((x_i) + m^n F); the gate
@@ -393,14 +392,13 @@ def mn_joint_reduction_witness(
     modules = [
         GradedSubmodule(SubmoduleSpec(ring, 1, [x] + mnf_gens)) for x in xs
     ]
-    return is_joint_reduction(xs, modules, n_max, q_max, evaluator)
+    return is_joint_reduction(xs, modules, n_max, evaluator)
 
 
 def rees_equivalence_check(
     u: GradedSubmodule,
     e: GradedSubmodule,
     n_max: int = 6,
-    config: ExtractionConfig = DEFAULT_CONFIG,
 ) -> CriterionReport:
     """Reduction iff multiplicity equality, for m-primary U <= E in F."""
     if u.tdeg != 1 or e.tdeg != 1:
@@ -411,8 +409,8 @@ def rees_equivalence_check(
     u.primarity()
     e.primarity()
     evaluator = Evaluator()
-    lhs = ebr(u, config, evaluator)
-    rhs = ebr(e, config, evaluator)
+    lhs = ebr(u, evaluator)
+    rhs = ebr(e, evaluator)
     decision = is_reduction(u, e, n_max)
     consistent = (lhs.value == rhs.value) == (decision.verdict is Verdict.TRUE)
     return CriterionReport(
@@ -429,8 +427,6 @@ def converse_criterion(
     xs: Sequence[Polynomial],
     modules: Sequence[GradedSubmodule],
     n_max: int = 6,
-    q_max: int = 2,
-    config: ExtractionConfig = DEFAULT_CONFIG,
 ) -> CriterionReport:
     """Multiplicity equality predicts joint reduction (and inequality predicts
     its absence); only the m-primary case with k = d+p-1 is implemented."""
@@ -459,9 +455,9 @@ def converse_criterion(
         raise NotDeskCase(f"primarity gate failed: {exc}") from exc
     radical_ok = True
     evaluator = Evaluator()
-    lhs = ebr(span, config, evaluator)
-    rhs = mixed(modules, (1,) * k, config, evaluator)
-    decision = is_joint_reduction(xs, modules, n_max, q_max, evaluator)
+    lhs = ebr(span, evaluator)
+    rhs = mixed(modules, (1,) * k, evaluator)
+    decision = is_joint_reduction(xs, modules, n_max, evaluator)
     if lhs.value == rhs.value:
         consistent = decision.verdict is Verdict.TRUE
     else:
@@ -478,9 +474,9 @@ def converse_criterion(
     )
 
 
-def _sample_verified_sequence(e_list, seed, window, evaluator, attempts=5):
+def _sample_verified_sequence(e_list, seed, window, evaluator):
     last_failure = "no attempt made"
-    for attempt in range(attempts):
+    for attempt in range(SAMPLING_ATTEMPTS):
         derived = f"{seed}:{attempt}"
         candidates = []
         elems = []
@@ -509,7 +505,7 @@ def _sample_verified_sequence(e_list, seed, window, evaluator, attempts=5):
             continue
         return candidates, span
     raise SuperficialSamplingFailed(
-        f"no verified superficial sequence after {attempts} attempts (seed {seed});"
+        f"no verified superficial sequence after {SAMPLING_ATTEMPTS} attempts (seed {seed});"
         f" last failure: {last_failure}"
     )
 
@@ -518,8 +514,6 @@ def risler_teissier_check(
     modules: Sequence[GradedSubmodule],
     dvec: Sequence[int],
     seeds: Sequence = (0, 1, 2),
-    window: Optional[SuperficialWindow] = None,
-    config: ExtractionConfig = DEFAULT_CONFIG,
 ) -> CriterionReport:
     """Mixed multiplicity equals the multiplicity of a verified superficial
     sequence, exactly and independently of the seed."""
@@ -527,6 +521,8 @@ def risler_teissier_check(
     dvec = tuple(int(d) for d in dvec)
     if len(modules) != len(dvec):
         raise InvalidInput("type vector length must match the module count")
+    if not modules:
+        raise InvalidInput("need at least one module")
     ring = modules[0].ring
     if sum(dvec) != ring.d + ring.p - 1:
         raise InvalidInput("type vector must sum to d+p-1")
@@ -534,16 +530,16 @@ def risler_teissier_check(
         raise InvalidInput("the check requires degree-1 submodules")
     for m in modules:
         m.primarity()
-    window = window or SuperficialWindow()
+    window = SuperficialWindow()
     evaluator = Evaluator()
-    lhs = mixed(modules, dvec, config, evaluator)
+    lhs = mixed(modules, dvec, evaluator)
     e_list = [m for m, d in zip(modules, dvec) for _ in range(d)]
     all_candidates = []
     values = {}
     rhs = None
     for seed in seeds:
         candidates, span = _sample_verified_sequence(e_list, seed, window, evaluator)
-        rhs = ebr(span, config, Evaluator())
+        rhs = ebr(span, Evaluator())
         values[str(seed)] = rhs.value
         all_candidates.extend(candidates)
     vals = set(values.values())

@@ -117,14 +117,14 @@ def _diff_matrix(spec: KoszulSpec, n: int, t: int, delta: int):
     return rows, len(src), len(tgt)
 
 
-def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
+def _sweep(spec: KoszulSpec, t: int):
     """Per-delta homology dimensions h[i], scanned until a trailing width-3
     window of zero contribution."""
     m = spec.m
     fld = spec.ring.field
     per_delta = []
     zero_run = 0
-    for delta in range(delta_cap + 1):
+    for delta in range(DELTA_CAP + 1):
         dims = [chain_dim(spec, i, t, delta) for i in range(m + 1)]
         ranks = [0] * (m + 2)
         for n in range(1, m + 1):
@@ -146,15 +146,15 @@ def _sweep(spec: KoszulSpec, t: int, delta_cap: int = DELTA_CAP):
         else:
             zero_run = 0
     raise NoStabilization(
-        f"homology contributions did not vanish within x-degree {delta_cap}"
+        f"homology contributions did not vanish within x-degree {DELTA_CAP}"
     )
 
 
-def homology_dim(spec: KoszulSpec, i: int, t: int, delta_cap: int = DELTA_CAP) -> int:
+def homology_dim(spec: KoszulSpec, i: int, t: int) -> int:
     """Total dimension of the degree-t slice of the i-th Koszul homology."""
     if i < 0 or i > spec.m:
         return 0
-    per_delta = _sweep(spec, t, delta_cap)
+    per_delta = _sweep(spec, t)
     return sum(h[i] for h in per_delta)
 
 
@@ -179,14 +179,12 @@ def _multiplicity_system_gate(spec: KoszulSpec, t: int):
         )
 
 
-def g_mult_et(
-    spec: KoszulSpec, t: Optional[int] = None, delta_cap: int = DELTA_CAP
-) -> GMultResult:
+def g_mult_et(spec: KoszulSpec, t: Optional[int] = None) -> GMultResult:
     """Alternating sum of degree-t Koszul homology lengths."""
     if t is None:
         t = default_t(spec)
     _multiplicity_system_gate(spec, t)
-    per_delta = _sweep(spec, t, delta_cap)
+    per_delta = _sweep(spec, t)
     value = 0
     dims = {}
     for delta, h in enumerate(per_delta):

@@ -148,15 +148,16 @@ QQ = Rationals()
 
 
 def field_from_config(cfg):
-    """Build a field from "QQ", an int modulus, or {"GF": p}."""
+    """Build a field from "QQ", an int modulus, or {"GF": p}; a float or
+    boolean modulus is rejected, never truncated."""
     if cfg == "QQ" or isinstance(cfg, Rationals):
         return QQ
     if isinstance(cfg, PrimeField):
         return cfg
-    if isinstance(cfg, int):
-        return PrimeField(cfg)
     if isinstance(cfg, dict) and set(cfg) == {"GF"}:
-        return PrimeField(int(cfg["GF"]))
+        cfg = cfg["GF"]
+    if isinstance(cfg, int) and not isinstance(cfg, bool):
+        return PrimeField(cfg)
     raise InvalidInput(f"unrecognized field spec {cfg!r}")
 
 

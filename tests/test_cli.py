@@ -220,7 +220,7 @@ def cli_in_tmp(tmp_path, monkeypatch):
 
 
 def test_cache_entry_of_other_code_is_recomputed(cli_in_tmp, tmp_path, monkeypatch):
-    from brim.hilbert import ExtractionConfig
+    from brim import hilbert
 
     cli = cli_in_tmp
     spec = cli.SpecFile(SPEC)
@@ -229,7 +229,7 @@ def test_cache_entry_of_other_code_is_recomputed(cli_in_tmp, tmp_path, monkeypat
 
     def compute():
         calls.append(1)
-        return cli.ebr(spec.module("m"), cli.DEFAULT_CONFIG)
+        return cli.ebr(spec.module("m"))
 
     def run():
         return cli.cached_multiplicity(spec, command, {"type": "ebr"}, (2,), compute).value
@@ -239,7 +239,7 @@ def test_cache_entry_of_other_code_is_recomputed(cli_in_tmp, tmp_path, monkeypat
     monkeypatch.setattr(cli, "__version__", "0.0.0+other")
     assert run() == 1
     assert len(calls) == 2
-    monkeypatch.setattr(cli, "DEFAULT_CONFIG", ExtractionConfig(n_max=13))
+    monkeypatch.setattr(hilbert, "N_MAX", 13)
     assert run() == 1
     assert len(calls) == 3
     assert len(list((tmp_path / ".brim-cache").glob("*.json"))) == 3
@@ -251,7 +251,7 @@ def test_failed_cache_write_leaves_no_entry(cli_in_tmp, tmp_path, monkeypatch):
     cli = cli_in_tmp
     spec = cli.SpecFile(SPEC)
     key = cli.cache_entry_key(spec, {"subcommand": "ebr", "modules": ["m"]})
-    table = cli.ebr(spec.module("m"), cli.DEFAULT_CONFIG).table
+    table = cli.ebr(spec.module("m")).table
     dump = cli.json.dump
 
     def failing_dump(obj, fh, **kwargs):
@@ -294,13 +294,76 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
         (["x1*t1", "x2*t1"], {}, "expected an object"),
         ({"tdeg": 1, "gens": ["x1*t1", "x2*t1"]}, {"f": 7}, "7 is not a polynomial string"),
         ({"tdeg": 1, "gens": ["x1*t1", 7]}, {}, "generator 7 is neither"),
+        ({"tdeg": 1.5, "gens": ["x1*t1", "x2*t1"]}, {}, "tdeg 1.5 is not an integer"),
+        ({"tdeg": True, "gens": ["x1*t1", "x2*t1"]}, {}, "tdeg True is not an integer"),
     ],
-    ids=["tdeg-not-int", "module-as-list", "element-as-number", "generator-as-number"],
+    ids=[
+        "tdeg-not-int",
+        "module-as-list",
+        "element-as-number",
+        "generator-as-number",
+        "tdeg-float",
+        "tdeg-bool",
+    ],
 )
 def test_malformed_spec_block_exit_2(tmp_path, module, elements, message):
     spec = {"ring": {"field": "QQ", "d": 2, "p": 1}, "modules": {"m": module}, "elements": elements}
     path = tmp_path / "s.json"
     path.write_text(json.dumps(spec))
     proc = brim("ebr", str(path), "-m", "m", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "ring, message",
+    [
+        ({"field": "QQ", "d": 2.9, "p": 1}, "d 2.9 is not an integer"),
+        ({"field": "QQ", "d": 2, "p": True}, "p True is not an integer"),
+        ({"field": {"GF": 32003.7}, "d": 2, "p": 1}, "field spec 32003.7"),
+    ],
+    ids=["d-float", "p-bool", "GF-float"],
+)
+def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
+    spec = {"ring": ring, "modules": {"m": {"tdeg": 1, "gens": ["x1*t1", "x2*t1"]}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "m", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("check reduction SPEC -u U", "requires at least one module (-m)"),
+        ("check reduction SPEC -m m2", "requires at least one module (-u)"),
+        ("check rees SPEC -u U", "requires at least one module (-m)"),
+        ("check superficial SPEC -m m", "requires at least one element (-x)"),
+        ("length SPEC -m m -n 1,x", "-n '1,x' is not a comma list of integers"),
+        ("check risler SPEC -m m -d 1.5", "-d '1.5' is not a comma list of integers"),
+        ("gmult SPEC -e a1 -t x", "-t 'x' is not a comma list of integers"),
+        ("assoc SPEC -m m -d 1 -j x", "-j 'x' is not a comma list of integers"),
+        ("check risler SPEC", "need at least one module"),
+        ("mixed SPEC -m , -d ,", "need at least one module"),
+        ("assoc SPEC -m , -d , -j 2", "need at least one module"),
+    ],
+    ids=[
+        "reduction-without-m",
+        "reduction-without-u",
+        "rees-without-m",
+        "superficial-without-x",
+        "length-n-not-int",
+        "risler-d-not-int",
+        "gmult-t-not-int",
+        "assoc-j-not-int",
+        "risler-without-modules",
+        "mixed-without-modules",
+        "assoc-without-modules",
+    ],
+)
+def test_malformed_arguments_exit_2(specfile, tmp_path, argv, message):
+    args = [specfile if a == "SPEC" else a for a in argv.split()]
+    proc = brim(*args, cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr

@@ -172,6 +172,18 @@ def test_mixed_single_module_collapses_to_ebr():
         assert mixed([e], (e.ring.d + e.ring.p - 1,)).value == ebr(e).value
 
 
+def test_one_module_mixed_rejects_a_degree_deficient_table_like_ebr(monkeypatch):
+    from brim import DegreeDeficiency, hilbert
+
+    # a constant nonzero table: every top-order difference is 0
+    monkeypatch.setattr(hilbert.Evaluator, "length", lambda self, query: 5)
+    m = mk(R21, ["x1*t1", "x2*t1"])
+    with pytest.raises(DegreeDeficiency):
+        ebr(m)
+    with pytest.raises(DegreeDeficiency):
+        mixed([m], (2,))
+
+
 def test_mixed_permutation_invariance():
     m = mk(R21, ["x1*t1", "x2*t1"])
     i = mk(R21, ["x1^2*t1", "x2*t1"])
