@@ -92,6 +92,8 @@ PER_FIELD = [
     ("r21", "check reduction -u U -m m"),
     ("r21", "check joint -x a1,a2 -m m,m"),
     ("r21", "check joint -x g1,g2 -m m,m"),
+    ("r21", "check joint -x a1,a1 -m m,m"),
+    ("r21", "check joint -x a1,a2 -m m,I"),
     ("r21", "check mn-joint -x a1,a2 -n 1"),
     ("r21", "check superficial -x a1 -m m"),
     ("r21", "check superficial -x b1 -m m2"),

@@ -42,16 +42,9 @@ from .hilbert import (
     mixed,
 )
 from .linalg import PairedSpan
-from .poly import (
-    Monomial,
-    Polynomial,
-    compositions_desc,
-    t_monomials,
-    t_shifts,
-)
+from .poly import Monomial, Polynomial, compositions_desc, t_monomials
 from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check, product
 
-JOINT_Q_MAX = 2
 SAMPLING_ATTEMPTS = 5
 
 
@@ -308,19 +301,17 @@ def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Deci
     return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
 
 
-def _joint_lhs(xs, modules, n, q, evaluator):
-    """Generators of [sum_i x_i * prod_{j != i} E_j] * (prod E)^(n-1) * M_q."""
+def _joint_lhs(xs, modules, n, evaluator):
+    """Generators of [sum_i x_i * prod_{j != i} E_j] * (prod E)^(n-1)."""
     ring = modules[0].ring
     k = len(modules)
-    total_e = sum(m.tdeg for m in modules)
-    amb = n * total_e + q
     gens = []
     for i in range(k):
         mods = tuple(modules[:i] + modules[i + 1 :]) + tuple(modules)
         exps = (1,) * (k - 1) + (n - 1,) * k
         part = evaluator.product_of_powers(mods, exps)
-        base = [xs[i]] if part is None else [xs[i] * g for g in part.gens]
-        gens.extend(t_shifts(ring, base, q))
+        gens.extend([xs[i]] if part is None else [xs[i] * g for g in part.gens])
+    amb = n * sum(m.tdeg for m in modules)
     return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
 
 
@@ -330,8 +321,9 @@ def is_joint_reduction(
     n_max: int = 6,
     evaluator: Optional[Evaluator] = None,
 ) -> Decision:
-    """Decide the joint-reduction equality at some n <= n_max, for all
-    q <= JOINT_Q_MAX; True at the first verified n (the equality propagates)."""
+    """Decide the joint-reduction equality
+    (sum_i x_i prod_{j != i} E_j)(prod E)^(n-1) = (prod E)^n at some
+    n <= n_max; True at the first verified n (the equality propagates)."""
     xs = tuple(xs)
     modules = tuple(modules)
     if len(xs) != len(modules) or not xs:
@@ -344,23 +336,13 @@ def is_joint_reduction(
     for m in modules:
         m.primarity()
     evaluator = evaluator or Evaluator()
-    ring = modules[0].ring
-    window = {"n_max": n_max, "q_max": JOINT_Q_MAX}
+    window = {"n_max": n_max}
     counterexample = None
     for n in range(1, n_max + 1):
-        ok = True
-        for q in range(0, JOINT_Q_MAX + 1):
-            lhs = _joint_lhs(xs, modules, n, q, evaluator)
-            rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
-            missing = _first_missing(lhs.basis, t_shifts(ring, rhs.gens, q))
-            if missing is not None:
-                ok = False
-                if q == 0:
-                    counterexample = missing
-                elif counterexample is None:
-                    counterexample = missing
-                break
-        if ok:
+        lhs = _joint_lhs(xs, modules, n, evaluator)
+        rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
+        counterexample = _first_missing(lhs.basis, rhs.gens)
+        if counterexample is None:
             return Decision(Verdict.TRUE, n, None, window)
     return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
 
@@ -423,6 +405,20 @@ def rees_equivalence_check(
     )
 
 
+def _parameter_ebr(span: GradedSubmodule, evaluator: Evaluator) -> MultiplicityResult:
+    """Windowed e_BR of a span of d+p-1 elements that passed the primarity
+    gate, cross-checked against its colength: over a Cohen-Macaulay ring
+    the two agree (Buchsbaum-Rim, 1964)."""
+    result = ebr(span, evaluator)
+    colength = span.primarity().colength
+    if result.value != colength:
+        raise InternalError(
+            f"windowed e_BR {result.value} of a parameter span differs from "
+            f"its colength {colength}"
+        )
+    return result
+
+
 def converse_criterion(
     xs: Sequence[Polynomial],
     modules: Sequence[GradedSubmodule],
@@ -455,7 +451,7 @@ def converse_criterion(
         raise NotDeskCase(f"primarity gate failed: {exc}") from exc
     radical_ok = True
     evaluator = Evaluator()
-    lhs = ebr(span, evaluator)
+    lhs = _parameter_ebr(span, evaluator)
     rhs = mixed(modules, (1,) * k, evaluator)
     decision = is_joint_reduction(xs, modules, n_max, evaluator)
     if lhs.value == rhs.value:
@@ -539,7 +535,7 @@ def risler_teissier_check(
     rhs = None
     for seed in seeds:
         candidates, span = _sample_verified_sequence(e_list, seed, window, evaluator)
-        rhs = ebr(span, Evaluator())
+        rhs = _parameter_ebr(span, Evaluator())
         values[str(seed)] = rhs.value
         all_candidates.extend(candidates)
     vals = set(values.values())

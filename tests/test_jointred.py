@@ -336,6 +336,8 @@ def test_joint_reduction_propagates_to_next_exponent(m):
     from brim.hilbert import Evaluator
     from brim.jointred import _joint_lhs
     from brim.groebner import normal_form as nf
+    from brim.poly import t_shifts
+    from brim.rees import SubmoduleSpec
 
     i = mk(R21, ["x1^2*t1", "x2*t1"])
     xs = [P("x1*t1"), P("x2*t1")]
@@ -343,9 +345,17 @@ def test_joint_reduction_propagates_to_next_exponent(m):
     assert dec.verdict is Verdict.TRUE
     ev = Evaluator()
     n = dec.witness_n0 + 1
-    lhs = _joint_lhs(xs, (m, i), n, 0, ev)
+    lhs = _joint_lhs(xs, (m, i), n, ev)
     rhs = ev.product_of_powers((m, i), (n, n))
     assert all(nf(g, lhs.basis).is_zero() for g in rhs.gens)
+    # the equality carries no degree-q axis: both sides times the degree-q
+    # t-monomials are again contained, so checking q >= 1 would add nothing
+    assert dec.window == {"n_max": 6}
+    for q in (1, 2):
+        shifted = GradedSubmodule(
+            SubmoduleSpec(R21, lhs.tdeg + q, t_shifts(R21, lhs.gens, q))
+        )
+        assert all(nf(g, shifted.basis).is_zero() for g in t_shifts(R21, rhs.gens, q))
 
 
 def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
@@ -361,3 +371,24 @@ def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
     u = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
     with pytest.raises(InternalError, match=r"E\^3 = U E\^2 fails"):
         is_reduction(u, m2)
+
+
+def test_parameter_span_ebr_is_cross_checked_against_colength(m, monkeypatch):
+    """By Buchsbaum-Rim a finite-colength span of d+p-1 elements has e_BR
+    equal to its colength; a windowed value off by one is an internal
+    error in both theorem checkers."""
+    import dataclasses
+
+    from brim import InternalError, jointred
+
+    real_ebr = jointred.ebr
+
+    def off_by_one(module, evaluator=None):
+        result = real_ebr(module, evaluator)
+        return dataclasses.replace(result, value=result.value + 1)
+
+    monkeypatch.setattr(jointred, "ebr", off_by_one)
+    with pytest.raises(InternalError, match="e_BR 2 .* colength 1"):
+        converse_criterion([P("x1*t1"), P("x2*t1")], [m, m])
+    with pytest.raises(InternalError, match="e_BR 2 .* colength 1"):
+        risler_teissier_check([m, m], (1, 1), seeds=(0,))
