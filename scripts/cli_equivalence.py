@@ -35,6 +35,7 @@ R21_MODULES = {
     "m2": {"tdeg": 1, "gens": ["x1^2*t1", "x1*x2*t1", "x2^2*t1"]},
     "U": {"tdeg": 1, "gens": ["x1^2*t1", "x2^2*t1"]},
     "A": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1", "x2^3*t1"]},
+    "UA": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1"]},
     "m2sq": {"tdeg": 2, "gens": ["x1^2*t1^2", "x1*x2*t1^2", "x2^2*t1^2"]},
     "line": {"tdeg": 1, "gens": ["x1*t1"]},
 }
@@ -45,6 +46,8 @@ R21_ELEMENTS = {
     "g1": "x1*t1+x2*t1",
     "g2": "x1*t1+2*x2*t1",
     "mixedt": "x1*t1 + x2^2*t1",
+    "h1": "x1^3*t1+x2^2*t1",
+    "h2": "x1*x2*t1",
 }
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
@@ -101,6 +104,12 @@ PER_FIELD = [
     ("r21", "check converse -x a1,a2 -m m,m"),
     ("r21", "check converse -x g1,g2 -m m,m"),
     ("r21", "check risler -m m,m2 -d 1,1 --seed 3"),
+    # deciders over the non-homogeneous A, whose products take the Buchberger path
+    ("r21", "check reduction -u UA -m A"),
+    ("r21", "check rees -u UA -m A"),
+    ("r21", "check joint -x h1,h2 -m A,A"),
+    ("r21", "check joint -x h2,h2 -m A,A"),
+    ("r21", "check converse -x h1,h2 -m A,A"),
     ("r22", "check risler -m mF -d 3"),
     # user errors (exit 2)
     ("r21", "ebr -m line"),

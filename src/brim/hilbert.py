@@ -109,12 +109,27 @@ MAX_EXTENSIONS = 2
 EXTENSION_STEP = 2
 
 
+def _key(modules, exponents) -> tuple:
+    """A product's memo key: each module object once, its exponents summed."""
+    merged = dict.fromkeys(modules, 0)
+    for m, n in zip(modules, exponents):
+        merged[m] += n
+    return tuple(merged), tuple(merged.values())
+
+
+def _lowered(exponents) -> tuple:
+    """(i, exponents with n_i lowered by one) for the last positive n_i."""
+    last = max(i for i, n in enumerate(exponents) if n >= 1)
+    return last, exponents[:last] + (exponents[last] - 1,) + exponents[last + 1 :]
+
+
 class Evaluator:
     """Caches products of powers and length cells for one computation.
 
-    Every memo is keyed by the module objects themselves; GradedSubmodule
-    hashes by identity, so two modules with equal specs never share an entry,
-    and the memo keeps its modules alive.
+    E1^n1 ... Ek^nk is formed as the ``_lowered`` product times E_i, and kept
+    by its reduced basis or by its minimal generators.  Memos are keyed by
+    module objects; GradedSubmodule hashes by identity, so equal specs never
+    share an entry, and the memo keeps its modules alive.
     """
 
     def __init__(self):
@@ -124,15 +139,12 @@ class Evaluator:
 
     def minimal_product(self, modules, exponents) -> tuple:
         """Minimal generators of E1^n1 ... Ek^nk for modules whose reduced
-        bases are x-homogeneous, one factor at a time as in
-        product_of_powers: lower the last positive exponent by one, multiply
-        the minimal generators of that product by those of its module, and
-        keep the graded Nakayama subset of the products."""
-        key = (tuple(modules), tuple(exponents))
+        bases are x-homogeneous: the graded Nakayama subset of the lowered
+        product's minimal generators times those of its module."""
+        key = _key(modules, exponents)
         if key not in self._minimal_products:
-            last = max(i for i, n in enumerate(exponents) if n >= 1)
-            lowered = list(exponents)
-            lowered[last] -= 1
+            modules, exponents = key
+            last, lowered = _lowered(exponents)
             gens = modules[last].minimal_gens
             if any(lowered):
                 prev = self.minimal_product(modules, lowered)
@@ -142,23 +154,21 @@ class Evaluator:
                         f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
                     )
                 tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-                gens = minimal_subset(
-                    modules[0].ring, tdeg, [f * g for f in prev for g in gens]
-                )
+                gens = minimal_subset(modules[0].ring, tdeg, [f * g for f in prev for g in gens])
             self._minimal_products[key] = gens
         return self._minimal_products[key]
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
-        key = (tuple(modules), tuple(exponents))
-        if key not in self._products:
-            parts = [m.power(n) for m, n in zip(modules, exponents) if n >= 1]
-            result = None
-            if parts:
-                result = parts[0]
-                for part in parts[1:]:
-                    result = product(result, part)
+        """E1^n1 ... Ek^nk by its reduced basis; None when every n_i is 0."""
+        key = _key(modules, exponents)
+        if any(key[1]) and key not in self._products:
+            modules, exponents = key
+            last, lowered = _lowered(exponents)
+            result = modules[last]
+            if any(lowered):
+                result = product(self.product_of_powers(modules, lowered), result)
             self._products[key] = result
-        return self._products[key]
+        return self._products.get(key)
 
     def length(self, query: LengthQuery) -> int:
         if query not in self._lengths:
@@ -301,7 +311,7 @@ def table(
     q_window: Optional[tuple] = None,
     evaluator: Optional[Evaluator] = None,
 ) -> LengthTable:
-    """Evaluate lengths over the window; module powers are memoized.
+    """Evaluate lengths over the window; products are memoized.
 
     With q_window an extra trailing "q" axis is added; otherwise q = 0.
     """

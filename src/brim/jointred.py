@@ -19,8 +19,10 @@ import itertools
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
+from functools import partial
 from typing import Optional, Sequence
 
+from . import groebner
 from .errors import (
     InfiniteColength,
     InternalError,
@@ -29,6 +31,7 @@ from .errors import (
     NotDeskCase,
     NotMember,
     NotSubmodule,
+    ResourceLimit,
     SuperficialSamplingFailed,
     SupportOffOrigin,
     ZeroModule,
@@ -43,9 +46,11 @@ from .hilbert import (
 )
 from .linalg import PairedSpan
 from .poly import Monomial, Polynomial, compositions_desc, t_monomials
-from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check, product
+from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check
 
 SAMPLING_ATTEMPTS = 5
+OTHER_MAX = 1
+Q_MAX = 1
 
 
 class Verdict(Enum):
@@ -72,20 +77,13 @@ class SuperficialCandidate:
 @dataclass(frozen=True)
 class SuperficialWindow:
     """Window for the defining colon equality: n1 in [c1, c1+n1_span],
-    remaining exponents in [0, other_max], q in [0, q_max]."""
+    remaining exponents in [0, OTHER_MAX], q in [0, Q_MAX]."""
 
     c1: int = 1
     n1_span: int = 2
-    other_max: int = 1
-    q_max: int = 1
 
     def describe(self) -> dict:
-        return {
-            "c1": self.c1,
-            "n1_span": self.n1_span,
-            "other_max": self.other_max,
-            "q_max": self.q_max,
-        }
+        return {"c1": self.c1, "n1_span": self.n1_span, "other_max": OTHER_MAX, "q_max": Q_MAX}
 
 
 @dataclass
@@ -131,7 +129,14 @@ def _std_monomial_list(sub: GradedSubmodule):
     report = sub.colength_report()
     if not report.finite:
         raise InfiniteColength("slice quotient is not finite dimensional")
-    return list(report.standard_monomials or ())
+    if report.standard_monomials is None:
+        # the count is known but the monomials were not kept: an empty list
+        # here would read as a zero quotient and pass the check unexamined
+        raise ResourceLimit(
+            f"slice quotient of t-degree {sub.tdeg} has {report.value} standard "
+            f"monomials (cap {groebner.KEEP_MONOMIALS_CAP})"
+        )
+    return list(report.standard_monomials)
 
 
 def _coords(poly: Polynomial, index: dict, width: int, fld):
@@ -207,10 +212,10 @@ def verify_superficial(
     quotient_elems = tuple(quotient_elems)
     k = len(modules)
     c1 = window.c1
-    rest_ranges = [range(0, window.other_max + 1)] * (k - 1)
+    rest_ranges = [range(0, OTHER_MAX + 1)] * (k - 1)
     for n1 in range(max(c1, 1), max(c1, 1) + window.n1_span + 1):
         for rest in itertools.product(*rest_ranges):
-            for q in range(0, window.q_max + 1):
+            for q in range(0, Q_MAX + 1):
                 slack = n1 - 1 - c1 + q
                 if slack < 0:
                     continue
@@ -279,18 +284,17 @@ def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Deci
         e.primarity()
     except (InfiniteColength, SupportOffOrigin):
         e_primary = False
+    power_of = partial(Evaluator().product_of_powers, (u, e))
     if e_primary and not u.colength_report().finite:
         # a reduction of an m-primary module must itself be m-primary
-        ce = _first_missing(product(u, e).basis, e.power(2).gens)
+        ce = _first_missing(power_of((1, 1)).basis, power_of((0, 2)).gens)
         return Decision(Verdict.FALSE, None, ce, {**window, "reason": "infinite colength"})
 
     counterexample = None
     for n in range(1, n_max + 1):
-        lhs = product(u, e.power(n))
-        target = e.power(n + 1)
-        missing = _first_missing(lhs.basis, target.gens)
+        missing = _first_missing(power_of((1, n)).basis, power_of((0, n + 1)).gens)
         if missing is None:
-            nxt = _first_missing(product(u, e.power(n + 1)).basis, e.power(n + 2).gens)
+            nxt = _first_missing(power_of((1, n + 1)).basis, power_of((0, n + 2)).gens)
             if nxt is not None:
                 raise InternalError(
                     f"reduction equality E^{n + 1} = U E^{n} holds but "
@@ -302,17 +306,14 @@ def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Deci
 
 
 def _joint_lhs(xs, modules, n, evaluator):
-    """Generators of [sum_i x_i * prod_{j != i} E_j] * (prod E)^(n-1)."""
-    ring = modules[0].ring
-    k = len(modules)
+    """Generators of [sum_i x_i * prod_{j != i} E_j] * (prod E)^(n-1): x_i
+    times the product over the modules with exponent n-1 at i, n elsewhere."""
     gens = []
-    for i in range(k):
-        mods = tuple(modules[:i] + modules[i + 1 :]) + tuple(modules)
-        exps = (1,) * (k - 1) + (n - 1,) * k
-        part = evaluator.product_of_powers(mods, exps)
-        gens.extend([xs[i]] if part is None else [xs[i] * g for g in part.gens])
-    amb = n * sum(m.tdeg for m in modules)
-    return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
+    for i, x in enumerate(xs):
+        exps = (n,) * i + (n - 1,) + (n,) * (len(modules) - i - 1)
+        part = evaluator.product_of_powers(modules, exps)
+        gens.extend([x] if part is None else [x * g for g in part.gens])
+    return GradedSubmodule(SubmoduleSpec(modules[0].ring, n * sum(m.tdeg for m in modules), gens))
 
 
 def is_joint_reduction(
@@ -351,7 +352,6 @@ def mn_joint_reduction_witness(
     xs: Sequence[Polynomial],
     n: int,
     n_max: int = 6,
-    evaluator: Optional[Evaluator] = None,
 ) -> Decision:
     """Joint-reduction decision for the sequence ((x_i) + m^n F); the gate
     requires the submodule generated by the x_i to be m-primary in F."""
@@ -374,7 +374,7 @@ def mn_joint_reduction_witness(
     modules = [
         GradedSubmodule(SubmoduleSpec(ring, 1, [x] + mnf_gens)) for x in xs
     ]
-    return is_joint_reduction(xs, modules, n_max, evaluator)
+    return is_joint_reduction(xs, modules, n_max)
 
 
 def rees_equivalence_check(

@@ -4,6 +4,7 @@ A submodule E of the degree-e slice generates an ideal of S through the
 degree-one embedding w(h) = h1*t1 + ... + hp*tp; graded powers E^n live in the
 degree n*e slice and are computed iteratively with inter-reduction (the
 cached reduced Groebner basis is the canonical generator set at each step).
+``power`` is unmemoized; computations form products in ``hilbert.Evaluator``.
 
 Lengths computed downstream are global standard-monomial counts; they agree
 with lengths over the local ring at the origin exactly when the quotient is
@@ -58,7 +59,6 @@ class GradedSubmodule:
         self._colength = None
         self._primarity = None
         self._minimal = _UNSET
-        self._powers = {1: self}
 
     @classmethod
     def from_gens(cls, ring: RingSpec, tdeg: int, gens) -> "GradedSubmodule":
@@ -140,9 +140,7 @@ class GradedSubmodule:
     def power(self, n: int) -> "GradedSubmodule":
         if n < 1:
             raise InvalidInput("power exponent must be >= 1")
-        if n not in self._powers:
-            self._powers[n] = product(self, self.power(n - 1))
-        return self._powers[n]
+        return self if n == 1 else product(self, self.power(n - 1))
 
     def __repr__(self):
         return f"<submodule tdeg={self.tdeg} gens={len(self.spec.gens)}>"
@@ -281,7 +279,7 @@ def product(a: GradedSubmodule, b: GradedSubmodule) -> GradedSubmodule:
 
 
 def power(e: GradedSubmodule, n: int) -> GradedSubmodule:
-    """n-th graded power, computed iteratively with inter-reduction."""
+    """n-th graded power, computed iteratively with inter-reduction; unmemoized."""
     return e.power(n)
 
 

@@ -634,6 +634,23 @@ def test_products_of_a_non_homogeneous_module_match_its_powers():
             assert [str(g) for g in prod.basis] == expected, (n1, n2)
 
 
+def test_evaluator_chain_over_two_copies_of_a_module_matches_its_powers():
+    """Products over (A, B), two separately built copies of the
+    non-homogeneous A, are formed one factor at a time; their reduced bases
+    equal those of A^(n1+n2) built by ``power``."""
+    a, b = mk(R21, A_GENS), mk(R21, A_GENS)
+    expected = {n: [str(g) for g in a.power(n).basis] for n in range(1, 7)}
+    ev = Evaluator()
+    assert ev.product_of_powers((a, b), (0, 0)) is None
+    for n1 in range(4):
+        for n2 in range(4):
+            if n1 + n2:
+                prod = ev.product_of_powers((a, b), (n1, n2))
+                assert [str(g) for g in prod.basis] == expected[n1 + n2], (n1, n2)
+    # a module object named twice is one factor: its exponents add
+    assert ev.product_of_powers((a, a), (1, 2)) is ev.product_of_powers((a,), (3,))
+
+
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
 def test_mixed_of_a_non_homogeneous_module_with_itself_is_its_ebr(field):
     ring = RingSpec(d=2, p=1, field=field)

@@ -358,6 +358,46 @@ def test_joint_reduction_propagates_to_next_exponent(m):
         assert all(nf(g, shifted.basis).is_zero() for g in t_shifts(R21, rhs.gens, q))
 
 
+def test_joint_lhs_matches_the_products_built_by_hand(m):
+    """_joint_lhs takes each x_i times one Evaluator product; the span is
+    sum_i x_i prod_{j != i} E_j (prod E)^(n-1) built with product and power,
+    for distinct modules and for one non-homogeneous module twice."""
+    from brim import power, product
+    from brim.hilbert import Evaluator
+    from brim.jointred import _joint_lhs
+    from brim.rees import SubmoduleSpec
+
+    i = mk(R21, ["x1^2*t1", "x2*t1"])
+    a = mk(R21, ["x1^3*t1 + x2^2*t1", "x1*x2*t1", "x2^3*t1"])
+    cases = [
+        ([P("x1*t1"), P("x2*t1")], (m, i)),
+        ([P("x1^3*t1 + x2^2*t1"), P("x1*x2*t1")], (a, a)),
+    ]
+    for xs, mods in cases:
+        ev = Evaluator()
+        whole = product(*mods)
+        for n in range(1, 4):
+            gens = []
+            for k, x in enumerate(xs):
+                (other,) = mods[:k] + mods[k + 1 :]
+                part = other if n == 1 else product(other, power(whole, n - 1))
+                gens.extend(x * g for g in part.gens)
+            by_hand = GradedSubmodule(SubmoduleSpec(R21, 2 * n, gens))
+            lhs = _joint_lhs(xs, mods, n, ev)
+            assert [str(g) for g in lhs.basis] == [str(g) for g in by_hand.basis], n
+
+
+def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeypatch):
+    """A slice quotient with more standard monomials than groebner keeps has
+    none listed; read as an empty list it would be U/V = 0 and the zero
+    candidate would pass unexamined."""
+    from brim import ResourceLimit, groebner
+
+    monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
+    with pytest.raises(ResourceLimit, match=r"3 standard monomials \(cap 2\)"):
+        verify_superficial(Polynomial.zero(R21), [m])
+
+
 def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
     from brim import InternalError, jointred
 
