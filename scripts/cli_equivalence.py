@@ -52,7 +52,11 @@ R21_ELEMENTS = {
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
     "E": {"tdeg": 1, "gens": ["x1^2*t1+x2^3*t1", "x2*t1", "x1*t2+x2^2*t2", "x2^2*t2"]},
+    # two more presentations of mF: one submodule under three names
+    "mFt": {"tdeg": 1, "gens": ["x2*t2", "x1*t2", "x2*t1", "x1*t1"]},
+    "mFr": {"tdeg": 1, "gens": ["x1*t1+x2*t2", "x1*t1", "x2*t1", "x1*t2", "x2*t2+x1*t2"]},
 }
+R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
 GF = {"GF": 32003}
 
@@ -67,8 +71,8 @@ def spec(field, d, p, modules, elements=None) -> dict:
 SPECS = {
     "r21-qq": spec("QQ", 2, 1, R21_MODULES, R21_ELEMENTS),
     "r21-gf": spec(GF, 2, 1, R21_MODULES, R21_ELEMENTS),
-    "r22-qq": spec("QQ", 2, 2, R22_MODULES),
-    "r22-gf": spec(GF, 2, 2, R22_MODULES),
+    "r22-qq": spec("QQ", 2, 2, R22_MODULES, R22_ELEMENTS),
+    "r22-gf": spec(GF, 2, 2, R22_MODULES, R22_ELEMENTS),
     "r12-qq": spec("QQ", 1, 2, R12_MODULES),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
     "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
@@ -85,7 +89,11 @@ PER_FIELD = [
     ("r22", "ebr -m E"),
     ("r21", "tilde-ebr -m m2sq"),
     ("r21", "mixed -m m,I -d 1,1"),
+    # equal submodules share length cells: one object named twice, two
+    # presentations of one submodule (UA = A), three names for mF
     ("r21", "mixed -m A,A -d 1,1"),
+    ("r21", "mixed -m A,UA -d 1,1"),
+    ("r22", "check converse -x c1,c2,c3 -m mF,mFt,mFr"),
     ("r21", "mixed -m A -d 2"),
     ("r22", "mixed -m E,mF -d 2,1"),
     ("r21", "assoc -m m -d 1 -j 1"),

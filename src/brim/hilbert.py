@@ -109,43 +109,59 @@ MAX_EXTENSIONS = 2
 EXTENSION_STEP = 2
 
 
-def _key(modules, exponents) -> tuple:
-    """A product's memo key: each module object once, its exponents summed."""
-    merged = dict.fromkeys(modules, 0)
-    for m, n in zip(modules, exponents):
-        merged[m] += n
-    return tuple(merged), tuple(merged.values())
+def _class_key(module: GradedSubmodule) -> tuple:
+    """Equal exactly for equal submodules: reduced bases are monic and unique."""
+    return module.ring, module.tdeg, frozenset(module.gens)
 
 
 def _lowered(exponents) -> tuple:
-    """(i, exponents with n_i lowered by one) for the last positive n_i."""
-    last = max(i for i, n in enumerate(exponents) if n >= 1)
-    return last, exponents[:last] + (exponents[last] - 1,) + exponents[last + 1 :]
+    """A product key's exponents with the last lowered by one; every exponent
+    of a key is positive, so this is the last positive one."""
+    return exponents[:-1] + (exponents[-1] - 1,)
 
 
 class Evaluator:
     """Caches products of powers and length cells for one computation.
 
-    E1^n1 ... Ek^nk is formed as the ``_lowered`` product times E_i, and kept
-    by its reduced basis or by its minimal generators.  Memos are keyed by
-    module objects; GradedSubmodule hashes by identity, so equal specs never
-    share an entry, and the memo keeps its modules alive.
+    Memos are keyed by submodule class, not by module object: each module
+    stands for the first module seen with its ``_class_key``, the exponents
+    of a repeated class are summed in order of first appearance, and product
+    keys leave out zero exponents.  So equal submodules share products and
+    cells, and a table over (E, E') is a table of E^(a+b).  E1^n1 ... Ek^nk is
+    formed as the ``_lowered`` product times E_i, and kept by its reduced
+    basis or by its minimal generators.  The memo keeps its modules alive.
     """
 
     def __init__(self):
+        self._representatives = {}  # module object -> representative of its class
+        self._classes = {}  # class key -> representative
         self._products = {}
         self._minimal_products = {}
         self._lengths = {}
+
+    def _canonical(self, factors) -> tuple:
+        """(representatives, summed exponents) of (module, exponent) pairs."""
+        merged = {}
+        for m, n in factors:
+            rep = self._representatives.get(m)
+            if rep is None:
+                rep = self._representatives[m] = self._classes.setdefault(_class_key(m), m)
+            merged[rep] = merged.get(rep, 0) + n
+        return tuple(merged), tuple(merged.values())
+
+    def _key(self, modules, exponents) -> tuple:
+        """A product's memo key: its classes with positive exponents."""
+        return self._canonical((m, n) for m, n in zip(modules, exponents) if n)
 
     def minimal_product(self, modules, exponents) -> tuple:
         """Minimal generators of E1^n1 ... Ek^nk for modules whose reduced
         bases are x-homogeneous: the graded Nakayama subset of the lowered
         product's minimal generators times those of its module."""
-        key = _key(modules, exponents)
+        key = self._key(modules, exponents)
         if key not in self._minimal_products:
             modules, exponents = key
-            last, lowered = _lowered(exponents)
-            gens = modules[last].minimal_gens
+            lowered = _lowered(exponents)
+            gens = modules[-1].minimal_gens
             if any(lowered):
                 prev = self.minimal_product(modules, lowered)
                 if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
@@ -160,17 +176,19 @@ class Evaluator:
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
         """E1^n1 ... Ek^nk by its reduced basis; None when every n_i is 0."""
-        key = _key(modules, exponents)
-        if any(key[1]) and key not in self._products:
+        key = self._key(modules, exponents)
+        if key[1] and key not in self._products:
             modules, exponents = key
-            last, lowered = _lowered(exponents)
-            result = modules[last]
+            lowered = _lowered(exponents)
+            result = modules[-1]
             if any(lowered):
                 result = product(self.product_of_powers(modules, lowered), result)
             self._products[key] = result
         return self._products.get(key)
 
     def length(self, query: LengthQuery) -> int:
+        modules, exponents = self._canonical(zip(query.modules, query.exponents))
+        query = LengthQuery(modules, exponents, query.qdeg, query.quotient_elems)
         if query not in self._lengths:
             self._lengths[query] = _length_uncached(query, self)
         return self._lengths[query]

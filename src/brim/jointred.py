@@ -265,7 +265,12 @@ def _first_missing(basis, gens):
     return None
 
 
-def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Decision:
+def is_reduction(
+    u: GradedSubmodule,
+    e: GradedSubmodule,
+    n_max: int = 6,
+    evaluator: Optional[Evaluator] = None,
+) -> Decision:
     """Decide whether U is a reduction of E: E^(n+1) = U E^n at some n <= n_max.
 
     One verified exponent suffices (multiplying the equality by E propagates
@@ -284,7 +289,7 @@ def is_reduction(u: GradedSubmodule, e: GradedSubmodule, n_max: int = 6) -> Deci
         e.primarity()
     except (InfiniteColength, SupportOffOrigin):
         e_primary = False
-    power_of = partial(Evaluator().product_of_powers, (u, e))
+    power_of = partial((evaluator or Evaluator()).product_of_powers, (u, e))
     if e_primary and not u.colength_report().finite:
         # a reduction of an m-primary module must itself be m-primary
         ce = _first_missing(power_of((1, 1)).basis, power_of((0, 2)).gens)
@@ -393,7 +398,7 @@ def rees_equivalence_check(
     evaluator = Evaluator()
     lhs = ebr(u, evaluator)
     rhs = ebr(e, evaluator)
-    decision = is_reduction(u, e, n_max)
+    decision = is_reduction(u, e, n_max, evaluator)
     consistent = (lhs.value == rhs.value) == (decision.verdict is Verdict.TRUE)
     return CriterionReport(
         lhs_mult=lhs,

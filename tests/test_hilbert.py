@@ -94,12 +94,17 @@ def test_evaluator_computes_a_repeated_cell_once(monkeypatch):
     value = ev.length(LengthQuery((e,), (2,)))
     assert ev.length(LengthQuery((e,), (2,))) == value
     assert len(calls) == 1
-    # equal specs, distinct modules: the memo keys on the module object
+    # equal submodules, distinct objects: the memo keys on the submodule class
     assert ev.length(LengthQuery((twin,), (2,))) == value
-    assert len(calls) == 2
+    assert len(calls) == 1
     prod = ev.product_of_powers((e,), (2,))
     assert ev.product_of_powers((e,), (2,)) is prod
-    assert ev.product_of_powers((twin,), (2,)) is not prod
+    assert ev.product_of_powers((twin,), (2,)) is prod
+    # unequal submodules keep separate cells
+    m, i = mk(R21, ["x1*t1", "x2*t1"]), mk(R21, ["x1^2*t1", "x2*t1"])
+    assert ev.length(LengthQuery((m,), (1,))) == 1
+    assert ev.length(LengthQuery((i,), (1,))) == 2
+    assert len(calls) == 3
 
 
 def test_finite_difference_first_order():
@@ -649,6 +654,45 @@ def test_evaluator_chain_over_two_copies_of_a_module_matches_its_powers():
                 assert [str(g) for g in prod.basis] == expected[n1 + n2], (n1, n2)
     # a module object named twice is one factor: its exponents add
     assert ev.product_of_powers((a, a), (1, 2)) is ev.product_of_powers((a,), (3,))
+
+
+MF22_GENS = ["x1*t1", "x2*t1", "x1*t2", "x2*t2"]
+
+
+@pytest.mark.parametrize(
+    "ring, gens, dvec, value, cells",
+    [
+        (RingSpec(d=2, p=1, field=GF32003), A_GENS, (1, 1), 5, 11),
+        (R22, MF22_GENS, (1, 1, 1), 3, 13),
+    ],
+    ids=["A-A-R21-GF", "mF-mF-mF-R22"],
+)
+def test_mixed_over_equal_modules_computes_one_cell_per_total_exponent(
+    monkeypatch, ring, gens, dvec, value, cells
+):
+    """The (1..h)^k box over k equal submodules needs one cell per total
+    exponent n1 + ... + nk, whether the modules are fresh copies or one
+    object named k times."""
+    calls = []
+    uncached = hilbert._length_uncached
+
+    def counting(query, evaluator):
+        calls.append(query)
+        return uncached(query, evaluator)
+
+    monkeypatch.setattr(hilbert, "_length_uncached", counting)
+    assert mixed([mk(ring, gens) for _ in dvec], dvec).value == value
+    assert len(calls) == cells
+    calls.clear()
+    assert mixed([mk(ring, gens)] * len(dvec), dvec).value == value
+    assert len(calls) == cells
+
+
+def test_product_keys_leave_out_zero_exponents():
+    u, e = mk(R21, ["x1^2*t1", "x2^2*t1"]), mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
+    ev = Evaluator()
+    assert ev.product_of_powers((u, e), (0, 2)) is ev.product_of_powers((e,), (2,))
+    assert ev.product_of_powers((u, e), (1, 0)) is u
 
 
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])

@@ -147,6 +147,27 @@ def test_is_reduction_propagation(m2):
     )
 
 
+def test_is_reduction_takes_the_powers_of_e_from_a_shared_evaluator(m2, monkeypatch):
+    from brim import Evaluator, hilbert
+
+    ev = Evaluator()
+    for n in (2, 3):
+        ev.product_of_powers((m2,), (n,))
+    formed = []
+    real = hilbert.product
+
+    def counting(a, b):
+        formed.append(b)
+        return real(a, b)
+
+    monkeypatch.setattr(hilbert, "product", counting)
+    u = mk(R21, ["x1^2*t1", "x2^2*t1"])
+    dec = is_reduction(u, m2, evaluator=ev)
+    assert dec.verdict is Verdict.TRUE and dec.witness_n0 == 1
+    # only U E and U E^2 are formed: E^2 and E^3 are the memo's
+    assert len(formed) == 2
+
+
 # -- joint reduction decider --------------------------------------------------
 
 
