@@ -84,6 +84,9 @@ SPECS = {
 PER_FIELD = [
     ("r21", "length -m m,m2 -n 1,1"),
     ("r21", "length -m A -n 2 -q 1 --quotient a1"),
+    # two-factor q = 0 graded cells: the length comes from the product's sweep
+    ("r22", "length -m E,mF -n 2,1"),
+    ("r22", "length -m mF -n 3"),
     ("r21", "ebr -m m2"),
     ("r21", "ebr -m A"),
     ("r22", "ebr -m E"),
@@ -133,6 +136,8 @@ PER_FIELD = [
     ("r21", "gmult -e a1 -t x"),
     ("r21", "assoc -m m -d 1 -j x"),
     ("r21", "check risler"),
+    ("r21", "length -m m2 -n 1 -q -1"),
+    ("r22", "length -m mF -n 1 -q -1"),
     # limits (exit 3): generic samples for (m, I) vanish off the origin
     ("r21", "check risler -m m,I -d 1,1"),
 ]

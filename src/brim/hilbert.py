@@ -13,9 +13,13 @@ extraction uses these settings.
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
 and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
-N built degree by degree from the minimal generators of the product
-(``rees.DegreeSweep``).  Otherwise the cell's submodule is presented by
-generators and its colength is read off its reduced Groebner basis.
+N built degree by degree (``rees.DegreeSweep``).  The sweep that picks a
+product's minimal generators out of the candidate products builds N for
+q = 0 already, so a q = 0 cell without quotient elements that forms a
+product of two or more factors sums its codimensions on that one sweep;
+other graded cells sweep the product's minimal generators afresh.
+Otherwise the cell's submodule is presented by generators and its colength
+is read off its reduced Groebner basis.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .rees import (
     GradedSubmodule,
     SubmoduleSpec,
     by_xdegree,
-    minimal_subset,
+    minimal_sweep,
     product,
 )
 from .ring import RingSpec
@@ -154,25 +158,30 @@ class Evaluator:
         return self._canonical((m, n) for m, n in zip(modules, exponents) if n)
 
     def minimal_product(self, modules, exponents) -> tuple:
-        """Minimal generators of E1^n1 ... Ek^nk for modules whose reduced
-        bases are x-homogeneous: the graded Nakayama subset of the lowered
-        product's minimal generators times those of its module."""
+        """(minimal generators, sweep) of E1^n1 ... Ek^nk for modules whose
+        reduced bases are x-homogeneous.  The generators are the graded
+        Nakayama subset of the lowered product's minimal generators times
+        those of its module.  The sweep is the DegreeSweep that picked them
+        when this call formed a product of two or more factors, else None;
+        the memo keeps the generators only, so the sweep dies with its
+        caller."""
         key = self._key(modules, exponents)
-        if key not in self._minimal_products:
-            modules, exponents = key
-            lowered = _lowered(exponents)
-            gens = modules[-1].minimal_gens
-            if any(lowered):
-                prev = self.minimal_product(modules, lowered)
-                if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
-                    raise ResourceLimit(
-                        f"product n={list(exponents)} would form "
-                        f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
-                    )
-                tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-                gens = minimal_subset(modules[0].ring, tdeg, [f * g for f in prev for g in gens])
-            self._minimal_products[key] = gens
-        return self._minimal_products[key]
+        if key in self._minimal_products:
+            return self._minimal_products[key], None
+        modules, exponents = key
+        lowered = _lowered(exponents)
+        gens, sweep = modules[-1].minimal_gens, None
+        if any(lowered):
+            prev = self.minimal_product(modules, lowered)[0]
+            if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
+                raise ResourceLimit(
+                    f"product n={list(exponents)} would form "
+                    f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
+                )
+            tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
+            gens, sweep = minimal_sweep(modules[0].ring, tdeg, [f * g for f in prev for g in gens])
+        self._minimal_products[key] = gens
+        return gens, sweep
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
         """E1^n1 ... Ek^nk by its reduced basis; None when every n_i is 0."""
@@ -265,7 +274,12 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     N_delta, where N = E1^n1 ... Ek^nk S_q + (quotient elements) is generated
     by the product's minimal generators times the degree-q t-monomials and by
     the shifted quotient elements.  Stops at the first degree where N is
-    everything, which is exact because m * S_delta = S_(delta+1)."""
+    everything, which is exact because m * S_delta = S_(delta+1).
+
+    A cell with q = 0 and no quotient elements whose product this call forms
+    from two or more factors reads its pieces off the sweep that picked the
+    product's minimal generators: that sweep builds the same N_delta from
+    all the candidate products.  Every other cell sweeps N afresh."""
     ring = query.modules[0].ring
     amb = query.ambient_tdeg()
     cell = _cell_name(query)
@@ -274,33 +288,37 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
         # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
         killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
         if factors:
-            products = evaluator.minimal_product(query.modules, query.exponents)
+            products, sweep = evaluator.minimal_product(query.modules, query.exponents)
         else:  # every exponent is zero: the unit
-            products = (Polynomial.constant(ring, 1),)
+            products, sweep = (Polynomial.constant(ring, 1),), None
     except (InfiniteColength, ResourceLimit) as exc:
         raise type(exc)(f"{cell}: {exc}") from exc
-    gens = t_shifts(ring, products, query.qdeg) if query.qdeg else products
-    sweep = DegreeSweep(
-        ring,
-        amb,
-        by_xdegree(itertools.chain(gens, _quotient_shifts(ring, amb, query.quotient_elems))),
-    )
-    bound = max(sweep.top, killed)
+    if sweep is not None and not query.qdeg and not query.quotient_elems:
+        # the sweep that picked the products spans N already
+        top = max(by_xdegree(products))
+    else:
+        gens = t_shifts(ring, products, query.qdeg) if query.qdeg else products
+        sweep = DegreeSweep(
+            ring,
+            amb,
+            by_xdegree(itertools.chain(gens, _quotient_shifts(ring, amb, query.quotient_elems))),
+        )
+        top = sweep.top
+    bound = max(top, killed)
     total = sum(count_bidegree(ring, amb, delta) for delta in range(sweep.start))
-    while True:
-        sweep.advance()
-        total += sweep.count - sweep.rank
+    for delta, count, rank in sweep.pieces():
+        total += count - rank
         if total > STANDARD_MONOMIAL_CAP:
             raise ResourceLimit(
                 f"{cell}: more than {STANDARD_MONOMIAL_CAP} standard monomials "
-                f"by x-degree {sweep.delta}"
+                f"by x-degree {delta}"
             )
-        if sweep.rank == sweep.count:
+        if rank == count:
             return total
-        if sweep.delta >= bound:
+        if delta >= bound:
             raise InternalError(
-                f"{cell}: x-degree {sweep.delta} piece has rank {sweep.rank} of "
-                f"{sweep.count}, but the primarity bound {bound} says it is full"
+                f"{cell}: x-degree {delta} piece has rank {rank} of "
+                f"{count}, but the primarity bound {bound} says it is full"
             )
 
 
@@ -313,6 +331,8 @@ def length(query: LengthQuery, evaluator: Optional[Evaluator] = None) -> int:
         raise InvalidInput("at least one exponent must be >= 1")
     if any(n < 0 for n in query.exponents):
         raise InvalidInput("exponents must be non-negative")
+    if query.qdeg < 0:
+        raise InvalidInput("q must be non-negative")
     for m in query.modules:
         m.primarity()
     amb = query.ambient_tdeg()

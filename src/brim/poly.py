@@ -284,7 +284,10 @@ def bidegree(f: Polynomial):
 # monomial enumeration
 
 def compositions_desc(total: int, parts: int):
-    """All exponent tuples of the given length summing to total, lex descending."""
+    """All exponent tuples of the given length summing to total, lex
+    descending; none for a negative total."""
+    if total < 0:
+        return
     if parts == 1:
         yield (total,)
         return

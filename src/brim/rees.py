@@ -12,7 +12,8 @@ supported there, which is what mprimary_check certifies.
 
 When the reduced basis is x-homogeneous the submodule is graded by x-degree,
 and ``DegreeSweep`` builds its degree pieces by linear algebra; graded
-Nakayama then picks the minimal generators out of the reduced basis.
+Nakayama then picks the minimal generators out of the reduced basis
+(``minimal_sweep``, which hands back the sweep for its pieces).
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class GradedSubmodule:
         """The reduced basis elements that graded Nakayama keeps, a minimal
         generating set; None when the basis is not x-homogeneous."""
         if self._minimal is _UNSET:
-            self._minimal = minimal_subset(self.ring, self.tdeg, self.basis.elements)
+            self._minimal = minimal_sweep(self.ring, self.tdeg, self.basis.elements)[0]
         return self._minimal
 
     def colength_report(self):
@@ -164,12 +165,15 @@ class DegreeSweep:
     a time.
 
     ``groups`` maps x-degrees to generators (see ``by_xdegree``); ``start``
-    and ``top`` are its lowest and highest degree.  ``advance()`` moves from
-    delta-1 to delta: N_delta = x_1 N_(delta-1) + ... + x_d N_(delta-1) +
-    span(generators of degree delta), with N_(start-1) = 0.  Columns of
-    degree delta are the bidegree (tdeg, delta) monomials in the term order,
-    descending, so a row's pivot is its leading monomial; ``count`` is their
-    number and ``rank`` is dim N_delta.
+    and ``top`` are its lowest and highest degree.  The sweep consumes it,
+    letting go of each degree's generators once they are swept.
+    ``advance()`` moves from delta-1 to delta: N_delta = x_1 N_(delta-1) +
+    ... + x_d N_(delta-1) + span(generators of degree delta), with
+    N_(start-1) = 0.  Columns of degree delta are the bidegree (tdeg, delta)
+    monomials in the term order, descending, so a row's pivot is its leading
+    monomial; ``count`` is their number and ``rank`` is dim N_delta.
+    ``pieces()`` yields both degree by degree from ``start``, the degrees
+    already swept first.
     """
 
     def __init__(self, ring: RingSpec, tdeg: int, groups: dict):
@@ -181,6 +185,7 @@ class DegreeSweep:
         self._positions = {pos: i for i, pos in enumerate(t_monomials(ring, tdeg))}
         self._xexps = []
         self._echelon = Echelon(ring.field)
+        self._swept = []  # (count, rank) of every degree swept, from start
 
     @property
     def rank(self) -> int:
@@ -209,13 +214,24 @@ class DegreeSweep:
                 if g is not None:
                     kept.append(g)
         self._echelon, self._xexps = echelon, new
+        self._swept.append((count, len(echelon.rows)))
         return kept
+
+    def pieces(self):
+        """(delta, count, rank) of every degree from start on: the degrees
+        already swept, then one ``advance()`` for each further degree."""
+        i = 0
+        while True:
+            if i == len(self._swept):
+                self.advance()
+            yield (self.start + i, *self._swept[i])
+            i += 1
 
     def _generator_rows(self, echelon: Echelon, index: dict, width: int):
         """(g, g as an integer vector over the degree-delta columns) for
         every generator g of degree delta."""
         positions = self._positions
-        for g in self._groups.get(self.delta, ()):
+        for g in self._groups.pop(self.delta, ()):
             vec = {positions[m.texp] * width + index[m.xexp]: c for m, c in g.items()}
             echelon.integral(vec)
             yield g, vec
@@ -237,18 +253,21 @@ class DegreeSweep:
                 yield None, vec
 
 
-def minimal_subset(ring: RingSpec, tdeg: int, gens):
-    """The gens outside m times the submodule they generate, taken degree by
-    degree in the given order: a minimal generating set by graded Nakayama.
-    None unless every generator is x-homogeneous."""
+def minimal_sweep(ring: RingSpec, tdeg: int, gens):
+    """(minimal generators, the DegreeSweep that picked them).  The kept
+    gens are those outside m times the submodule they generate, taken degree
+    by degree in the given order: a minimal generating set by graded
+    Nakayama.  The sweep stops at the top degree of gens or at the first
+    full piece, above which every generator is redundant.  (None, None)
+    unless every generator is x-homogeneous; ((), None) for no generators."""
     groups = by_xdegree(gens)
     if not groups:
-        return None if groups is None else ()
+        return (None if groups is None else ()), None
     sweep = DegreeSweep(ring, tdeg, groups)
-    kept = []
-    while sweep.delta < sweep.top:
+    kept = sweep.advance()
+    while sweep.delta < sweep.top and sweep.rank < sweep.count:
         kept.extend(sweep.advance())
-    return tuple(kept)
+    return tuple(kept), sweep
 
 
 def embed_w(ring: RingSpec, h) -> Polynomial:

@@ -46,6 +46,20 @@ def test_length_missing_module_exit_2(specfile, tmp_path):
     assert proc.returncode == 2, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "p, gens",
+    [(1, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"]), (2, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])],
+    ids=["p1", "p2"],
+)
+def test_length_with_negative_q_exit_2(tmp_path, p, gens):
+    spec = {"ring": {"field": "QQ", "d": 2, "p": p}, "modules": {"E": {"tdeg": 1, "gens": gens}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("length", str(path), "-m", "E", "-n", "1", "-q", "-1", cwd=tmp_path)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "q must be non-negative" in proc.stderr
+
+
 def test_ebr_command(specfile, tmp_path):
     proc = brim("ebr", specfile, "-m", "m", cwd=tmp_path)
     doc = payload(proc)

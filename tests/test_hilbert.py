@@ -426,7 +426,7 @@ from brim import (  # noqa: E402
     ResourceLimit,
     SubmoduleSpec,
 )
-from brim import hilbert  # noqa: E402
+from brim import hilbert, rees  # noqa: E402
 from brim.hilbert import build_slice_submodule  # noqa: E402
 from brim.poly import (  # noqa: E402
     Monomial,
@@ -596,6 +596,62 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
         length(LengthQuery((e,), (2,)))
 
 
+# E reduces to an x-homogeneous basis, so its cells with mF are graded
+E22_GENS = ["x1^2*t1 + x2^3*t1", "x2*t1", "x1*t2 + x2^2*t2", "x2^2*t2"]
+
+
+def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
+    """A q = 0 table over (E, mF) reads each cell's length off the sweep
+    that picked its product's minimal generators, and those lengths are the
+    Buchberger path's."""
+    ring = RingSpec(d=2, p=2, field=GF32003)
+    e, mf = mk(ring, E22_GENS), mk(ring, MF22_GENS)
+    assert e.minimal_gens is not None and mf.minimal_gens is not None
+    sweeps = []
+    init = rees.DegreeSweep.__init__
+
+    def counting(self, *args):
+        sweeps.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(rees.DegreeSweep, "__init__", counting)
+    ev = Evaluator()
+    tbl = table([e, mf], [(1, 3), (1, 3)], evaluator=ev)
+    monkeypatch.undo()
+    formed = [key for key in ev._minimal_products if sum(key[1]) >= 2]
+    assert len(formed) == 11  # the 9 cells and the intermediate E^2, E^3
+    assert len(sweeps) == len(formed)
+    for idx, value in tbl.values.items():
+        sub = build_slice_submodule(ring, (e, mf), idx, evaluator=Evaluator())
+        assert value == sub.colength_report().value, idx
+
+
+def test_one_sweep_cells_keep_their_guards(monkeypatch):
+    """Two-factor q = 0 cells, whose lengths come from the product's own
+    sweep, still stop at the standard monomial cap and the primarity bound
+    and name the cell."""
+    mf = mk(R22, MF22_GENS)
+    monkeypatch.setattr(hilbert, "STANDARD_MONOMIAL_CAP", 3)
+    with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2: more than 3"):
+        length(LengthQuery((mf,), (2,)))
+    with pytest.raises(ResourceLimit, match=r"n=\[1, 1\], q=0, t-degree 2: more than 3"):
+        length(LengthQuery((mf, mk(R22, E22_GENS)), (1, 1)))
+    monkeypatch.undo()
+    # E^2 has minimal generators up to x-degree 4, where it lacks x1^3*x2.
+    # A*B has them up to x-degree 4, where it lacks x1^3*x2, and the bound
+    # stays 4 although the redundant candidate x1^3*x2^2 has x-degree 5.
+    e = mk(R21, ["x1^2*t1", "x2^2*t1"])
+    a, b = mk(R21, ["x1*t1", "x2^2*t1"]), mk(R21, ["x1^3*t1", "x2^2*t1"])
+    assert length(LengthQuery((e,), (2,))) == 12
+    assert length(LengthQuery((a, b), (1, 1))) == 10
+    for module in (e, a, b):
+        monkeypatch.setattr(module, "_primarity", PrimarityCertificate(1, 0))
+    with pytest.raises(InternalError, match=r"n=\[2\], q=0, t-degree 2: x-degree 4 .*bound 4"):
+        Evaluator().length(LengthQuery((e,), (2,)))
+    with pytest.raises(InternalError, match=r"n=\[1, 1\], q=0, t-degree 2: x-degree 4 .*bound 4"):
+        Evaluator().length(LengthQuery((a, b), (1, 1)))
+
+
 def test_infinite_buchberger_cell_names_the_cell():
     from brim import InfiniteColength
 
@@ -640,9 +696,9 @@ def test_products_of_a_non_homogeneous_module_match_its_powers():
 
 
 def test_evaluator_chain_over_two_copies_of_a_module_matches_its_powers():
-    """Products over (A, B), two separately built copies of the
-    non-homogeneous A, are formed one factor at a time; their reduced bases
-    equal those of A^(n1+n2) built by ``power``."""
+    """(A, B), two separately built copies of the non-homogeneous A, are one
+    submodule class, so the Evaluator forms (A, B)^(n1, n2) as A^(n1+n2); its
+    reduced bases equal those of A^(n1+n2) built by ``power``."""
     a, b = mk(R21, A_GENS), mk(R21, A_GENS)
     expected = {n: [str(g) for g in a.power(n).basis] for n in range(1, 7)}
     ev = Evaluator()
@@ -654,6 +710,23 @@ def test_evaluator_chain_over_two_copies_of_a_module_matches_its_powers():
                 assert [str(g) for g in prod.basis] == expected[n1 + n2], (n1, n2)
     # a module object named twice is one factor: its exponents add
     assert ev.product_of_powers((a, a), (1, 2)) is ev.product_of_powers((a,), (3,))
+
+
+def test_evaluator_chain_over_two_unequal_modules_matches_products_of_powers():
+    """Over A and a different non-homogeneous B the Evaluator forms
+    A^n1 B^n2 one factor at a time on the Buchberger path; its reduced bases
+    equal those of ``product`` of the ``power``s."""
+    from brim import product
+
+    a, b = mk(R21, A_GENS), mk(R21, ["x1^2*t1 + x2^3*t1", "x1*x2*t1", "x2^4*t1"])
+    assert a.minimal_gens is None and b.minimal_gens is None
+    assert [str(g) for g in a.basis] != [str(g) for g in b.basis]
+    ev = Evaluator()
+    for n1 in range(1, 4):
+        for n2 in range(1, 4):
+            prod = ev.product_of_powers((a, b), (n1, n2))
+            expected = product(power(a, n1), power(b, n2))
+            assert [str(g) for g in prod.basis] == [str(g) for g in expected.basis], (n1, n2)
 
 
 MF22_GENS = ["x1*t1", "x2*t1", "x1*t2", "x2*t2"]

@@ -19,7 +19,7 @@ from brim import (
     order_compare,
     parse_polynomial,
 )
-from brim.poly import t_shifts
+from brim.poly import compositions_desc, t_shifts
 
 R21 = RingSpec(d=2, p=1)
 R22 = RingSpec(d=2, p=2)
@@ -179,6 +179,12 @@ def test_parse_rejects_garbage():
         P("x9")
     with pytest.raises(InvalidInput):
         P("x1 ^")
+
+
+def test_compositions_of_a_negative_total_are_none():
+    for parts in (1, 2, 3):
+        assert list(compositions_desc(-1, parts)) == []
+        assert list(compositions_desc(0, parts)) == [(0,) * parts]
 
 
 @pytest.mark.parametrize("ring", [R22, RingSpec(d=2, p=3)])
