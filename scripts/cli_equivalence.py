@@ -111,6 +111,10 @@ PER_FIELD = [
     ("r21", "check mn-joint -x a1,a2 -n 1"),
     ("r21", "check superficial -x a1 -m m"),
     ("r21", "check superficial -x b1 -m m2"),
+    # superficial slices are built once per (product, q): a false verdict
+    # whose failing cell reuses a slice, and two equal classes merged
+    ("r21", "check superficial -x h2 -m I,m"),
+    ("r22", "check superficial -x c2 -m mF,mF"),
     ("r21", "check rees -u U -m m2"),
     ("r21", "check converse -x a1,a2 -m m,m"),
     ("r21", "check converse -x g1,g2 -m m,m"),

@@ -199,6 +199,8 @@ class Evaluator:
         modules, exponents = self._canonical(zip(query.modules, query.exponents))
         query = LengthQuery(modules, exponents, query.qdeg, query.quotient_elems)
         if query not in self._lengths:
+            if query.qdeg < 0:
+                raise InvalidInput("q must be non-negative")
             self._lengths[query] = _length_uncached(query, self)
         return self._lengths[query]
 
@@ -331,8 +333,6 @@ def length(query: LengthQuery, evaluator: Optional[Evaluator] = None) -> int:
         raise InvalidInput("at least one exponent must be >= 1")
     if any(n < 0 for n in query.exponents):
         raise InvalidInput("exponents must be non-negative")
-    if query.qdeg < 0:
-        raise InvalidInput("q must be non-negative")
     for m in query.modules:
         m.primarity()
     amb = query.ambient_tdeg()

@@ -193,7 +193,12 @@ def verify_superficial(
     evaluator: Optional[Evaluator] = None,
 ) -> Decision:
     """Check the defining colon equality of a superficial element over the
-    window; True means the equality held at every tested cell."""
+    window; True means the equality held at every tested cell.
+
+    Each distinct slice, and so its reduced basis and standard monomials, is
+    built once per call: slices are keyed by the Evaluator's product key and
+    q, so the W slice at n1 serves as the V slice at n1 + 1, and cells whose
+    exponents name one product of equal submodules share their slices."""
     window = window or SuperficialWindow()
     modules = tuple(modules)
     if not modules:
@@ -210,6 +215,16 @@ def verify_superficial(
         m.primarity()
     evaluator = evaluator or Evaluator()
     quotient_elems = tuple(quotient_elems)
+    slices = {}
+
+    def slice_of(exps, q):
+        key = (evaluator._key(modules, exps), q)
+        if key not in slices:
+            slices[key] = build_slice_submodule(
+                ring, modules, exps, q, quotient_elems, evaluator
+            )
+        return slices[key]
+
     k = len(modules)
     c1 = window.c1
     rest_ranges = [range(0, OTHER_MAX + 1)] * (k - 1)
@@ -226,28 +241,22 @@ def verify_superficial(
                     # degree-0 ambient slice: the colon condition degenerates
                     # to x in E1, which is already gated above
                     continue
-                exps_v = (n1 - 1,) + rest
-                exps_w = (n1,) + rest
-                exps_u = (c1,) + rest
-                v_sub = build_slice_submodule(
-                    ring, modules, exps_v, q, quotient_elems, evaluator
-                )
-                w_sub = build_slice_submodule(
-                    ring, modules, exps_w, q, quotient_elems, evaluator
-                )
-                u_sub = build_slice_submodule(
-                    ring, modules, exps_u, slack, quotient_elems, evaluator
-                )
-                witness = _injective_on_quotient(x, u_sub, v_sub, w_sub)
+                cell = {"n": [n1, *rest], "q": q}
+                try:
+                    v_sub = slice_of((n1 - 1,) + rest, q)
+                    w_sub = slice_of((n1,) + rest, q)
+                    u_sub = slice_of((c1,) + rest, slack)
+                    witness = _injective_on_quotient(x, u_sub, v_sub, w_sub)
+                except (InfiniteColength, ResourceLimit) as exc:
+                    raise type(exc)(
+                        f"superficial cell n={cell['n']}, q={q}: {exc}"
+                    ) from exc
                 if witness is not None:
                     return Decision(
                         verdict=Verdict.FALSE,
                         witness_n0=None,
                         counterexample=str(witness),
-                        window={
-                            **window.describe(),
-                            "failed_cell": {"n": [n1, *rest], "q": q},
-                        },
+                        window={**window.describe(), "failed_cell": cell},
                     )
     return Decision(
         verdict=Verdict.TRUE, witness_n0=c1, counterexample=None, window=window.describe()

@@ -596,6 +596,18 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
         length(LengthQuery((e,), (2,)))
 
 
+@pytest.mark.parametrize("gens", [
+    ["x1^2*t1", "x1*x2*t1", "x2^2*t1"],
+    ["x1^3*t1 + x2^2*t1", "x1*x2*t1", "x2^3*t1"],
+], ids=["m2", "A"])
+def test_evaluator_length_rejects_negative_q(gens):
+    """The graded m2 and the non-homogeneous A: the Evaluator entry rejects
+    q < 0 as hilbert.length does, before any path runs."""
+    module = mk(R21, gens)
+    with pytest.raises(InvalidInput, match="q must be non-negative"):
+        Evaluator().length(LengthQuery((module,), (1,), -1))
+
+
 # E reduces to an x-homogeneous basis, so its cells with mF are graded
 E22_GENS = ["x1^2*t1 + x2^3*t1", "x2*t1", "x1*t2 + x2^2*t2", "x2^2*t2"]
 

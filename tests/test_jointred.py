@@ -419,6 +419,55 @@ def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeyp
         verify_superficial(Polynomial.zero(R21), [m])
 
 
+def test_superficial_limits_name_the_cell(m, monkeypatch):
+    """At n1 = 1 every slice quotient has at most one standard monomial, so
+    a cap of 2 is first hit by the W slice m^2 of the cell n = [2], q = 0."""
+    from brim import ResourceLimit, groebner
+
+    monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^superficial cell n=\[2\], q=0: slice quotient of t-degree 2 has 3 ",
+    ):
+        verify_superficial(Polynomial.zero(R21), [m])
+
+
+def test_verify_superficial_builds_each_distinct_slice_once(monkeypatch):
+    """Over (mF, mF, mF) the window's V, W and U slices are mF^s at q for 14
+    distinct (s, q): s = 0..5 at q = 0 and 1, less the unused (0, 0), and
+    s = 1..3 at q = 2.  mF^1 at q = 0 is mF itself, whose basis exists, so
+    one call runs Buchberger 13 times, once per other slice."""
+    from brim import rees
+
+    ring = RingSpec(d=2, p=2, field=PrimeField(32003))
+    mf = mk(ring, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])
+    mods = (mf, mf, mf)
+    cand = sample_superficial(mods, 0)
+    mf.primarity()
+    calls = []
+    real = rees.buchberger
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(rees, "buchberger", counting)
+    dec = verify_superficial(cand.element, mods)
+    assert dec.verdict is Verdict.TRUE
+    assert len(calls) == 13
+
+
+def test_verify_superficial_false_verdict_through_shared_slices(m):
+    """x1*x2*t1 is in I = (x1^2, x2)t1 but is not superficial for (I, m):
+    the colon equality fails at the cell whose V slice is the W slice of the
+    earlier cell n = [2, 0], q = 0."""
+    i = mk(R21, ["x1^2*t1", "x2*t1"])
+    dec = verify_superficial(P("x1*x2*t1"), [i, m])
+    assert dec.verdict is Verdict.FALSE
+    assert dec.counterexample == "x1*x2*t1^2"
+    assert dec.window["failed_cell"] == {"n": [3, 0], "q": 0}
+
+
 def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
     from brim import InternalError, jointred
 
