@@ -32,7 +32,6 @@ from .groebner import (  # noqa: F401
     colength,
     contains,
     normal_form,
-    submodule_eq,
 )
 from .hilbert import (  # noqa: F401
     Evaluator,
@@ -51,7 +50,6 @@ from .jointred import (  # noqa: F401
     CriterionReport,
     Decision,
     SuperficialCandidate,
-    SuperficialWindow,
     Verdict,
     converse_criterion,
     is_joint_reduction,
@@ -62,16 +60,13 @@ from .jointred import (  # noqa: F401
     sample_superficial,
     verify_superficial,
 )
-from .koszul import GMultResult, KoszulSpec, chain_dim, g_mult_et, homology_dim  # noqa: F401
+from .koszul import GMultResult, KoszulSpec, chain_dim, g_mult_et  # noqa: F401
 from .poly import (  # noqa: F401
     DEGREVLEX_X,
     Monomial,
     MonomialOrder,
     Polynomial,
-    bidegree,
     format_polynomial,
-    mul,
-    order_compare,
     parse_polynomial,
 )
 from .rees import (  # noqa: F401
@@ -79,9 +74,7 @@ from .rees import (  # noqa: F401
     PrimarityCertificate,
     RingSpec,
     SubmoduleSpec,
-    embed_w,
     mprimary_check,
-    power,
     product,
 )
 from .ring import QQ, PrimeField, Rationals, field_from_config  # noqa: F401

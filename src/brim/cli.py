@@ -41,7 +41,6 @@ from .hilbert import (
 from .jointred import (
     CriterionReport,
     Decision,
-    SuperficialWindow,
     converse_criterion,
     is_joint_reduction,
     is_reduction,
@@ -393,8 +392,7 @@ def cmd_check(spec: SpecFile, args) -> dict:
     if kind == "superficial":
         x = spec.element(_names(args.x, "check superficial", "element", "-x")[0])
         mods = [spec.module(n) for n in _split(args.modules)]
-        window = SuperficialWindow(c1=int(args.c1))
-        dec = verify_superficial(x, mods, window)
+        dec = verify_superficial(x, mods, int(args.c1))
         return {"decision": decision_to_json(dec)}
     if kind == "converse":
         xs = [spec.element(n) for n in _split(args.x)]

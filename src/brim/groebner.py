@@ -332,18 +332,6 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     return GroebnerBasis(ring, gset.tdeg, reduced, [lts[i] for i in keep])
 
 
-def submodule_eq(a: GeneratorSet, b: GeneratorSet) -> bool:
-    """Span equality by mutual membership of generators."""
-    if a.ring != b.ring:
-        raise InvalidInput("submodules over different rings")
-    if a.tdeg != b.tdeg:
-        raise InvalidInput("submodules live in different t-degree slices")
-    basis_a, basis_b = buchberger(a), buchberger(b)
-    return all(contains(basis_b, g) for g in a.gens) and all(
-        contains(basis_a, g) for g in b.gens
-    )
-
-
 @dataclass
 class ColengthReport:
     finite: bool
@@ -351,12 +339,8 @@ class ColengthReport:
     standard_monomials: Optional[tuple]
 
 
-def colength(
-    basis: GroebnerBasis,
-    cap: int = STANDARD_MONOMIAL_CAP,
-    keep_monomials: bool = True,
-) -> ColengthReport:
-    """Count standard monomials of the slice.
+def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthReport:
+    """Count standard monomials of the slice, at most STANDARD_MONOMIAL_CAP.
 
     Finite iff at every position the leading-term staircase contains a pure
     power of every x-variable; infinite is a valid report, not an error.
@@ -387,6 +371,7 @@ def colength(
             bounds.append(min(pure))
         per_pos.append((tuple(pos), minimal, bounds))
 
+    cap = STANDARD_MONOMIAL_CAP
     total = 0
     monomials = []
     for pos, minimal, bounds in per_pos:

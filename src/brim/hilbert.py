@@ -75,9 +75,6 @@ class LengthTable:
     def indices(self):
         return itertools.product(*(range(lo, hi + 1) for lo, hi in self.window))
 
-    def get(self, idx) -> int:
-        return self.values[tuple(idx)]
-
     def to_json(self) -> dict:
         vals = [self.values[idx] for idx in self.indices()]
         return {
@@ -521,6 +518,31 @@ def _multigraded(
                 raise
 
 
+def check_type_vector(modules, dvec, j: Optional[int] = None) -> tuple:
+    """(modules, dvec) as tuples, dvec as ints, once dvec fits the modules:
+    one entry per module, every entry non-negative, and the entries summing
+    to d+p-1, together with j for an associated mixed multiplicity."""
+    modules = tuple(modules)
+    dvec = tuple(int(d) for d in dvec)
+    if len(modules) != len(dvec):
+        raise InvalidInput("type vector length must match the module count")
+    if not modules:
+        raise InvalidInput("need at least one module")
+    ring = modules[0].ring
+    D = ring.d + ring.p - 1
+    if j is None:
+        if any(d < 0 for d in dvec):
+            raise InvalidInput("type vector entries must be non-negative")
+        if sum(dvec) != D:
+            raise InvalidInput(f"type vector must sum to d+p-1 = {D}")
+    else:
+        if any(d < 0 for d in dvec) or j < 0:
+            raise InvalidInput("type vector entries and j must be non-negative")
+        if sum(dvec) + j != D:
+            raise InvalidInput(f"j + |dvec| must equal d+p-1 = {D}")
+    return modules, dvec
+
+
 def mixed(
     modules: Sequence[GradedSubmodule],
     dvec: Sequence[int],
@@ -528,18 +550,7 @@ def mixed(
 ) -> MultiplicityResult:
     """Mixed multiplicity of type dvec: the certified mixed difference
     Delta_1^d1 ... Delta_k^dk of the multigraded length table."""
-    modules = tuple(modules)
-    dvec = tuple(int(d) for d in dvec)
-    if len(modules) != len(dvec):
-        raise InvalidInput("type vector length must match the module count")
-    if not modules:
-        raise InvalidInput("need at least one module")
-    if any(d < 0 for d in dvec):
-        raise InvalidInput("type vector entries must be non-negative")
-    ring = modules[0].ring
-    D = ring.d + ring.p - 1
-    if sum(dvec) != D:
-        raise InvalidInput(f"type vector must sum to d+p-1 = {D}")
+    modules, dvec = check_type_vector(modules, dvec)
     kind = {"type": "mixed", "dvec": list(dvec)}
     if len(modules) == 1:
         return _univariate(modules[0], dvec[0], kind, evaluator)
@@ -554,17 +565,6 @@ def assoc_mixed(
 ) -> MultiplicityResult:
     """Associated mixed multiplicity: adds the auxiliary ambient degree q as
     a table axis and differences it j times."""
-    modules = tuple(modules)
-    dvec = tuple(int(d) for d in dvec)
-    if len(modules) != len(dvec):
-        raise InvalidInput("type vector length must match the module count")
-    if not modules:
-        raise InvalidInput("need at least one module")
-    if any(d < 0 for d in dvec) or j < 0:
-        raise InvalidInput("type vector entries and j must be non-negative")
-    ring = modules[0].ring
-    D = ring.d + ring.p - 1
-    if sum(dvec) + j != D:
-        raise InvalidInput(f"j + |dvec| must equal d+p-1 = {D}")
+    modules, dvec = check_type_vector(modules, dvec, j)
     kind = {"type": "assoc", "j": j, "dvec": list(dvec)}
     return _multigraded(modules, dvec, j, kind, evaluator)

@@ -41,6 +41,7 @@ from .hilbert import (
     Evaluator,
     MultiplicityResult,
     build_slice_submodule,
+    check_type_vector,
     ebr,
     mixed,
 )
@@ -49,6 +50,7 @@ from .poly import Monomial, Polynomial, compositions_desc, t_monomials
 from .rees import GradedSubmodule, SubmoduleSpec, mprimary_check
 
 SAMPLING_ATTEMPTS = 5
+N1_SPAN = 2
 OTHER_MAX = 1
 Q_MAX = 1
 
@@ -74,16 +76,10 @@ class SuperficialCandidate:
     coefficients: tuple
 
 
-@dataclass(frozen=True)
-class SuperficialWindow:
-    """Window for the defining colon equality: n1 in [c1, c1+n1_span],
+def _window(c1: int) -> dict:
+    """The superficial window as reported: n1 in [c1, c1 + N1_SPAN], the
     remaining exponents in [0, OTHER_MAX], q in [0, Q_MAX]."""
-
-    c1: int = 1
-    n1_span: int = 2
-
-    def describe(self) -> dict:
-        return {"c1": self.c1, "n1_span": self.n1_span, "other_max": OTHER_MAX, "q_max": Q_MAX}
+    return {"c1": c1, "n1_span": N1_SPAN, "other_max": OTHER_MAX, "q_max": Q_MAX}
 
 
 @dataclass
@@ -188,21 +184,26 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
 def verify_superficial(
     x: Polynomial,
     modules: Sequence[GradedSubmodule],
-    window: Optional[SuperficialWindow] = None,
+    c1: int = 1,
     quotient_elems: Sequence[Polynomial] = (),
     evaluator: Optional[Evaluator] = None,
 ) -> Decision:
     """Check the defining colon equality of a superficial element over the
-    window; True means the equality held at every tested cell.
+    window of ``_window(c1)``; True means the equality held at every tested
+    cell.  With P = E2^r2...Ek^rk, a cell (n1, r, q) tests that
+    multiplication by x is injective from U/V into A'/W, where
+    V = E1^(n1-1) P S_q, W = E1^n1 P S_q and U = E1^c1 P S_slack lies in
+    V's slice.  Cells with n1 <= c1 + 1 have U/V = 0 and are not built.
 
     Each distinct slice, and so its reduced basis and standard monomials, is
     built once per call: slices are keyed by the Evaluator's product key and
     q, so the W slice at n1 serves as the V slice at n1 + 1, and cells whose
     exponents name one product of equal submodules share their slices."""
-    window = window or SuperficialWindow()
     modules = tuple(modules)
     if not modules:
         raise InvalidInput("need at least one module")
+    if c1 < 0:
+        raise InvalidInput("c1 must be non-negative")
     e1 = modules[0]
     ring = e1.ring
     if not x.is_zero() and x.tdeg_if_homogeneous() != e1.tdeg:
@@ -225,22 +226,14 @@ def verify_superficial(
             )
         return slices[key]
 
-    k = len(modules)
-    c1 = window.c1
-    rest_ranges = [range(0, OTHER_MAX + 1)] * (k - 1)
-    for n1 in range(max(c1, 1), max(c1, 1) + window.n1_span + 1):
+    rest_ranges = [range(0, OTHER_MAX + 1)] * (len(modules) - 1)
+    # no cell with n1 <= c1 + 1 can fail: at n1 = c1 + 1, U is V, and at
+    # n1 = c1, U = E1^c1 P S_(q-e) lies in V = E1^(c1-1) P S_q
+    for n1 in range(c1 + 2, max(c1, 1) + N1_SPAN + 1):
         for rest in itertools.product(*rest_ranges):
             for q in range(0, Q_MAX + 1):
-                slack = n1 - 1 - c1 + q
-                if slack < 0:
-                    continue
-                amb_colon = e1.tdeg * (n1 - 1) + sum(
-                    m.tdeg * r for m, r in zip(modules[1:], rest)
-                ) + q
-                if amb_colon < 1:
-                    # degree-0 ambient slice: the colon condition degenerates
-                    # to x in E1, which is already gated above
-                    continue
+                # U sits in V's slice: e * (n1 - 1 - c1) + q above E1^c1 P
+                slack = e1.tdeg * (n1 - 1 - c1) + q
                 cell = {"n": [n1, *rest], "q": q}
                 try:
                     v_sub = slice_of((n1 - 1,) + rest, q)
@@ -256,11 +249,9 @@ def verify_superficial(
                         verdict=Verdict.FALSE,
                         witness_n0=None,
                         counterexample=str(witness),
-                        window={**window.describe(), "failed_cell": cell},
+                        window={**_window(c1), "failed_cell": cell},
                     )
-    return Decision(
-        verdict=Verdict.TRUE, witness_n0=c1, counterexample=None, window=window.describe()
-    )
+    return Decision(verdict=Verdict.TRUE, witness_n0=c1, counterexample=None, window=_window(c1))
 
 
 def _first_missing(basis, gens):
@@ -484,7 +475,7 @@ def converse_criterion(
     )
 
 
-def _sample_verified_sequence(e_list, seed, window, evaluator):
+def _sample_verified_sequence(e_list, seed, evaluator):
     last_failure = "no attempt made"
     for attempt in range(SAMPLING_ATTEMPTS):
         derived = f"{seed}:{attempt}"
@@ -494,7 +485,7 @@ def _sample_verified_sequence(e_list, seed, window, evaluator):
         for j in range(len(e_list)):
             cand = sample_superficial(e_list[j:], f"{derived}#{j}")
             decision = verify_superficial(
-                cand.element, e_list[j:], window, tuple(elems), evaluator
+                cand.element, e_list[j:], quotient_elems=tuple(elems), evaluator=evaluator
             )
             if decision.verdict is not Verdict.TRUE:
                 last_failure = f"superficiality failed at position {j}: {decision.counterexample}"
@@ -527,20 +518,11 @@ def risler_teissier_check(
 ) -> CriterionReport:
     """Mixed multiplicity equals the multiplicity of a verified superficial
     sequence, exactly and independently of the seed."""
-    modules = tuple(modules)
-    dvec = tuple(int(d) for d in dvec)
-    if len(modules) != len(dvec):
-        raise InvalidInput("type vector length must match the module count")
-    if not modules:
-        raise InvalidInput("need at least one module")
-    ring = modules[0].ring
-    if sum(dvec) != ring.d + ring.p - 1:
-        raise InvalidInput("type vector must sum to d+p-1")
+    modules, dvec = check_type_vector(modules, dvec)
     if any(m.tdeg != 1 for m in modules):
         raise InvalidInput("the check requires degree-1 submodules")
     for m in modules:
         m.primarity()
-    window = SuperficialWindow()
     evaluator = Evaluator()
     lhs = mixed(modules, dvec, evaluator)
     e_list = [m for m, d in zip(modules, dvec) for _ in range(d)]
@@ -548,17 +530,18 @@ def risler_teissier_check(
     values = {}
     rhs = None
     for seed in seeds:
-        candidates, span = _sample_verified_sequence(e_list, seed, window, evaluator)
+        candidates, span = _sample_verified_sequence(e_list, seed, evaluator)
         rhs = _parameter_ebr(span, Evaluator())
         values[str(seed)] = rhs.value
         all_candidates.extend(candidates)
     vals = set(values.values())
     consistent = len(vals) == 1 and vals == {lhs.value}
+    # every sampled element was verified with verify_superficial's c1 = 1
     decision = Decision(
         verdict=Verdict.TRUE if consistent else Verdict.INCONCLUSIVE,
-        witness_n0=window.c1,
+        witness_n0=1,
         counterexample=None,
-        window={**window.describe(), "seeds": [str(s) for s in seeds]},
+        window={**_window(1), "seeds": [str(s) for s in seeds]},
     )
     return CriterionReport(
         lhs_mult=lhs,

@@ -150,14 +150,6 @@ def _sweep(spec: KoszulSpec, t: int):
     )
 
 
-def homology_dim(spec: KoszulSpec, i: int, t: int) -> int:
-    """Total dimension of the degree-t slice of the i-th Koszul homology."""
-    if i < 0 or i > spec.m:
-        return 0
-    per_delta = _sweep(spec, t)
-    return sum(h[i] for h in per_delta)
-
-
 @dataclass
 class GMultResult:
     value: int

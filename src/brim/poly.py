@@ -35,11 +35,6 @@ class Monomial(NamedTuple):
             tuple(a + b for a, b in zip(self.xexp, other.xexp)),
         )
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.texp, other.texp)) and all(
-            a <= b for a, b in zip(self.xexp, other.xexp)
-        )
-
 
 def one_monomial(ring: RingSpec) -> Monomial:
     return Monomial((0,) * ring.p, (0,) * ring.d)
@@ -59,14 +54,6 @@ class MonomialOrder:
 
 
 DEGREVLEX_X = MonomialOrder()
-
-
-def order_compare(u: Monomial, v: Monomial) -> int:
-    """Return 1, 0 or -1 as u >, =, < v; 0 only for identical exponents."""
-    if len(u.texp) != len(v.texp) or len(u.xexp) != len(v.xexp):
-        raise InvalidInput("monomials from different rings")
-    ku, kv = DEGREVLEX_X.key(u), DEGREVLEX_X.key(v)
-    return (ku > kv) - (ku < kv)
 
 
 class Polynomial:
@@ -134,9 +121,6 @@ class Polynomial:
 
     def items(self):
         return self._terms.items()
-
-    def coeff(self, m: Monomial):
-        return self._terms.get(m, self.ring.field.zero)
 
     def leading_term(self):
         if not self._terms:
@@ -219,16 +203,6 @@ class Polynomial:
                         res[m] = acc
         return Polynomial._raw(self.ring, res)
 
-    def monic(self) -> "Polynomial":
-        if not self._terms:
-            return self
-        _, lc = self.leading_term()
-        fld = self.ring.field
-        if lc == fld.one:
-            return self
-        inv = fld.invert(lc)
-        return Polynomial._raw(self.ring, {m: fld.mul(c, inv) for m, c in self._terms.items()})
-
     def bidegree(self):
         """Per-block degree (xdeg, tdeg); the string "mixed" marks disagreement."""
         if not self._terms:
@@ -269,15 +243,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {format_polynomial(self)}>"
-
-
-def mul(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Exact product; inputs must share a ring."""
-    return a * b
-
-
-def bidegree(f: Polynomial):
-    return f.bidegree()
 
 
 # ---------------------------------------------------------------------------

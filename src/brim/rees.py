@@ -1,10 +1,10 @@
-"""Graded submodules of t-degree slices of S and their powers and products.
+"""Graded submodules of t-degree slices of S and their products.
 
 A submodule E of the degree-e slice generates an ideal of S through the
-degree-one embedding w(h) = h1*t1 + ... + hp*tp; graded powers E^n live in the
-degree n*e slice and are computed iteratively with inter-reduction (the
-cached reduced Groebner basis is the canonical generator set at each step).
-``power`` is unmemoized; computations form products in ``hilbert.Evaluator``.
+degree-one embedding w(h) = h1*t1 + ... + hp*tp; its graded powers E^n live
+in the degree n*e slice.  ``product`` multiplies the reduced bases of two
+submodules pairwise (the cached reduced Groebner basis is the canonical
+generator set); every product of powers is formed by ``hilbert.Evaluator``.
 
 Lengths computed downstream are global standard-monomial counts; they agree
 with lengths over the local ring at the origin exactly when the quotient is
@@ -139,6 +139,8 @@ class GradedSubmodule:
         return self._primarity
 
     def power(self, n: int) -> "GradedSubmodule":
+        """E^n by iterated ``product``, unmemoized; computations form their
+        products in ``hilbert.Evaluator``."""
         if n < 1:
             raise InvalidInput("power exponent must be >= 1")
         return self if n == 1 else product(self, self.power(n - 1))
@@ -270,20 +272,6 @@ def minimal_sweep(ring: RingSpec, tdeg: int, gens):
     return tuple(kept), sweep
 
 
-def embed_w(ring: RingSpec, h) -> Polynomial:
-    """Degree-one embedding of a length-p vector of x-polynomials: sum h_i*t_i."""
-    if len(h) != ring.p:
-        raise InvalidInput(f"vector length {len(h)} != rank p = {ring.p}")
-    acc = Polynomial.zero(ring)
-    for i, entry in enumerate(h):
-        hp = parse_polynomial(ring, entry) if isinstance(entry, str) else entry
-        if not hp.is_zero() and hp.tdeg_if_homogeneous() != 0:
-            raise InvalidInput("vector entries must be x-polynomials")
-        texp = tuple(1 if j == i else 0 for j in range(ring.p))
-        acc = acc + hp.mul_term(Monomial(texp, (0,) * ring.d), 1)
-    return acc
-
-
 def product(a: GradedSubmodule, b: GradedSubmodule) -> GradedSubmodule:
     """Submodule generated by pairwise products of canonical generators."""
     if a.ring != b.ring:
@@ -295,11 +283,6 @@ def product(a: GradedSubmodule, b: GradedSubmodule) -> GradedSubmodule:
         )
     gens = [f * g for f in ga for g in gb]
     return GradedSubmodule(SubmoduleSpec(a.ring, a.tdeg + b.tdeg, gens))
-
-
-def power(e: GradedSubmodule, n: int) -> GradedSubmodule:
-    """n-th graded power, computed iteratively with inter-reduction; unmemoized."""
-    return e.power(n)
 
 
 def mprimary_check(e: GradedSubmodule) -> PrimarityCertificate:

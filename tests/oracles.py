@@ -7,12 +7,66 @@ and ``box_scan_colength`` tests every cell of the box against every minimal
 leading monomial.  The three cross-check each other on monomial inputs.
 ``spair`` forms S-polynomials for the Groebner checks by plain polynomial
 products, apart from the production division code.
+
+``embed_w``, ``submodule_eq``, ``order_compare``, ``monic`` and ``divides``
+are helpers only the tests need, written on the package's public API.
 """
 
 import itertools
 from math import comb
 
-from brim.poly import DEGREVLEX_X, Polynomial, t_monomials
+from brim import InvalidInput, ResourceLimit, buchberger, contains, parse_polynomial
+from brim.poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
+
+
+def embed_w(ring, h):
+    """Degree-one embedding of a length-p vector of x-polynomials: sum h_i*t_i."""
+    if len(h) != ring.p:
+        raise InvalidInput(f"vector length {len(h)} != rank p = {ring.p}")
+    acc = Polynomial.zero(ring)
+    for i, entry in enumerate(h):
+        hp = parse_polynomial(ring, entry) if isinstance(entry, str) else entry
+        if not hp.is_zero() and hp.tdeg_if_homogeneous() != 0:
+            raise InvalidInput("vector entries must be x-polynomials")
+        texp = tuple(1 if j == i else 0 for j in range(ring.p))
+        acc = acc + hp.mul_term(Monomial(texp, (0,) * ring.d), 1)
+    return acc
+
+
+def submodule_eq(a, b):
+    """Span equality of two generator sets by mutual membership."""
+    if a.ring != b.ring:
+        raise InvalidInput("submodules over different rings")
+    if a.tdeg != b.tdeg:
+        raise InvalidInput("submodules live in different t-degree slices")
+    basis_a, basis_b = buchberger(a), buchberger(b)
+    return all(contains(basis_b, g) for g in a.gens) and all(
+        contains(basis_a, g) for g in b.gens
+    )
+
+
+def order_compare(u, v):
+    """1, 0 or -1 as u >, =, < v under the term order; 0 only for identical
+    exponents."""
+    if len(u.texp) != len(v.texp) or len(u.xexp) != len(v.xexp):
+        raise InvalidInput("monomials from different rings")
+    ku, kv = DEGREVLEX_X.key(u), DEGREVLEX_X.key(v)
+    return (ku > kv) - (ku < kv)
+
+
+def monic(f):
+    """f scaled to leading coefficient one; the zero polynomial as it is."""
+    if f.is_zero():
+        return f
+    _, lc = f.leading_term()
+    return f.scale(f.ring.field.invert(lc))
+
+
+def divides(u, v):
+    """Does the monomial u divide v, in both exponent blocks?"""
+    return all(a <= b for a, b in zip(u.texp, v.texp)) and all(
+        a <= b for a, b in zip(u.xexp, v.xexp)
+    )
 
 
 def monomial_staircase_count(d, minimal_exps):
@@ -46,9 +100,6 @@ def box_scan_colength(basis, cap, keep_cap):
     testing every cell of each position's pure-power box.  ``ResourceLimit``
     when a box or the count exceeds ``cap``; the monomials, sorted by the
     term order, are None above ``keep_cap``."""
-    from brim import ResourceLimit
-    from brim.poly import Monomial
-
     d = basis.ring.d
     lead = {}
     for lt in basis.lts:
@@ -88,8 +139,6 @@ def spair(f, g):
     """S-polynomial of f and g, whose leading monomials share a position:
     lcm/lt(f) * f / lc(f) - lcm/lt(g) * g / lc(g), lcm the x-lcm of the two
     leading monomials."""
-    from brim.poly import Monomial
-
     ring = f.ring
     (lf, cf), (lg, cg) = f.leading_term(), g.leading_term()
     lcm = [max(a, b) for a, b in zip(lf.xexp, lg.xexp)]
@@ -131,7 +180,7 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
     m^bound annihilates the quotient.  Entirely independent of the
     Groebner/staircase path."""
     from brim.linalg import rank
-    from brim.poly import Monomial, compositions_desc
+    from brim.poly import compositions_desc
 
     d = ring.d
     cols = []

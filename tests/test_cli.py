@@ -118,6 +118,18 @@ def test_check_superficial(specfile, tmp_path):
     assert payload(proc)["decision"]["verdict"] == "true"
 
 
+def test_check_superficial_in_the_degree_two_slice(tmp_path):
+    spec = {
+        "ring": {"field": "QQ", "d": 2, "p": 1},
+        "modules": {"E": {"tdeg": 2, "gens": ["x1*t1^2", "x2*t1^2"]}},
+        "elements": {"h": "x1*t1^2 + x2*t1^2"},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("check", "superficial", str(path), "-x", "h", "-m", "E", cwd=tmp_path)
+    assert payload(proc)["decision"]["verdict"] == "true"
+
+
 def test_check_joint(specfile, tmp_path):
     proc = brim("check", "joint", specfile, "-x", "a1,a2", "-m", "m,m", cwd=tmp_path)
     assert payload(proc)["decision"]["verdict"] == "true"
@@ -354,6 +366,7 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         ("check reduction SPEC -m m2", "requires at least one module (-u)"),
         ("check rees SPEC -u U", "requires at least one module (-m)"),
         ("check superficial SPEC -m m", "requires at least one element (-x)"),
+        ("check superficial SPEC -x a1 -m m --c1 -1", "c1 must be non-negative"),
         ("length SPEC -m m -n 1,x", "-n '1,x' is not a comma list of integers"),
         ("check risler SPEC -m m -d 1.5", "-d '1.5' is not a comma list of integers"),
         ("gmult SPEC -e a1 -t x", "-t 'x' is not a comma list of integers"),
@@ -367,6 +380,7 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         "reduction-without-u",
         "rees-without-m",
         "superficial-without-x",
+        "superficial-negative-c1",
         "length-n-not-int",
         "risler-d-not-int",
         "gmult-t-not-int",

@@ -22,14 +22,20 @@ from brim import (
     contains,
     normal_form,
     parse_polynomial,
-    submodule_eq,
 )
 from brim import groebner
 from brim.groebner import KEEP_MONOMIALS_CAP, STANDARD_MONOMIAL_CAP, GroebnerBasis
 from brim.poly import DEGREVLEX_X, t_monomials
 from brim.ring import QQ, PrimeField
 
-from .oracles import box_scan_colength, monomial_module_colength, spair
+from .oracles import (
+    box_scan_colength,
+    divides,
+    monic,
+    monomial_module_colength,
+    spair,
+    submodule_eq,
+)
 
 R11 = RingSpec(d=1, p=1)
 R21 = RingSpec(d=2, p=1)
@@ -216,7 +222,7 @@ def _buchberger_no_criteria(gs):
     Reduced bases are canonical, so this must agree with the production
     algorithm exactly.
     """
-    G = [g.monic() for g in gs.gens]
+    G = [monic(g) for g in gs.gens]
     if not G:
         return buchberger(gs)
     pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
@@ -229,14 +235,14 @@ def _buchberger_no_criteria(gs):
         basis = GroebnerBasis(gs.ring, gs.tdeg, G)
         r = normal_form(spair(G[i], G[j]), basis)
         if not r.is_zero():
-            G.append(r.monic())
+            G.append(monic(r))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     lts = [g.leading_term()[0] for g in G]
     minimal = [
         g
         for i, g in enumerate(G)
         if not any(
-            j != i and lts[j].divides(lts[i]) and (lts[j] != lts[i] or j < i)
+            j != i and divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
             for j in range(len(G))
         )
     ]
@@ -374,7 +380,7 @@ def _assert_reduced(basis):
         for j, lt in enumerate(lts):
             if i == j:
                 continue
-            assert not any(lt.divides(m) for m, _ in g.items()), (str(g), str(elems[j]))
+            assert not any(divides(lt, m) for m, _ in g.items()), (str(g), str(elems[j]))
             if lts[i].texp == lt.texp:
                 assert normal_form(spair(g, elems[j]), basis).is_zero()
 
@@ -482,11 +488,14 @@ def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap, keep
     try:
         finite, value, standard = box_scan_colength(basis, cap, keep_cap)
     except ResourceLimit:
-        with pytest.raises(ResourceLimit):
-            colength(basis, cap=cap, keep_monomials=keep)
+        with mock.patch.object(groebner, "STANDARD_MONOMIAL_CAP", cap):
+            with pytest.raises(ResourceLimit):
+                colength(basis, keep_monomials=keep)
         return
-    with mock.patch.object(groebner, "KEEP_MONOMIALS_CAP", keep_cap):
-        rep = colength(basis, cap=cap, keep_monomials=keep)
+    with mock.patch.object(groebner, "STANDARD_MONOMIAL_CAP", cap), mock.patch.object(
+        groebner, "KEEP_MONOMIALS_CAP", keep_cap
+    ):
+        rep = colength(basis, keep_monomials=keep)
     assert (rep.finite, rep.value) == (finite, value)
     assert rep.standard_monomials == (standard if keep else None)
     assert rep.value == expected

@@ -4,6 +4,7 @@ from brim import (
     QQ,
     GradedSubmodule,
     InvalidDegree,
+    InvalidInput,
     NotDeskCase,
     NotMember,
     NotSubmodule,
@@ -24,7 +25,9 @@ from brim import (
     sample_superficial,
     verify_superficial,
 )
-from brim.jointred import SuperficialWindow
+from brim import jointred
+
+from .oracles import monic, submodule_eq
 
 R11 = RingSpec(d=1, p=1)
 R21 = RingSpec(d=2, p=1)
@@ -63,7 +66,7 @@ def test_sample_deterministic(m):
 def test_sample_single_generator():
     e = mk(R11, ["x1^2*t1"])
     cand = sample_superficial([e], 0)
-    assert cand.element.monic() == e.gens[0]
+    assert monic(cand.element) == e.gens[0]
 
 
 def test_sample_element_in_span(m):
@@ -74,9 +77,11 @@ def test_sample_element_in_span(m):
 # -- superficial verification -------------------------------------------------
 
 
-def test_verify_superficial_linear_form(m):
-    dec = verify_superficial(P("x1*t1"), [m], SuperficialWindow(c1=1, n1_span=4))
+def test_verify_superficial_linear_form(m, monkeypatch):
+    monkeypatch.setattr(jointred, "N1_SPAN", 4)
+    dec = verify_superficial(P("x1*t1"), [m])
     assert dec.verdict is Verdict.TRUE
+    assert dec.window == {"c1": 1, "n1_span": 4, "other_max": 1, "q_max": 1}
 
 
 def test_verify_superficial_zero_fails(m):
@@ -133,15 +138,15 @@ def test_is_reduction_requires_containment(m2):
 def test_is_reduction_propagation(m2):
     # every True verdict re-verifies at n0 + 1 (checked inside the decider;
     # re-check here explicitly)
-    from brim import power, product, submodule_eq
+    from brim import product
     from brim.groebner import GeneratorSet
 
     u = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
     dec = is_reduction(u, m2)
     assert dec.verdict is Verdict.TRUE
     n = dec.witness_n0 + 1
-    lhs = product(u, power(m2, n))
-    rhs = power(m2, n + 1)
+    lhs = product(u, m2.power(n))
+    rhs = m2.power(n + 1)
     assert submodule_eq(
         GeneratorSet(R21, lhs.tdeg, lhs.gens), GeneratorSet(R21, rhs.tdeg, rhs.gens)
     )
@@ -335,6 +340,28 @@ def test_risler_samples_minimal_generators(field):
     assert alone.values_by_seed == {"0": 4, "1": 4, "2": 4}
 
 
+def test_one_type_vector_check(m):
+    """mixed, assoc_mixed and the Risler-Teissier check share one check of
+    the type vector, with the messages of mixed and assoc_mixed."""
+    import re
+
+    from brim import assoc_mixed
+
+    cases = [
+        ((1,), "type vector length must match the module count"),
+        ((-1, 3), "type vector entries must be non-negative"),
+        ((1, 2), "type vector must sum to d+p-1 = 2"),
+    ]
+    for dvec, message in cases:
+        for check in (mixed, risler_teissier_check):
+            with pytest.raises(InvalidInput, match=re.escape(message)):
+                check([m, m], dvec)
+    with pytest.raises(InvalidInput, match="type vector entries and j must be non-negative"):
+        assoc_mixed([m], (1,), -1)
+    with pytest.raises(InvalidInput, match=re.escape("j + |dvec| must equal d+p-1 = 2")):
+        assoc_mixed([m], (1,), 0)
+
+
 def test_risler_sampling_gate_rejects_off_origin_spans(m):
     """For the family (m, (x^2, y)) a generic sampled pair acquires a second
     zero away from the origin, so the global primarity gate rejects every
@@ -346,10 +373,29 @@ def test_risler_sampling_gate_rejects_off_origin_spans(m):
         risler_teissier_check([m, i], (1, 1), seeds=(0,))
 
 
-def test_verify_superficial_c1_zero(m):
-    # c1 = 0 exercises degenerate degree-0 ambient cells, which are skipped
-    dec = verify_superficial(P("x1*t1"), [m], SuperficialWindow(c1=0, n1_span=3))
+def test_verify_superficial_in_the_degree_two_slice():
+    """For E1 of t-degree e = 2 a cell's U slice lies e * (n1 - 1 - c1) + q
+    above E1^c1, in V's slice.  Over R21 with E = (x1, x2) t1^2, the sum of
+    the generators and x1*t1^2 are superficial and zero is not."""
+    e = mk(R21, ["x1*t1^2", "x2*t1^2"], tdeg=2)
+    for x in ("x1*t1^2 + x2*t1^2", "x1*t1^2"):
+        assert verify_superficial(P(x), [e]).verdict is Verdict.TRUE
+    dec = verify_superficial(Polynomial.zero(R21), [e])
+    assert dec.verdict is Verdict.FALSE
+    assert dec.window["failed_cell"] == {"n": [3], "q": 0}
+
+
+def test_verify_superficial_rejects_a_negative_c1(m):
+    with pytest.raises(InvalidInput, match="c1 must be non-negative"):
+        verify_superficial(P("x1*t1"), [m], c1=-1)
+
+
+def test_verify_superficial_c1_zero(m, monkeypatch):
+    # with c1 = 0 the degree-0 ambient cells have n1 = 1 = c1 + 1: not built
+    monkeypatch.setattr(jointred, "N1_SPAN", 3)
+    dec = verify_superficial(P("x1*t1"), [m], c1=0)
     assert dec.verdict is Verdict.TRUE
+    assert dec.window == {"c1": 0, "n1_span": 3, "other_max": 1, "q_max": 1}
 
 
 def test_joint_reduction_propagates_to_next_exponent(m):
@@ -383,7 +429,7 @@ def test_joint_lhs_matches_the_products_built_by_hand(m):
     """_joint_lhs takes each x_i times one Evaluator product; the span is
     sum_i x_i prod_{j != i} E_j (prod E)^(n-1) built with product and power,
     for distinct modules and for one non-homogeneous module twice."""
-    from brim import power, product
+    from brim import product
     from brim.hilbert import Evaluator
     from brim.jointred import _joint_lhs
     from brim.rees import SubmoduleSpec
@@ -401,7 +447,7 @@ def test_joint_lhs_matches_the_products_built_by_hand(m):
             gens = []
             for k, x in enumerate(xs):
                 (other,) = mods[:k] + mods[k + 1 :]
-                part = other if n == 1 else product(other, power(whole, n - 1))
+                part = other if n == 1 else product(other, whole.power(n - 1))
                 gens.extend(x * g for g in part.gens)
             by_hand = GradedSubmodule(SubmoduleSpec(R21, 2 * n, gens))
             lhs = _joint_lhs(xs, mods, n, ev)
@@ -420,23 +466,24 @@ def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeyp
 
 
 def test_superficial_limits_name_the_cell(m, monkeypatch):
-    """At n1 = 1 every slice quotient has at most one standard monomial, so
-    a cap of 2 is first hit by the W slice m^2 of the cell n = [2], q = 0."""
+    """With c1 = 1 no slice is built for the cells with n1 <= 2, so a cap of
+    2 is first hit by the V slice m^2 of the cell n = [3], q = 0, whose
+    quotient has three standard monomials."""
     from brim import ResourceLimit, groebner
 
     monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
     with pytest.raises(
         ResourceLimit,
-        match=r"^superficial cell n=\[2\], q=0: slice quotient of t-degree 2 has 3 ",
+        match=r"^superficial cell n=\[3\], q=0: slice quotient of t-degree 2 has 3 ",
     ):
         verify_superficial(Polynomial.zero(R21), [m])
 
 
 def test_verify_superficial_builds_each_distinct_slice_once(monkeypatch):
-    """Over (mF, mF, mF) the window's V, W and U slices are mF^s at q for 14
-    distinct (s, q): s = 0..5 at q = 0 and 1, less the unused (0, 0), and
-    s = 1..3 at q = 2.  mF^1 at q = 0 is mF itself, whose basis exists, so
-    one call runs Buchberger 13 times, once per other slice."""
+    """Over (mF, mF, mF) with c1 = 1 only the cells with n1 = 3 are built;
+    their V, W and U slices are mF^s at q for 12 distinct (s, q): s = 2..5
+    at q = 0, s = 1..5 at q = 1 and s = 1..3 at q = 2.  None is mF itself at
+    q = 0, so one call runs Buchberger 12 times, once per slice."""
     from brim import rees
 
     ring = RingSpec(d=2, p=2, field=PrimeField(32003))
@@ -454,7 +501,7 @@ def test_verify_superficial_builds_each_distinct_slice_once(monkeypatch):
     monkeypatch.setattr(rees, "buchberger", counting)
     dec = verify_superficial(cand.element, mods)
     assert dec.verdict is Verdict.TRUE
-    assert len(calls) == 13
+    assert len(calls) == 12
 
 
 def test_verify_superficial_false_verdict_through_shared_slices(m):

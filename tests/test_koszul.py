@@ -8,7 +8,6 @@ from brim import (
     chain_dim,
     ebr,
     g_mult_et,
-    homology_dim,
     parse_polynomial,
 )
 from brim.koszul import _diff_matrix, _slice_basis, default_t
@@ -19,6 +18,13 @@ R11 = RingSpec(d=1, p=1)
 
 def K(ring, texts):
     return KoszulSpec(ring, [parse_polynomial(ring, s) for s in texts])
+
+
+def homology_dim(spec, i, t):
+    """Total dimension of the degree-t slice of the i-th Koszul homology:
+    g_mult_et's per-x-degree dimensions summed over the x-degrees."""
+    dims = g_mult_et(spec, t).homology_dims
+    return sum(v for (j, _), v in dims.items() if j == i)
 
 
 def test_chain_dim_examples():

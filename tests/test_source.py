@@ -1,10 +1,12 @@
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 import brim
 
 SRC = Path(brim.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_no_assert_statements_in_the_package():
@@ -22,7 +24,7 @@ def test_no_assert_statements_in_the_package():
 def test_every_traced_name_resolves():
     """The benchmark's tracer wraps these names where brim looks them up; a
     rename fails here instead of only in a traced benchmark run."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    path = PERFBENCH / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
@@ -58,3 +60,38 @@ def test_the_package_imports_no_thread_machinery():
             ]
     assert SRC.name == "brim" and len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A top-level public function or class must be named in the package
+    outside its own definition and ``__init__.py``, or in the benchmark.
+    What only tests call belongs in tests/oracles.py.  In the package a name
+    counts where the code reads it (a name or an attribute), so docstrings
+    and comments do not; the benchmark counts by text, since its tracer
+    names what it wraps in strings."""
+    trees = {
+        path: ast.parse(path.read_text(), str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    reads = [
+        (path, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    bench = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if any(
+                name == node.name
+                and not (where == path and node.lineno <= line <= node.end_lineno)
+                for where, line, name in reads
+            ) or re.search(rf"\b{node.name}\b", bench):
+                continue
+            unused.append(f"{path.name}:{node.name}")
+    assert len(trees) > 5 and bench
+    assert unused == []
