@@ -48,6 +48,7 @@ R21_ELEMENTS = {
     "mixedt": "x1*t1 + x2^2*t1",
     "h1": "x1^3*t1+x2^2*t1",
     "h2": "x1*x2*t1",
+    "h3": "x2^3*t1",
 }
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
@@ -111,10 +112,14 @@ PER_FIELD = [
     ("r21", "check mn-joint -x a1,a2 -n 1"),
     ("r21", "check superficial -x a1 -m m"),
     ("r21", "check superficial -x b1 -m m2"),
-    # superficial slices are built once per (product, q): a false verdict
-    # whose failing cell reuses a slice, and two equal classes merged
+    # a false verdict whose failing cell shares a length cell with an
+    # earlier one, and two equal classes merged
     ("r21", "check superficial -x h2 -m I,m"),
     ("r22", "check superficial -x c2 -m mF,mF"),
+    # a false verdict over the non-homogeneous A: Buchberger colengths count
+    # the cells, then linear algebra finds the counterexample; and c1 = 0
+    ("r21", "check superficial -x h3 -m A"),
+    ("r21", "check superficial -x a1 -m m --c1 0"),
     ("r21", "check rees -u U -m m2"),
     ("r21", "check converse -x a1,a2 -m m,m"),
     ("r21", "check converse -x g1,g2 -m m,m"),

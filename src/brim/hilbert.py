@@ -63,6 +63,13 @@ class LengthQuery:
     def ambient_tdeg(self) -> int:
         return sum(m.tdeg * n for m, n in zip(self.modules, self.exponents)) + self.qdeg
 
+    def graded(self) -> bool:
+        """Is the cell counted on the graded path: the reduced basis of every
+        factor and every quotient element x-homogeneous."""
+        return all(
+            m.minimal_gens is not None for m, n in zip(self.modules, self.exponents) if n >= 1
+        ) and by_xdegree(self.quotient_elems) is not None
+
 
 @dataclass
 class LengthTable:
@@ -247,9 +254,7 @@ def _cell_name(query: LengthQuery) -> str:
 
 
 def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
-    if all(
-        m.minimal_gens is not None for m, n in zip(query.modules, query.exponents) if n >= 1
-    ) and by_xdegree(query.quotient_elems) is not None:
+    if query.graded():
         return _graded_length(query, evaluator)
     ring = query.modules[0].ring
     sub = build_slice_submodule(

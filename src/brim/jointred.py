@@ -7,10 +7,12 @@ a True verdict (the equality propagates upward by multiplying through), while
 exhaustion of the window yields InconclusiveWithinWindow together with the
 last concrete counterexample monomial.
 
-Superficiality is verified by exact linear algebra on finite-dimensional
-slice quotients: the colon condition holds at a cell exactly when
-multiplication by the candidate is injective on U/V, where U is the
-intersection bound and V the expected colon value.
+Superficiality is verified by counting lengths: the colon condition holds
+at a cell exactly when multiplication by the candidate is injective on U/V,
+where U is the intersection bound and V the expected colon value, and that
+holds exactly when U/V and its image have the same length.  Four length
+cells decide each cell; only a failing cell runs exact linear algebra on
+its finite-dimensional slice quotients, for the counterexample.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .errors import (
 from .groebner import normal_form
 from .hilbert import (
     Evaluator,
+    LengthQuery,
     MultiplicityResult,
     build_slice_submodule,
     check_type_vector,
@@ -181,6 +184,21 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
     return None
 
 
+def _times_product(x, query: LengthQuery, evaluator: Evaluator) -> tuple:
+    """x times the generators of the query's product that its length cell is
+    counted from: the minimal generators on the graded path, else the
+    reduced basis; x alone for the empty product, nothing for x = 0."""
+    if x.is_zero():
+        return ()
+    if not any(query.exponents):
+        gens = (Polynomial.constant(x.ring, 1),)
+    elif query.graded():
+        gens = evaluator.minimal_product(query.modules, query.exponents)[0]
+    else:
+        gens = evaluator.product_of_powers(query.modules, query.exponents).gens
+    return tuple(x * g for g in gens)
+
+
 def verify_superficial(
     x: Polynomial,
     modules: Sequence[GradedSubmodule],
@@ -193,12 +211,16 @@ def verify_superficial(
     cell.  With P = E2^r2...Ek^rk, a cell (n1, r, q) tests that
     multiplication by x is injective from U/V into A'/W, where
     V = E1^(n1-1) P S_q, W = E1^n1 P S_q and U = E1^c1 P S_slack lies in
-    V's slice.  Cells with n1 <= c1 + 1 have U/V = 0 and are not built.
+    V's slice.  Cells with n1 <= c1 + 1 have U/V = 0 and are skipped.
 
-    Each distinct slice, and so its reduced basis and standard monomials, is
-    built once per call: slices are keyed by the Evaluator's product key and
-    q, so the W slice at n1 serves as the V slice at n1 + 1, and cells whose
-    exponents name one product of equal submodules share their slices."""
+    Since V <= U and xV <= W, x maps U/V onto (xU + W)/W, and it is
+    injective exactly when l(A/V) - l(A/U) = l(A'/W) - l(A'/(W + xU)).  The
+    four lengths are Evaluator cells, so they share its memo with every
+    other cell of the computation; W + xU is W's cell with x times the
+    generators of E1^c1 P added to the quotient elements.  Only a cell
+    whose two counts differ builds its three slices, and linear algebra on
+    them gives the counterexample; finding none there is an internal
+    error."""
     modules = tuple(modules)
     if not modules:
         raise InvalidInput("need at least one module")
@@ -216,15 +238,9 @@ def verify_superficial(
         m.primarity()
     evaluator = evaluator or Evaluator()
     quotient_elems = tuple(quotient_elems)
-    slices = {}
 
-    def slice_of(exps, q):
-        key = (evaluator._key(modules, exps), q)
-        if key not in slices:
-            slices[key] = build_slice_submodule(
-                ring, modules, exps, q, quotient_elems, evaluator
-            )
-        return slices[key]
+    def query(exps, q, elems=()):
+        return LengthQuery(modules, exps, q, quotient_elems + elems)
 
     rest_ranges = [range(0, OTHER_MAX + 1)] * (len(modules) - 1)
     # no cell with n1 <= c1 + 1 can fail: at n1 = c1 + 1, U is V, and at
@@ -235,22 +251,37 @@ def verify_superficial(
                 # U sits in V's slice: e * (n1 - 1 - c1) + q above E1^c1 P
                 slack = e1.tdeg * (n1 - 1 - c1) + q
                 cell = {"n": [n1, *rest], "q": q}
+                where = f"superficial cell n={cell['n']}, q={q}"
+                v_exps, w_exps, u_exps = (n1 - 1,) + rest, (n1,) + rest, (c1,) + rest
                 try:
-                    v_sub = slice_of((n1 - 1,) + rest, q)
-                    w_sub = slice_of((n1,) + rest, q)
-                    u_sub = slice_of((c1,) + rest, slack)
-                    witness = _injective_on_quotient(x, u_sub, v_sub, w_sub)
-                except (InfiniteColength, ResourceLimit) as exc:
-                    raise type(exc)(
-                        f"superficial cell n={cell['n']}, q={q}: {exc}"
-                    ) from exc
-                if witness is not None:
-                    return Decision(
-                        verdict=Verdict.FALSE,
-                        witness_n0=None,
-                        counterexample=str(witness),
-                        window={**_window(c1), "failed_cell": cell},
+                    u_query = query(u_exps, slack)
+                    domain = evaluator.length(query(v_exps, q)) - evaluator.length(u_query)
+                    x_u = _times_product(x, u_query, evaluator)
+                    image = evaluator.length(query(w_exps, q)) - evaluator.length(
+                        query(w_exps, q, x_u)
                     )
+                    if domain == image:
+                        continue
+                    witness = _injective_on_quotient(
+                        x,
+                        *(
+                            build_slice_submodule(ring, modules, exps, s, quotient_elems, evaluator)
+                            for exps, s in ((u_exps, slack), (v_exps, q), (w_exps, q))
+                        ),
+                    )
+                except (InfiniteColength, ResourceLimit) as exc:
+                    raise type(exc)(f"{where}: {exc}") from exc
+                if witness is None:
+                    raise InternalError(
+                        f"{where}: l(U/V) = {domain} but l((xU + W)/W) = {image}, "
+                        "and linear algebra finds no kernel"
+                    )
+                return Decision(
+                    verdict=Verdict.FALSE,
+                    witness_n0=None,
+                    counterexample=str(witness),
+                    window={**_window(c1), "failed_cell": cell},
+                )
     return Decision(verdict=Verdict.TRUE, witness_n0=c1, counterexample=None, window=_window(c1))
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from brim import (
@@ -479,29 +481,154 @@ def test_superficial_limits_name_the_cell(m, monkeypatch):
         verify_superficial(Polynomial.zero(R21), [m])
 
 
-def test_verify_superficial_builds_each_distinct_slice_once(monkeypatch):
-    """Over (mF, mF, mF) with c1 = 1 only the cells with n1 = 3 are built;
-    their V, W and U slices are mF^s at q for 12 distinct (s, q): s = 2..5
-    at q = 0, s = 1..5 at q = 1 and s = 1..3 at q = 2.  None is mF itself at
-    q = 0, so one call runs Buchberger 12 times, once per slice."""
-    from brim import rees
+def test_verify_superficial_counts_lengths_without_buchberger(monkeypatch):
+    """Over (mF, mF, mF) with c1 = 1 only the 8 cells with n1 = 3 are
+    tested, each by four length cells.  The three factors are one class, so
+    with r = r2 + r3 a cell reads V = mF^(2+r) S_q, U = mF^(1+r) S_(1+q),
+    W = mF^(3+r) S_q and W + xU: 12 distinct plain cells (mF^s S_q for
+    s = 2..5 at q = 0, s = 1..5 at q = 1, s = 1..3 at q = 2) and 6 W + xU
+    cells (r = 0, 1, 2 at q = 0, 1).  Every cell is graded, so Buchberger
+    never runs."""
+    from brim import hilbert, rees
 
     ring = RingSpec(d=2, p=2, field=PrimeField(32003))
     mf = mk(ring, ["x1*t1", "x2*t1", "x1*t2", "x2*t2"])
     mods = (mf, mf, mf)
     cand = sample_superficial(mods, 0)
     mf.primarity()
-    calls = []
-    real = rees.buchberger
+    calls, cells = [], []
+    real_buchberger, real_cell = rees.buchberger, hilbert._length_uncached
 
     def counting(spec):
         calls.append(spec)
-        return real(spec)
+        return real_buchberger(spec)
+
+    def counting_cell(query, evaluator):
+        cells.append(query)
+        return real_cell(query, evaluator)
 
     monkeypatch.setattr(rees, "buchberger", counting)
+    monkeypatch.setattr(hilbert, "_length_uncached", counting_cell)
     dec = verify_superficial(cand.element, mods)
     assert dec.verdict is Verdict.TRUE
-    assert len(calls) == 12
+    assert len(calls) == 0
+    assert len(cells) == 18
+    plain = {(q.exponents[0], q.qdeg) for q in cells if not q.quotient_elems}
+    assert plain == (
+        {(s, 0) for s in range(2, 6)} | {(s, 1) for s in range(1, 6)} | {(s, 2) for s in range(1, 4)}
+    )
+
+
+def _superficial_by_linear_algebra(x, modules, c1=1, quotient_elems=()):
+    """verify_superficial's outcome from linear algebra alone: the first
+    window cell on whose slices multiplication by x is not injective from
+    U/V into A'/W.  Every window cell is tried where U and V can be built
+    (U's slack is non-negative and the slice degree positive)."""
+    from brim.hilbert import Evaluator, build_slice_submodule
+
+    modules = tuple(modules)
+    ring, e = modules[0].ring, modules[0].tdeg
+    ev = Evaluator()
+    lo = max(c1, 1)
+    for n1 in range(lo, lo + jointred.N1_SPAN + 1):
+        for rest in itertools.product(range(jointred.OTHER_MAX + 1), repeat=len(modules) - 1):
+            for q in range(jointred.Q_MAX + 1):
+                slack = e * (n1 - 1 - c1) + q
+                v_exps = (n1 - 1,) + rest
+                if slack < 0 or sum(m.tdeg * n for m, n in zip(modules, v_exps)) + q < 1:
+                    continue
+                u, v, w = (
+                    build_slice_submodule(ring, modules, exps, s, quotient_elems, ev)
+                    for exps, s in (((c1,) + rest, slack), (v_exps, q), ((n1,) + rest, q))
+                )
+                witness = jointred._injective_on_quotient(x, u, v, w)
+                if witness is not None:
+                    return Verdict.FALSE, {"n": [n1, *rest], "q": q}, str(witness)
+    return Verdict.TRUE, None, None
+
+
+R22G = RingSpec(d=2, p=2, field=PrimeField(32003))
+MF22 = ["x1*t1", "x2*t1", "x1*t2", "x2*t2"]
+E12 = ["x1^2*t1+x1^3*t2", "x1^3*t2"]  # not x-homogeneous
+
+
+def _superficial_cases():
+    """(id, candidate, modules, c1, quotient elements) for the cross-check."""
+    m, m2 = mk(R21, ["x1*t1", "x2*t1"]), mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
+    i = mk(R21, ["x1^2*t1", "x2*t1"])
+    mf, e12 = mk(R22G, MF22), mk(R12, E12)
+    sets = {"m-m2": (m, m2), "m2-m": (m2, m), "m2": (m2,), "mF-mF": (mf, mf), "E12-E12": (e12, e12)}
+    cases = []
+    for name, mods in sets.items():
+        for seed in range(2):
+            x = sample_superficial(mods, seed).element
+            cases.append((f"{name}-seed-{seed}", x, mods, 1, ()))
+            if len(mods) > 1:
+                # the next position of a sampled sequence, modulo the first element
+                y = sample_superficial(mods[1:], f"{seed}#1").element
+                cases.append((f"{name}-seed-{seed}-position-1", y, mods[1:], 1, (x,)))
+    x_mf, x_e12 = sample_superficial((mf,), 0).element, sample_superficial((e12,), 0).element
+    cases += [
+        # a candidate modulo itself acts as zero
+        ("mF-modulo-itself", x_mf, (mf,), 1, (x_mf,)),
+        ("E12-modulo-itself", x_e12, (e12,), 1, (x_e12,)),
+        ("x1x2-on-I-m", P("x1*x2*t1"), (i, m), 1, ()),
+        ("zero-on-m", Polynomial.zero(R21), (m,), 1, ()),
+        ("zero-on-m-m2", Polynomial.zero(R21), (m, m2), 1, ()),
+        ("zero-on-E12", Polynomial.zero(R12), (e12,), 1, ()),
+        ("x1-on-m-c1-0", P("x1*t1"), (m,), 0, ()),
+        ("zero-on-m-c1-0", Polynomial.zero(R21), (m,), 0, ()),
+        ("E12-c1-0", x_e12, (e12,), 0, ()),
+        ("x1-on-m-m-c1-2", P("x1*t1"), (m, m), 2, ()),
+        ("zero-on-m2-c1-2", Polynomial.zero(R21), (m2,), 2, ()),
+        ("x1x2-on-I-m-c1-2", P("x1*x2*t1"), (i, m), 2, ()),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize(
+    "x, mods, c1, elems",
+    [case[1:] for case in _superficial_cases()],
+    ids=[case[0] for case in _superficial_cases()],
+)
+def test_counting_verdict_matches_linear_algebra_on_every_cell(x, mods, c1, elems):
+    """Equal lengths of U/V and its image under x decide each cell; linear
+    algebra run on every window cell's slices gives the same verdict,
+    failing cell and counterexample."""
+    dec = verify_superficial(x, mods, c1=c1, quotient_elems=elems)
+    verdict, cell, counterexample = _superficial_by_linear_algebra(x, mods, c1, elems)
+    assert dec.verdict is verdict
+    assert dec.window.get("failed_cell") == cell
+    assert dec.counterexample == counterexample
+
+
+def test_counts_that_differ_without_a_witness_are_an_internal_error(m, monkeypatch):
+    """The zero candidate fails at n = [3], q = 0, where U/V = m t1 / m^2
+    has length 2 and its image 0; linear algebra that finds x injective
+    there contradicts the count."""
+    from brim import InternalError
+
+    monkeypatch.setattr(jointred, "_injective_on_quotient", lambda *args: None)
+    with pytest.raises(
+        InternalError,
+        match=r"^superficial cell n=\[3\], q=0: l\(U/V\) = 2 but l\(\(xU \+ W\)/W\) = 0,",
+    ):
+        verify_superficial(Polynomial.zero(R21), [m])
+
+
+def test_a_limit_in_a_count_cell_names_the_superficial_cell(m, monkeypatch):
+    """A graded length cell over STANDARD_MONOMIAL_CAP is a limit error that
+    names the superficial cell: with a cap of 2 the first count, V = m^2 of
+    the cell n = [3], q = 0 with 3 standard monomials, exceeds it."""
+    from brim import ResourceLimit, hilbert
+
+    monkeypatch.setattr(hilbert, "STANDARD_MONOMIAL_CAP", 2)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^superficial cell n=\[3\], q=0: length cell n=\[2\], q=0, t-degree 2: "
+        r"more than 2 standard monomials",
+    ):
+        verify_superficial(P("x1*t1"), [m])
 
 
 def test_verify_superficial_false_verdict_through_shared_slices(m):
