@@ -103,6 +103,9 @@ PER_FIELD = [
     ("r21", "assoc -m m -d 1 -j 1"),
     ("r21", "gmult -e a1,a2"),
     ("r21", "gmult -e b1,a2 -t 3"),
+    # homology dimensions of a rank-two module, and of higher exponents
+    ("r22", "gmult -e c1,c2,c3"),
+    ("r21", "gmult -e b1,h3"),
     ("r21", "check reduction -u U -m m2"),
     ("r21", "check reduction -u U -m m"),
     ("r21", "check joint -x a1,a2 -m m,m"),

@@ -2,7 +2,7 @@
 
 The Koszul complex on elements a1..am splits into finite-dimensional slices
 by t-degree and x-degree because every a_i is bihomogeneous; homology
-dimensions per slice are nullity/rank computations over the field.  The
+dimensions per slice are ranks of sparse rows over packed monomials.  The
 degree-t g-multiplicity is the alternating sum of homology dimensions.  A
 rank above the smaller side of its matrix, or a negative homology dimension,
 raises InternalError.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import InternalError, InvalidInput, NoStabilization, NotMultiplicitySystem
@@ -78,48 +79,58 @@ def chain_dim(spec: KoszulSpec, i: int, t: int, delta: int) -> int:
 
 
 def _slice_basis(spec: KoszulSpec, n: int, t: int, delta: int):
-    """Basis of the slice: pairs (subset, monomial), deterministically ordered."""
+    """Basis of the slice: pairs (subset, monomial), deterministically ordered.
+    Subsets of one bidegree share one list of monomials."""
     ring = spec.ring
-    basis = []
+    basis, monos = [], {}
     for subset in itertools.combinations(range(spec.m), n):
         kt = t - sum(spec.tdegs[s] for s in subset)
         kx = delta - sum(spec.xdegs[s] for s in subset)
         if kt < 0 or kx < 0:
             continue
-        monos = [
-            Monomial(te, xe)
-            for te in compositions_desc(kt, ring.p)
-            for xe in compositions_desc(kx, ring.d)
-        ]
-        monos.sort(key=DEGREVLEX_X.key, reverse=True)
-        basis.extend((subset, mo) for mo in monos)
+        if (kt, kx) not in monos:
+            monos[kt, kx] = [
+                Monomial(te, xe)
+                for te in compositions_desc(kt, ring.p)
+                for xe in compositions_desc(kx, ring.d)
+            ]
+            monos[kt, kx].sort(key=DEGREVLEX_X.key, reverse=True)
+        basis.extend((subset, mo) for mo in monos[kt, kx])
     return basis
 
 
-def _diff_matrix(spec: KoszulSpec, n: int, t: int, delta: int):
-    """Matrix of d_n on the (t, delta) slice, rows = target basis."""
-    src = _slice_basis(spec, n, t, delta)
-    tgt = _slice_basis(spec, n - 1, t, delta)
-    if not src or not tgt:
-        return [], len(src), len(tgt)
-    tgt_index = {key: r for r, key in enumerate(tgt)}
-    fld = spec.ring.field
-    rows = [[fld.zero] * len(src) for _ in tgt]
-    for col, (subset, u) in enumerate(src):
-        for pos, elem_idx in enumerate(subset):
-            rest = subset[:pos] + subset[pos + 1 :]
-            sign = 1 if pos % 2 == 0 else -1
-            for am, ac in spec.elems[elem_idx].items():
-                target = (rest, am.mul(u))
-                r = tgt_index[target]
-                c = ac if sign > 0 else fld.neg(ac)
-                rows[r][col] = fld.add(rows[r][col], c)
-    return rows, len(src), len(tgt)
+def _differentials(spec: KoszulSpec, t: int, delta: int):
+    """Sparse rows of d_1..d_m on the (t, delta) slice, one {source column:
+    coefficient} dict per target basis element, with the column count.  Slice
+    exponents are at most max(t, delta), so base max(t, delta) + 1 packs each
+    monomial into one int with no carry: a product's code is the codes' sum."""
+    weights = [(max(t, delta) + 1) ** j for j in range(spec.ring.p + spec.ring.d)]
+
+    def code(mo):
+        return sum(map(mul, weights, mo.texp + mo.xexp))
+
+    neg = spec.ring.field.neg
+    terms = [[(code(am), ac, neg(ac)) for am, ac in a.items()] for a in spec.elems]
+    bases = [
+        [(s, code(mo)) for s, mo in _slice_basis(spec, i, t, delta)] for i in range(spec.m + 1)
+    ]
+    out = []
+    for src, tgt in zip(bases[1:], bases):
+        rows = [{} for _ in tgt] if src else []
+        tgt_index = {key: r for r, key in enumerate(tgt)}
+        for col, (subset, u) in enumerate(src):
+            for pos, elem_idx in enumerate(subset):
+                rest = subset[:pos] + subset[pos + 1 :]
+                k = 1 + pos % 2  # the coefficient, or its negative at odd positions
+                for term in terms[elem_idx]:
+                    rows[tgt_index[rest, term[0] + u]][col] = term[k]
+        out.append((rows, len(src)))
+    return out
 
 
 def _sweep(spec: KoszulSpec, t: int):
     """Per-delta homology dimensions h[i], scanned until a trailing width-3
-    window of zero contribution."""
+    window of zero contribution; K_0..K_m's bases are built once per delta."""
     m = spec.m
     fld = spec.ring.field
     per_delta = []
@@ -127,8 +138,7 @@ def _sweep(spec: KoszulSpec, t: int):
     for delta in range(DELTA_CAP + 1):
         dims = [chain_dim(spec, i, t, delta) for i in range(m + 1)]
         ranks = [0] * (m + 2)
-        for n in range(1, m + 1):
-            rows, cols, _ = _diff_matrix(spec, n, t, delta)
+        for n, (rows, cols) in enumerate(_differentials(spec, t, delta), start=1):
             ranks[n] = matrix_rank(rows, fld) if rows else 0
             if ranks[n] > min(len(rows), cols):
                 raise InternalError(

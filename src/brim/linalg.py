@@ -4,6 +4,8 @@ Vectors are sparse ``{column: int}`` dicts, for both fields.  Over GF(p) the
 ints are residues in [0, p).  Over QQ they are integers: a vector of
 rationals enters once, times the lcm of its denominators
 (``Echelon.integral``), and no fraction is formed inside the elimination.
+``rank`` takes a matrix in the same form, as a list of sparse rows, the way
+``koszul`` builds its differentials; no dense matrix is formed.
 
 An ``Echelon`` holds rows keyed by their pivot, the smallest column, and
 each row stores its pivot entry a.  A GF(p) row is monic (a = 1); a QQ row
@@ -118,15 +120,16 @@ class Echelon:
 
 
 def rank(rows, field) -> int:
-    """Exact rank over the given field of a matrix given as dense rows.
-    Over GF(p) the entries are coerced to residues; over QQ, ints and
-    fractions enter as they are."""
+    """Exact rank over the given field of a matrix given as sparse rows,
+    ``{column: value}`` dicts.  Over GF(p) the values are coerced to
+    residues; over QQ, ints and fractions enter as they are.  Zero values
+    are dropped, and the rows are left as they were."""
     echelon = Echelon(field)
     for row in rows:
         if echelon.modulus:
-            vec = {j: c for j, v in enumerate(row) if v and (c := field.coerce(v))}
+            vec = {j: c for j, v in row.items() if v and (c := field.coerce(v))}
         else:
-            vec = {j: v for j, v in enumerate(row) if v}
+            vec = {j: v for j, v in row.items() if v}
             echelon.integral(vec)
         echelon.reduce(vec)
         if vec:

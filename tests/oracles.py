@@ -8,6 +8,10 @@ leading monomial.  The three cross-check each other on monomial inputs.
 ``spair`` forms S-polynomials for the Groebner checks by plain polynomial
 products, apart from the production division code.
 
+``dense_differential`` is the Koszul differential as a dense matrix, built
+with ``Monomial.mul`` on unpacked monomials: the reference for the sparse
+rows of packed monomials that ``brim.koszul`` builds.
+
 ``embed_w``, ``submodule_eq``, ``order_compare``, ``monic`` and ``divides``
 are helpers only the tests need, written on the package's public API.
 """
@@ -203,9 +207,34 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
                         row[index[mm]] = fld.add(row[index[mm]], c)
                         nonzero = True
                 if nonzero:
-                    rows.append(row)
+                    rows.append(dict(enumerate(row)))
     r = rank(rows, fld) if rows else 0
     return len(cols) - r
+
+
+def dense_differential(spec, n, t, delta):
+    """Dense matrix of d_n on the (t, delta) Koszul slice, rows = target
+    basis, columns = source basis, both in ``_slice_basis`` order; returns
+    (rows, source size, target size), rows = [] when either basis is empty."""
+    from brim.koszul import _slice_basis
+
+    src = _slice_basis(spec, n, t, delta)
+    tgt = _slice_basis(spec, n - 1, t, delta)
+    if not src or not tgt:
+        return [], len(src), len(tgt)
+    tgt_index = {key: r for r, key in enumerate(tgt)}
+    fld = spec.ring.field
+    rows = [[fld.zero] * len(src) for _ in tgt]
+    for col, (subset, u) in enumerate(src):
+        for pos, elem_idx in enumerate(subset):
+            rest = subset[:pos] + subset[pos + 1 :]
+            sign = 1 if pos % 2 == 0 else -1
+            for am, ac in spec.elems[elem_idx].items():
+                target = (rest, am.mul(u))
+                r = tgt_index[target]
+                c = ac if sign > 0 else fld.neg(ac)
+                rows[r][col] = fld.add(rows[r][col], c)
+    return rows, len(src), len(tgt)
 
 
 class DensePairedSpan:

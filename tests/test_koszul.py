@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import comb, factorial
+
 import pytest
 
 from brim import (
@@ -10,10 +13,36 @@ from brim import (
     g_mult_et,
     parse_polynomial,
 )
-from brim.koszul import _diff_matrix, _slice_basis, default_t
+from brim.koszul import _differentials, _slice_basis, default_t
+from brim.ring import QQ, PrimeField
+
+from .oracles import dense_differential
 
 R21 = RingSpec(d=2, p=1)
 R11 = RingSpec(d=1, p=1)
+GF = PrimeField(32003)
+
+# (d, p, elements, t): the three Koszul specs of the benchmark's deciders
+# workload; (x1^2 t1, x2^3 t1) at t = 2, whose sweep runs to x-degrees above
+# t; and two specs at their default t, above every x-degree their sweeps
+# reach.  So packed x- and t-exponents both reach the top digit, max(t, delta).
+SWEPT_SPECS = [
+    (3, 2, ["x1*t1", "x2*t1+x1*t2", "x3*t1+x2*t2", "x3*t2"], None),
+    (
+        2,
+        2,
+        [
+            "x1^2*t1+2*x2^2*t2+x1*x2*t2",
+            "3*x1*x2*t1+x2^2*t1+x1^2*t2",
+            "x2^2*t1+5*x1^2*t1+4*x1*x2*t2+x2^2*t2",
+        ],
+        None,
+    ),
+    (1, 3, ["x1*t1", "x1*t2", "x1*t3"], None),
+    (2, 1, ["x1^2*t1", "x2^3*t1"], 2),
+    (2, 1, ["x1*t1", "x2^2*t1"], None),
+    (2, 2, ["x1*t1", "x2*t2", "x1*t2 + x2*t1"], None),
+]
 
 
 def K(ring, texts):
@@ -94,23 +123,94 @@ def test_t_independence_plateau():
     assert values == {2}
 
 
+def swept_slices():
+    """(spec, t, delta, differentials) for every slice the sweep of each
+    SWEPT_SPECS entry visits up to its stop, over QQ and GF(32003)."""
+    for d, p, texts, t in SWEPT_SPECS:
+        for field in (QQ, GF):
+            spec = K(RingSpec(d=d, p=p, field=field), texts)
+            result = g_mult_et(spec, t)
+            stop = len(result.homology_dims) // (spec.m + 1)
+            for delta in range(stop):
+                yield spec, result.t, delta, _differentials(spec, result.t, delta)
+
+
+def test_sparse_rows_match_the_dense_reference():
+    """Every sparse differential the sweep ranks equals, entry for entry, the
+    dense matrix built by Monomial.mul on unpacked monomials, and stores no
+    zero value."""
+    shapes = set()
+    for spec, t, delta, diffs in swept_slices():
+        assert len(diffs) == spec.m
+        for n, (rows, cols) in enumerate(diffs, start=1):
+            dense, src, tgt = dense_differential(spec, n, t, delta)
+            assert cols == src, (spec.elems, n, t, delta)
+            zero = spec.ring.field.zero
+            assert [[row.get(j, zero) for j in range(cols)] for row in rows] == dense
+            assert all(v for row in rows for v in row.values())
+            if rows:
+                shapes.add("t > delta" if t > delta else "delta >= t")
+    assert shapes == {"t > delta", "delta >= t"}
+
+
 def test_differential_squares_to_zero():
-    spec = K(R21, ["x1*t1", "x2^2*t1"])
-    t = default_t(spec)
-    fld = R21.field
-    for delta in range(0, 6):
-        d2, src2, mid = _diff_matrix(spec, 2, t, delta)
-        d1, src1, tgt1 = _diff_matrix(spec, 1, t, delta)
-        if not d2 or not d1:
-            continue
-        # rows of d1: tgt basis; columns: K1 basis == rows of d2
-        for col in range(src2):
-            column = [d2[r][col] for r in range(mid)]
-            for out_row in range(tgt1):
-                acc = fld.zero
-                for k in range(mid):
-                    acc = fld.add(acc, fld.mul(d1[out_row][k], column[k]))
-                assert fld.is_zero(acc)
+    """d_(n-1) o d_n = 0 on the sparse rows, for every consecutive pair of
+    every swept slice."""
+    composed = 0
+    for spec, t, delta, diffs in swept_slices():
+        fld = spec.ring.field
+        for (outer, mid), (inner, _) in zip(diffs, diffs[1:]):
+            if not inner:  # K_n or K_(n-1) is zero
+                continue
+            # outer: rows over K_(n-2), columns K_(n-1) = the rows of inner
+            assert len(inner) == mid
+            for row in outer:
+                acc = {}
+                for k, a in row.items():
+                    for c, b in inner[k].items():
+                        acc[c] = fld.add(acc.get(c, fld.zero), fld.mul(a, b))
+                        composed += 1
+                assert all(fld.is_zero(v) for v in acc.values()), (spec.elems, t, delta)
+    assert composed > 0
+
+
+def truncation_numerator(spec, t):
+    """Coefficients of N_t(v) = sum over subsets S with kt_S <= t of
+    (-1)^|S| C(t - kt_S + p - 1, p - 1) v^(kx_S): the Koszul Euler
+    characteristic of the degree-t slice is N_t(v) / (1 - v)^d."""
+    p = spec.ring.p
+    coeffs = {}
+    for size in range(spec.m + 1):
+        for subset in combinations(range(spec.m), size):
+            kt = sum(spec.tdegs[s] for s in subset)
+            kx = sum(spec.xdegs[s] for s in subset)
+            if kt <= t:
+                coeffs[kx] = coeffs.get(kx, 0) + (-1) ** size * comb(t - kt + p - 1, p - 1)
+    return coeffs
+
+
+def derivative_at_one(coeffs, k):
+    """The k-th derivative at v = 1 of the polynomial sum c_j v^j."""
+    return sum(c * factorial(j) // factorial(j - k) for j, c in coeffs.items() if j >= k)
+
+
+def test_g_mult_equals_the_truncated_euler_characteristic():
+    """g_mult_et's value is the sum over the swept x-degrees of sum_i (-1)^i
+    h_i; the ranks cancel, leaving the slices' Euler characteristics.  Finite
+    total homology makes (1 - v)^d divide N_t(v), so their sum over every
+    x-degree is the quotient at v = 1, (-1)^d N_t^(d)(1) / d!.  That needs no
+    rank and no stop rule: a sweep that stops before the Euler
+    characteristics vanish gives another value."""
+    fixtures = [(2, 1, [f"x1^{l1}*t1", f"x2^{l2}*t1"]) for l1 in (1, 2, 3) for l2 in (1, 2, 3)]
+    fixtures += [(d, p, texts) for d, p, texts, _ in SWEPT_SPECS]
+    for field in (QQ, GF):
+        for d, p, texts in fixtures:
+            spec = K(RingSpec(d=d, p=p, field=field), texts)
+            result = g_mult_et(spec)
+            numer = truncation_numerator(spec, result.t)
+            assert [derivative_at_one(numer, k) for k in range(d)] == [0] * d, texts
+            value, rem = divmod((-1) ** d * derivative_at_one(numer, d), factorial(d))
+            assert rem == 0 and result.value == value, (texts, result.value, value)
 
 
 def test_not_multiplicity_system_gate():

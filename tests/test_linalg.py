@@ -31,10 +31,15 @@ def fraction_rank(rows) -> int:
     return r
 
 
+def sparse(rows):
+    """Dense rows as the ``{column: value}`` dicts ``rank`` takes, zeros kept."""
+    return [dict(enumerate(row)) for row in rows]
+
+
 def test_bareiss_rank_scales_rows_with_zero_in_the_pivot_column():
     rows = [[2, 0, 1, -1], [0, 0, 0, -1], [3, 0, -1, 3], [0, -1, 1, 0]]
     assert fraction_rank(rows) == 4
-    assert rank(rows, QQ) == 4
+    assert rank(sparse(rows), QQ) == 4
 
 
 def test_bareiss_rank_matches_fraction_and_modular_rank():
@@ -48,13 +53,13 @@ def test_bareiss_rank_matches_fraction_and_modular_rank():
             for _ in range(n)
         ]
         expected = fraction_rank(rows)
-        assert rank(rows, QQ) == expected, rows
-        assert rank(rows, gf) == expected, rows
+        assert rank(sparse(rows), QQ) == expected, rows
+        assert rank(sparse(rows), gf) == expected, rows
 
 
 def test_rank_rejects_unknown_field():
     with pytest.raises(InvalidInput):
-        rank([[1, 2]], object())
+        rank([{0: 1, 1: 2}], object())
 
 
 def modular_rank(rows, p) -> int:
@@ -83,9 +88,9 @@ def test_rank_of_sparse_matrices_matches_dense_elimination():
             [0 if rng.random() < zero_frac else rng.randint(-4, 4) for _ in range(cols)]
             for _ in range(n)
         ]
-        assert rank(rows, QQ) == fraction_rank(rows), rows
+        assert rank(sparse(rows), QQ) == fraction_rank(rows), rows
         for p in (2, BIG_PRIME):
-            assert rank(rows, PrimeField(p)) == modular_rank(rows, p), (p, rows)
+            assert rank(sparse(rows), PrimeField(p)) == modular_rank(rows, p), (p, rows)
 
 
 def test_paired_span_matches_the_dense_reference():
@@ -126,11 +131,45 @@ def test_rank_of_fraction_matrices_matches_fraction_rank():
             [Fraction(0) if rng.random() < zero_frac else draw_fraction(rng) for _ in range(cols)]
             for _ in range(n)
         ]
-        assert rank(rows, QQ) == fraction_rank(rows), rows
+        assert rank(sparse(rows), QQ) == fraction_rank(rows), rows
     # dependent only over QQ: the second row is 5/6 times the first
     f = Fraction
     rows = [[f(1, 2), f(2, 3), f(3, 5)], [f(5, 12), f(5, 9), f(1, 2)]]
-    assert rank(rows, QQ) == fraction_rank(rows) == 1
+    assert rank(sparse(rows), QQ) == fraction_rank(rows) == 1
+
+
+def test_rank_of_sparse_rows_with_zeros_gaps_fractions_and_large_residues():
+    """Sparse rows ``rank`` accepts beyond the ones ``koszul`` builds:
+    explicit zero values, empty rows and left-out columns; QQ fractions; and
+    over GF(BIG_PRIME), values r + k * BIG_PRIME, some of them >= p and some
+    zero mod p.  The rank matches ``fraction_rank`` of the dense matrix (of the
+    r over GF, whose rank mod BIG_PRIME is their rank over QQ), and the rows
+    are left as they were."""
+    rng = random.Random(19)
+    gf = PrimeField(BIG_PRIME)
+    seen = set()
+    for _ in range(500):
+        n, cols = rng.randint(1, 6), rng.randint(1, 6)
+        qq_rows, gf_rows, qq_dense, gf_dense = [], [], [], []
+        for _ in range(n):
+            support = rng.sample(range(cols), rng.randint(0, cols))
+            qq_row = {j: rng.choice([0, draw_fraction(rng), rng.randint(-4, 4)]) for j in support}
+            small = {j: rng.randint(-4, 4) for j in support}
+            gf_row = {j: r + rng.randint(0, 3) * BIG_PRIME for j, r in small.items()}
+            qq_rows.append(qq_row)
+            gf_rows.append(gf_row)
+            qq_dense.append([qq_row.get(j, 0) for j in range(cols)])
+            gf_dense.append([small.get(j, 0) for j in range(cols)])
+            seen.add("empty" if not support else "partial" if len(support) < cols else "full")
+            seen.update("zero" for v in qq_row.values() if v == 0)
+            seen.update("fraction" for v in qq_row.values() if isinstance(v, Fraction))
+            seen.update("residue >= p" for v in gf_row.values() if v >= BIG_PRIME)
+            seen.update("zero mod p" for v in gf_row.values() if v and v % BIG_PRIME == 0)
+        copies = [dict(r) for r in qq_rows + gf_rows]
+        assert rank(qq_rows, QQ) == fraction_rank(qq_dense), qq_rows
+        assert rank(gf_rows, gf) == fraction_rank(gf_dense), gf_rows
+        assert qq_rows + gf_rows == copies
+    assert seen == {"empty", "partial", "full", "zero", "fraction", "residue >= p", "zero mod p"}
 
 
 def sparse_monic(row: dict) -> dict:
