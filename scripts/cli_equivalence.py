@@ -134,6 +134,11 @@ PER_FIELD = [
     ("r21", "check joint -x h2,h2 -m A,A"),
     ("r21", "check converse -x h1,h2 -m A,A"),
     ("r22", "check risler -m mF -d 3"),
+    # the graded m at position 1, modulo the non-homogeneous sample of A
+    # (exit 3); and k = 1, whose joint left side at n = 1 is x times the unit
+    ("r21", "check risler -m A,m -d 1,1"),
+    ("r21", "check joint -x a1 -m m"),
+    ("r21", "check joint -x h1 -m A"),
     # user errors (exit 2)
     ("r21", "ebr -m line"),
     ("r21", "ebr -m nosuch"),

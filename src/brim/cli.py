@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from . import __version__, hilbert
@@ -315,45 +316,30 @@ def cmd_length(spec: SpecFile, args) -> dict:
 def _mult_command(spec: SpecFile, args, kind: str) -> dict:
     names = _split(args.modules)
     mods = [spec.module(n) for n in names]
-    ring = spec.ring
-    D = ring.d + ring.p - 1
     if kind in ("ebr", "tilde_ebr"):
         if len(mods) != 1:
             raise InvalidInput(f"{kind} takes exactly one module")
-        extract = ebr if kind == "ebr" else tilde_ebr
-        res = cached_multiplicity(
-            spec,
-            {"subcommand": kind, "modules": names},
-            {"type": kind},
-            (D,),
-            lambda: extract(mods[0]),
-        )
+        fields = {}
+        orders = (spec.ring.d + spec.ring.p - 1,)
+        compute = partial(ebr if kind == "ebr" else tilde_ebr, mods[0])
     elif kind == "mixed":
         dvec = tuple(_ints(args.dvec, "-d"))
-        command = {"subcommand": "mixed", "modules": names, "dvec": list(dvec)}
-        res = cached_multiplicity(
-            spec,
-            command,
-            {"type": "mixed", "dvec": list(dvec)},
-            dvec,
-            lambda: mixed(mods, dvec),
-        )
+        fields = {"dvec": list(dvec)}
+        orders = dvec
+        compute = partial(mixed, mods, dvec)
     else:
         dvec = tuple(_ints(args.dvec, "-d"))
         j = _int(args.j, "-j")
-        command = {
-            "subcommand": "assoc",
-            "modules": names,
-            "dvec": list(dvec),
-            "j": j,
-        }
-        res = cached_multiplicity(
-            spec,
-            command,
-            {"type": "assoc", "j": j, "dvec": list(dvec)},
-            tuple(dvec) + (j,),
-            lambda: assoc_mixed(mods, dvec, j),
-        )
+        fields = {"dvec": list(dvec), "j": j}
+        orders = dvec + (j,)
+        compute = partial(assoc_mixed, mods, dvec, j)
+    res = cached_multiplicity(
+        spec,
+        {"subcommand": kind, "modules": names, **fields},
+        {"type": kind, **fields},
+        orders,
+        compute,
+    )
     return mult_to_json(res)
 
 

@@ -17,10 +17,11 @@ Pairs are pruned by the Gebauer-Moeller update (J. Symb. Comput. 6, 1988),
 applied one position at a time as each element joins the basis: criterion
 B_k drops queued pairs that now have a chain through the new element, and
 M/F keep, of the new element's pairs, only those whose lcm no other new lcm
-divides.  No pair rescans the basis.  The product (coprimality) criterion is
-left out: it rests on f*g = g*f for ring elements, and two module elements at
-the same position with coprime leading monomials need not have an S-pair
-that reduces to zero.
+divides.  No pair rescans the basis, and the update's active set, the
+elements whose leading monomial no later one divides, is the basis kept.
+The product (coprimality) criterion is left out: it rests on f*g = g*f
+for ring elements, and two module elements at the same position with
+coprime leading monomials need not have an S-pair that reduces to zero.
 """
 
 from __future__ import annotations
@@ -217,9 +218,9 @@ def _minimalize_monomials(ring, tdeg, monos):
     """Reduced basis for monomial generators: drop dominated monomials."""
     kept = {}  # position -> kept x-exponents
     for m in sorted(set(monos)):  # componentwise divisors sort first
-        at_pos = kept.setdefault(m.texp, [])
-        if not any(_xdivides(k, m.xexp) for k in at_pos):
-            at_pos.append(m.xexp)
+        here = kept.setdefault(m.texp, [])
+        if not any(_xdivides(k, m.xexp) for k in here):
+            here.append(m.xexp)
     lts = sorted(
         (Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=DEGREVLEX_X.key
     )
@@ -233,7 +234,8 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     at equal sugar the inputs come first, in input order, then the pairs by
     index.  An input is reduced by the current basis when it is popped and
     joins it only if the remainder is nonzero.  Pairs with distinct leading
-    positions are never formed, and ``PAIR_CAP`` counts S-pairs only.
+    positions are never formed, and ``PAIR_CAP`` counts S-pairs only.  The
+    elements kept are the Gebauer-Moeller active set, tail-reduced.
     """
     ring = gset.ring
     if all(g.num_terms() == 1 for g in gset.gens):
@@ -243,7 +245,6 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     G = []
     lts = []
     sugars = []
-    at_pos = {}  # position -> indices of every element there, in order
     active = {}  # position -> indices whose leading term no later one divides
     queued = {}  # position -> {(i, j): x-lcm} for pairs still to reduce
     pairs = []  # heap of (sugar, i, j); entries gone from queued are skipped
@@ -257,7 +258,6 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
         sugars.append(_sugar(g))
         reducer.add(g, lt)
         pos, x = lt.texp, lt.xexp
-        at_pos.setdefault(pos, []).append(k)
         live = queued.setdefault(pos, {})
         # B_k: (i, j) has a chain through k unless k's lcm with i or j is lcm(i, j)
         for (i, j), lcm in list(live.items()):
@@ -309,15 +309,9 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
         if rem:
             append(Polynomial._raw(ring, rem))
 
-    # minimalize: drop elements whose leading term another leading term divides
-    keep = [
-        i
-        for i, lt in enumerate(lts)
-        if not any(
-            j != i and _xdivides(lts[j].xexp, lt.xexp) and (lts[j] != lt or j < i)
-            for j in at_pos[lt.texp]
-        )
-    ]
+    # each element joined reduced by the earlier ones, and active drops every
+    # index a later leading term divides: it holds the minimal basis already
+    keep = [i for olds in active.values() for i in olds]
     # tail-reduce: an element's own leading term divides none of its tail terms
     tails = _Reducer(ring.field)
     for i in keep:
@@ -346,8 +340,10 @@ def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthRepor
     power of every x-variable; infinite is a valid report, not an error.
     At a position the pure powers bound a box.  The count runs over the heads
     (e_1..e_(d-1)) of that box: the standard monomials over a head are
-    x^head * x_d^j for j below the smallest last exponent among the minimal
-    leading monomials whose other exponents divide the head.
+    x^head * x_d^j for j below the smallest last exponent among the leading
+    monomials whose other exponents divide the head.  Both the pure powers
+    and the column heights are minima over the monomials that divide, so a
+    basis that is not reduced gives the same report.
     """
     ring = basis.ring
     d = ring.d
@@ -358,23 +354,19 @@ def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthRepor
 
     per_pos = []
     for pos in positions:
-        exps = sorted(set(lead.get(tuple(pos), [])))
-        minimal = []
-        for e in exps:
-            if not any(all(a <= b for a, b in zip(f, e)) for f in minimal):
-                minimal.append(e)
+        exps = lead.get(tuple(pos), [])
         bounds = []
         for i in range(d):
-            pure = [e[i] for e in minimal if all(e[j] == 0 for j in range(d) if j != i)]
+            pure = [e[i] for e in exps if all(e[j] == 0 for j in range(d) if j != i)]
             if not pure:
                 return ColengthReport(False, None, None)
             bounds.append(min(pure))
-        per_pos.append((tuple(pos), minimal, bounds))
+        per_pos.append((tuple(pos), exps, bounds))
 
     cap = STANDARD_MONOMIAL_CAP
     total = 0
     monomials = []
-    for pos, minimal, bounds in per_pos:
+    for pos, exps, bounds in per_pos:
         box = 1
         for b in bounds:
             box *= b
@@ -382,7 +374,7 @@ def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthRepor
             raise ResourceLimit("standard monomial enumeration exceeds the cap")
         for head in itertools.product(*(range(b) for b in bounds[:-1])):
             height = bounds[-1]
-            for e in minimal:
+            for e in exps:
                 if e[-1] < height and all(a <= b for a, b in zip(e, head)):
                     height = e[-1]
             total += height

@@ -168,8 +168,10 @@ class Evaluator:
         those of its module.  The sweep is the DegreeSweep that picked them
         when this call formed a product of two or more factors, else None;
         the memo keeps the generators only, so the sweep dies with its
-        caller."""
+        caller.  The empty product, every n_i 0, is the unit."""
         key = self._key(modules, exponents)
+        if not key[1]:
+            return (Polynomial.constant(modules[0].ring, 1),), None
         if key in self._minimal_products:
             return self._minimal_products[key], None
         modules, exponents = key
@@ -186,6 +188,14 @@ class Evaluator:
             gens, sweep = minimal_sweep(modules[0].ring, tdeg, [f * g for f in prev for g in gens])
         self._minimal_products[key] = gens
         return gens, sweep
+
+    def generators(self, modules, exponents) -> tuple:
+        """Generators of E1^n1 ... Ek^nk as its length cell counts them: the
+        minimal generators when the factors are graded, else the reduced
+        basis; the unit for the empty product."""
+        if LengthQuery(tuple(modules), tuple(exponents)).graded():
+            return self.minimal_product(modules, exponents)[0]
+        return self.product_of_powers(modules, exponents).gens
 
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
         """E1^n1 ... Ek^nk by its reduced basis; None when every n_i is 0."""
@@ -291,10 +301,7 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     try:
         # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
         killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
-        if factors:
-            products, sweep = evaluator.minimal_product(query.modules, query.exponents)
-        else:  # every exponent is zero: the unit
-            products, sweep = (Polynomial.constant(ring, 1),), None
+        products, sweep = evaluator.minimal_product(query.modules, query.exponents)
     except (InfiniteColength, ResourceLimit) as exc:
         raise type(exc)(f"{cell}: {exc}") from exc
     if sweep is not None and not query.qdeg and not query.quotient_elems:
@@ -440,33 +447,24 @@ def _univariate(
 ) -> MultiplicityResult:
     module.primarity()
     evaluator = evaluator or Evaluator()
-    cap = max(N_MAX, diff_order + STAB_WIDTH + 1)
-    extensions = MAX_EXTENSIONS
+    first = diff_order + STAB_WIDTH + 1
+    last = max(N_MAX, first) + MAX_EXTENSIONS * EXTENSION_STEP
     vals = {}
-    n = 0
-    while True:
-        while n < cap:
-            n += 1
-            vals[(n,)] = evaluator.length(LengthQuery((module,), (n,)))
-            if n < diff_order + STAB_WIDTH + 1:
-                continue
-            tbl = LengthTable(("n1",), ((1, n),), dict(vals))
-            try:
-                value, cert = stabilized_difference(tbl, (diff_order,))
-            except NoStabilization:
-                continue
-            if value == 0 and any(vals.values()):
-                raise DegreeDeficiency(
-                    f"order-{diff_order} differences stabilize at 0 on a nonzero table"
-                )
-            return MultiplicityResult(value, kind, cert, tbl)
-        if extensions > 0:
-            extensions -= 1
-            cap += EXTENSION_STEP
-        else:
-            raise NoStabilization(
-                f"no stabilization certificate within n <= {cap}"
+    for n in range(1, last + 1):
+        vals[(n,)] = evaluator.length(LengthQuery((module,), (n,)))
+        if n < first:
+            continue
+        tbl = LengthTable(("n1",), ((1, n),), dict(vals))
+        try:
+            value, cert = stabilized_difference(tbl, (diff_order,))
+        except NoStabilization:
+            continue
+        if value == 0 and any(vals.values()):
+            raise DegreeDeficiency(
+                f"order-{diff_order} differences stabilize at 0 on a nonzero table"
             )
+        return MultiplicityResult(value, kind, cert, tbl)
+    raise NoStabilization(f"no stabilization certificate within n <= {last}")
 
 
 def ebr(
@@ -504,22 +502,17 @@ def _multigraded(
     base = max(4, 12 // len(modules))
     his = [max(d + STAB_WIDTH + 1, base) for d in dvec]
     q_hi = None if j is None else max(4, j + STAB_WIDTH)
-    extensions = MAX_EXTENSIONS
-    while True:
-        window = [(1, hi) for hi in his]
-        q_window = None if q_hi is None else (0, q_hi)
+    orders = list(dvec) + ([] if j is None else [j])
+    for extension in range(MAX_EXTENSIONS + 1):
+        step = extension * EXTENSION_STEP
+        window = [(1, hi + step) for hi in his]
+        q_window = None if q_hi is None else (0, q_hi + step)
         tbl = table(modules, window, q_window=q_window, evaluator=evaluator)
-        orders = list(dvec) + ([] if j is None else [j])
         try:
             value, cert = stabilized_difference(tbl, orders)
             return MultiplicityResult(value, kind, cert, tbl)
         except NoStabilization:
-            if extensions > 0:
-                extensions -= 1
-                his = [hi + EXTENSION_STEP for hi in his]
-                if q_hi is not None:
-                    q_hi += EXTENSION_STEP
-            else:
+            if extension == MAX_EXTENSIONS:
                 raise
 
 

@@ -184,21 +184,6 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
     return None
 
 
-def _times_product(x, query: LengthQuery, evaluator: Evaluator) -> tuple:
-    """x times the generators of the query's product that its length cell is
-    counted from: the minimal generators on the graded path, else the
-    reduced basis; x alone for the empty product, nothing for x = 0."""
-    if x.is_zero():
-        return ()
-    if not any(query.exponents):
-        gens = (Polynomial.constant(x.ring, 1),)
-    elif query.graded():
-        gens = evaluator.minimal_product(query.modules, query.exponents)[0]
-    else:
-        gens = evaluator.product_of_powers(query.modules, query.exponents).gens
-    return tuple(x * g for g in gens)
-
-
 def verify_superficial(
     x: Polynomial,
     modules: Sequence[GradedSubmodule],
@@ -217,10 +202,10 @@ def verify_superficial(
     injective exactly when l(A/V) - l(A/U) = l(A'/W) - l(A'/(W + xU)).  The
     four lengths are Evaluator cells, so they share its memo with every
     other cell of the computation; W + xU is W's cell with x times the
-    generators of E1^c1 P added to the quotient elements.  Only a cell
-    whose two counts differ builds its three slices, and linear algebra on
-    them gives the counterexample; finding none there is an internal
-    error."""
+    ``Evaluator.generators`` of E1^c1 P added to the quotient elements.
+    Only a cell whose two counts differ builds its three slices, and linear
+    algebra on them gives the counterexample; finding none there is an
+    internal error."""
     modules = tuple(modules)
     if not modules:
         raise InvalidInput("need at least one module")
@@ -256,7 +241,9 @@ def verify_superficial(
                 try:
                     u_query = query(u_exps, slack)
                     domain = evaluator.length(query(v_exps, q)) - evaluator.length(u_query)
-                    x_u = _times_product(x, u_query, evaluator)
+                    x_u = () if x.is_zero() else tuple(
+                        x * g for g in evaluator.generators(modules, u_exps)
+                    )
                     image = evaluator.length(query(w_exps, q)) - evaluator.length(
                         query(w_exps, q, x_u)
                     )
@@ -343,12 +330,12 @@ def is_reduction(
 
 def _joint_lhs(xs, modules, n, evaluator):
     """Generators of [sum_i x_i * prod_{j != i} E_j] * (prod E)^(n-1): x_i
-    times the product over the modules with exponent n-1 at i, n elsewhere."""
+    times the ``Evaluator.generators`` of the product over the modules with
+    exponent n-1 at i, n elsewhere."""
     gens = []
     for i, x in enumerate(xs):
         exps = (n,) * i + (n - 1,) + (n,) * (len(modules) - i - 1)
-        part = evaluator.product_of_powers(modules, exps)
-        gens.extend([x] if part is None else [x * g for g in part.gens])
+        gens.extend(x * g for g in evaluator.generators(modules, exps))
     return GradedSubmodule(SubmoduleSpec(modules[0].ring, n * sum(m.tdeg for m in modules), gens))
 
 

@@ -499,3 +499,22 @@ def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap, keep
     assert (rep.finite, rep.value) == (finite, value)
     assert rep.standard_monomials == (standard if keep else None)
     assert rep.value == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_modules(), st.data())
+def test_colength_of_a_basis_that_is_not_reduced(module, data):
+    """A dominated leading monomial changes neither a pure-power bound nor a
+    column height: the reduced basis with one strict multiple of each
+    element added, in any order, gives the same report."""
+    ring, tdeg, monos = module
+    gens = tuple(Polynomial.from_monomial(ring, m, 1) for m in monos)
+    reduced = buchberger(GeneratorSet(ring, tdeg, gens))
+    padded = list(reduced.elements)
+    for lt in reduced.lts:
+        shift = list(data.draw(st.tuples(*[st.integers(0, 2)] * ring.d)))
+        shift[data.draw(st.integers(0, ring.d - 1))] += 1
+        multiple = Monomial(lt.texp, tuple(a + b for a, b in zip(lt.xexp, shift)))
+        padded.append(Polynomial.from_monomial(ring, multiple, 1))
+    padded = data.draw(st.permutations(padded))
+    assert colength(GroebnerBasis(ring, tdeg, padded)) == colength(reduced)

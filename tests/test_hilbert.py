@@ -320,6 +320,36 @@ def test_stabilized_difference_rejects_exponential_table():
         stabilized_difference(t, (2,))
 
 
+def test_extraction_schedule_on_a_length_that_never_stabilizes(m, monkeypatch):
+    """With lengths 2^(n1+...+nk) * 3^q no window certifies.  ebr asks for
+    n = 1..16 once each; mixed over two modules evaluates the 6^2, 8^2 and
+    10^2 boxes, and assoc_mixed the 12x5, 14x7 and 16x9 (n, q) windows,
+    then each re-raises the last window's failure."""
+    from brim import NoStabilization
+
+    calls = []
+
+    def exponential(self, query):
+        calls.append((query.exponents, query.qdeg))
+        return 2 ** sum(query.exponents) * 3**query.qdeg
+
+    monkeypatch.setattr(Evaluator, "length", exponential)
+    m2 = mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
+    with pytest.raises(NoStabilization, match=r"^no stabilization certificate within n <= 16$"):
+        ebr(m)
+    assert calls == [((n,), 0) for n in range(1, 17)]
+    calls.clear()
+    with pytest.raises(NoStabilization, match="^trailing differences are not constant$"):
+        mixed([m, m2], (1, 1))
+    assert (len(calls), len(set(calls))) == (200, 100)
+    assert max(calls) == ((10, 10), 0)
+    calls.clear()
+    with pytest.raises(NoStabilization, match="^trailing differences are not constant$"):
+        assoc_mixed([m], (1,), 1)
+    assert (len(calls), len(set(calls))) == (302, 144)
+    assert max(calls) == ((16,), 8)
+
+
 def test_gf_parity_with_rationals():
     from brim import PrimeField
 

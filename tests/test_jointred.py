@@ -583,6 +583,15 @@ def _superficial_cases():
         ("zero-on-m2-c1-2", Polynomial.zero(R21), (m2,), 2, ()),
         ("x1x2-on-I-m-c1-2", P("x1*x2*t1"), (i, m), 2, ()),
     ]
+    # graded modules modulo a non-x-homogeneous element: W + xU is formed from
+    # the minimal generators of the graded product, the cell itself is not graded
+    a = P("x1^3*t1 + x2^2*t1")
+    cases += [
+        ("m2-seed-0-modulo-a", sample_superficial((m2,), 0).element, (m2,), 1, (a,)),
+        ("m-m2-seed-0-modulo-a", sample_superficial((m, m2), 0).element, (m, m2), 1, (a,)),
+        ("x1-on-m-c1-0-modulo-a", P("x1*t1"), (m,), 0, (a,)),
+        ("zero-on-m-modulo-a", Polynomial.zero(R21), (m,), 1, (a,)),
+    ]
     return cases
 
 
