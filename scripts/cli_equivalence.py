@@ -123,6 +123,8 @@ PER_FIELD = [
     # the cells, then linear algebra finds the counterexample; and c1 = 0
     ("r21", "check superficial -x h3 -m A"),
     ("r21", "check superficial -x a1 -m m --c1 0"),
+    # a false verdict whose counterexample comes from the n1 = 4 slices
+    ("r21", "check superficial -x h2 -m I,m --c1 2"),
     ("r21", "check rees -u U -m m2"),
     ("r21", "check converse -x a1,a2 -m m,m"),
     ("r21", "check converse -x g1,g2 -m m,m"),

@@ -36,6 +36,8 @@ from .poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
 from .ring import RingSpec
 
 STANDARD_MONOMIAL_CAP = 10**6
+# the largest slice quotient, in standard monomials, on which
+# ``jointred._injective_on_quotient`` eliminates for a counterexample
 KEEP_MONOMIALS_CAP = 10_000
 PAIR_CAP = 200_000
 
@@ -330,11 +332,11 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
 class ColengthReport:
     finite: bool
     value: Optional[int]
-    standard_monomials: Optional[tuple]
 
 
-def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthReport:
-    """Count standard monomials of the slice, at most STANDARD_MONOMIAL_CAP.
+def colength(basis: GroebnerBasis) -> ColengthReport:
+    """Count the standard monomials of the slice, at most STANDARD_MONOMIAL_CAP;
+    none is listed.
 
     Finite iff at every position the leading-term staircase contains a pure
     power of every x-variable; infinite is a valid report, not an error.
@@ -359,14 +361,13 @@ def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthRepor
         for i in range(d):
             pure = [e[i] for e in exps if all(e[j] == 0 for j in range(d) if j != i)]
             if not pure:
-                return ColengthReport(False, None, None)
+                return ColengthReport(False, None)
             bounds.append(min(pure))
-        per_pos.append((tuple(pos), exps, bounds))
+        per_pos.append((exps, bounds))
 
     cap = STANDARD_MONOMIAL_CAP
     total = 0
-    monomials = []
-    for pos, exps, bounds in per_pos:
+    for exps, bounds in per_pos:
         box = 1
         for b in bounds:
             box *= b
@@ -380,10 +381,4 @@ def colength(basis: GroebnerBasis, keep_monomials: bool = True) -> ColengthRepor
             total += height
             if total > cap:
                 raise ResourceLimit("standard monomial enumeration exceeds the cap")
-            if keep_monomials:
-                for last in range(min(height, KEEP_MONOMIALS_CAP - len(monomials))):
-                    monomials.append(Monomial(pos, head + (last,)))
-    kept = None
-    if keep_monomials and total <= KEEP_MONOMIALS_CAP:
-        kept = tuple(sorted(monomials, key=DEGREVLEX_X.key))
-    return ColengthReport(True, total, kept)
+    return ColengthReport(True, total)

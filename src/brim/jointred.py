@@ -124,42 +124,35 @@ def sample_superficial(modules: Sequence[GradedSubmodule], seed) -> SuperficialC
     return SuperficialCandidate(element=elem, seed=seed, coefficients=coeffs)
 
 
-def _std_monomial_list(sub: GradedSubmodule):
+def _quotient_dim(sub: GradedSubmodule) -> int:
+    """Number of standard monomials of a slice quotient the witness
+    eliminates on, at most ``groebner.KEEP_MONOMIALS_CAP``."""
     report = sub.colength_report()
     if not report.finite:
         raise InfiniteColength("slice quotient is not finite dimensional")
-    if report.standard_monomials is None:
-        # the count is known but the monomials were not kept: an empty list
-        # here would read as a zero quotient and pass the check unexamined
+    if report.value > groebner.KEEP_MONOMIALS_CAP:
         raise ResourceLimit(
             f"slice quotient of t-degree {sub.tdeg} has {report.value} standard "
             f"monomials (cap {groebner.KEEP_MONOMIALS_CAP})"
         )
-    return list(report.standard_monomials)
-
-
-def _coords(poly: Polynomial, index: dict, width: int, fld):
-    vec = [fld.zero] * width
-    for m, c in poly.items():
-        vec[index[m]] = c
-    return vec
+    return report.value
 
 
 def _injective_on_quotient(x, u_sub, v_sub, w_sub):
     """Is multiplication by x injective on U/V as a map into A'/W?
 
     Returns None when injective, else a witness polynomial in U \\ V whose
-    x-multiple lies in W.
+    x-multiple lies in W.  The columns are the normal forms' monomials, and
+    their order does not change the witness: the preimages that enlarged the
+    image span have independent images, so the kernel vector is the new
+    preimage minus the one combination of them whose images give its image.
     """
     ring = u_sub.ring
-    fld = ring.field
-    sm_v = _std_monomial_list(v_sub)
-    sm_w = _std_monomial_list(w_sub)
-    v_index = {m: i for i, m in enumerate(sm_v)}
-    w_index = {m: i for i, m in enumerate(sm_w)}
-    if not sm_v:
+    v_dim = _quotient_dim(v_sub)
+    _quotient_dim(w_sub)
+    if not v_dim:
         return None  # U/V = 0
-    span = PairedSpan(fld)
+    span = PairedSpan(ring.field)
     xshifts = [
         Monomial((0,) * ring.p, tuple(1 if j == i else 0 for j in range(ring.d)))
         for i in range(ring.d)
@@ -169,15 +162,10 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
         rep = queue.pop(0)
         if rep.is_zero():
             continue
-        v_vec = _coords(rep, v_index, len(sm_v), fld)
         image = normal_form(x * rep, w_sub.basis)
-        w_vec = _coords(image, w_index, len(sm_w), fld)
-        status, kernel = span.add(w_vec, v_vec)
+        status, kernel = span.add(dict(image.items()), dict(rep.items()))
         if status == "kernel":
-            witness = Polynomial(
-                ring, {m: c for m, c in zip(sm_v, kernel) if not fld.is_zero(c)}
-            )
-            return witness
+            return Polynomial(ring, kernel)
         if status == "new":
             for shift in xshifts:
                 queue.append(normal_form(rep.mul_term(shift, 1), v_sub.basis))

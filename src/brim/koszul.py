@@ -174,7 +174,7 @@ def _multiplicity_system_gate(spec: KoszulSpec, t: int):
         if kt <= t:
             gens.extend(t_shifts(ring, [a], t - kt))
     basis = buchberger(GeneratorSet(ring, t, gens))
-    report = colength(basis, keep_monomials=False)
+    report = colength(basis)
     if not report.finite:
         raise NotMultiplicitySystem(
             f"the degree-{t} quotient slice has infinite length"

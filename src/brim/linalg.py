@@ -1,6 +1,8 @@
 """Exact linear algebra over the coefficient fields: one sparse integer kernel.
 
-Vectors are sparse ``{column: int}`` dicts, for both fields.  Over GF(p) the
+Vectors are sparse ``{column: int}`` dicts, for both fields, and a column
+is any totally ordered key: ``koszul`` numbers its columns, and the
+superficial witness keys them by monomials.  Over GF(p) the
 ints are residues in [0, p).  Over QQ they are integers: a vector of
 rationals enters once, times the lcm of its denominators
 (``Echelon.integral``), and no fraction is formed inside the elimination.
@@ -140,27 +142,24 @@ def rank(rows, field) -> int:
 class PairedSpan(Echelon):
     """Echelon on image vectors with carried preimages.
 
-    add(w, v) reduces w, in columns 0..len(w)-1, together with v, placed
-    after it.  It returns ("new", None) when w enlarges the image span,
-    ("kernel", u) when w reduces to zero but the carried preimage u does not
-    (a witness that the map is not injective on the accumulated span), and
-    ("dependent", None) when both collapse.  u is the exact remainder of v,
-    in field elements.
+    add(w, v) takes two sparse vectors whose columns are any totally ordered
+    keys, and reduces w together with v; every column of w sorts before
+    every column of v, as (0, j) before (1, j).  It returns ("new", None)
+    when w enlarges the image span, ("kernel", u) when w reduces to zero
+    but the carried preimage u does not (a witness that the map is not
+    injective on the accumulated span), and ("dependent", None) when both
+    collapse.  u is the exact remainder of v, as {column: field value}.
     """
 
-    def add(self, w, v):
-        width = len(w)
-        vec = {j: a for j, a in enumerate(w) if a}
-        vec.update((width + j, a) for j, a in enumerate(v) if a)
+    def add(self, w: dict, v: dict):
+        vec = {(0, j): a for j, a in w.items() if a}
+        vec.update(((1, j), a) for j, a in v.items() if a)
         scale = self.integral(vec)
         scale *= self.reduce(vec)
         if not vec:
             return ("dependent", None)
-        if min(vec) < width:
+        if min(vec)[0] == 0:
             self.insert(vec)
             return ("new", None)
         fld = self.field
-        u = [fld.zero] * len(v)
-        for j, a in vec.items():
-            u[j - width] = fld.from_fraction(a, scale)
-        return ("kernel", u)
+        return ("kernel", {j: fld.from_fraction(a, scale) for (_, j), a in vec.items()})

@@ -99,11 +99,10 @@ def monomial_staircase_count(d, minimal_exps):
     return total
 
 
-def box_scan_colength(basis, cap, keep_cap):
-    """(finite, value, standard monomials) of a Groebner basis's slice, by
-    testing every cell of each position's pure-power box.  ``ResourceLimit``
-    when a box or the count exceeds ``cap``; the monomials, sorted by the
-    term order, are None above ``keep_cap``."""
+def box_scan_colength(basis, cap):
+    """(finite, value) of a Groebner basis's slice, by testing every cell of
+    each position's pure-power box.  ``ResourceLimit`` when a box or the
+    count exceeds ``cap``."""
     d = basis.ring.d
     lead = {}
     for lt in basis.lts:
@@ -118,11 +117,11 @@ def box_scan_colength(basis, cap, keep_cap):
         for i in range(d):
             pure = [e[i] for e in minimal if all(e[j] == 0 for j in range(d) if j != i)]
             if not pure:
-                return False, None, None
+                return False, None
             bounds.append(min(pure))
-        per_pos.append((tuple(pos), minimal, bounds))
-    monomials = []
-    for pos, minimal, bounds in per_pos:
+        per_pos.append((minimal, bounds))
+    count = 0
+    for minimal, bounds in per_pos:
         box = 1
         for b in bounds:
             box *= b
@@ -130,13 +129,10 @@ def box_scan_colength(basis, cap, keep_cap):
             raise ResourceLimit("box exceeds the cap")
         for cand in itertools.product(*(range(b) for b in bounds)):
             if not any(all(a <= b for a, b in zip(e, cand)) for e in minimal):
-                monomials.append(Monomial(pos, cand))
-                if len(monomials) > cap:
+                count += 1
+                if count > cap:
                     raise ResourceLimit("count exceeds the cap")
-    kept = None
-    if len(monomials) <= keep_cap:
-        kept = tuple(sorted(monomials, key=DEGREVLEX_X.key))
-    return True, len(monomials), kept
+    return True, count
 
 
 def spair(f, g):

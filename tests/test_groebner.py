@@ -24,8 +24,8 @@ from brim import (
     parse_polynomial,
 )
 from brim import groebner
-from brim.groebner import KEEP_MONOMIALS_CAP, STANDARD_MONOMIAL_CAP, GroebnerBasis
-from brim.poly import DEGREVLEX_X, t_monomials
+from brim.groebner import STANDARD_MONOMIAL_CAP, GroebnerBasis
+from brim.poly import DEGREVLEX_X, MonomialOrder, t_monomials
 from brim.ring import QQ, PrimeField
 
 from .oracles import (
@@ -127,10 +127,6 @@ def test_colength_x_squared():
     basis = buchberger(gset(R11, ["x1^2*t1"]))
     rep = colength(basis)
     assert rep.value == 2
-    assert sorted(str(Polynomial.from_monomial(R11, m, 1)) for m in rep.standard_monomials) == [
-        "t1",
-        "x1*t1",
-    ]
 
 
 def test_colength_infinite():
@@ -472,33 +468,48 @@ def monomial_modules(draw):
 @given(
     monomial_modules(),
     st.one_of(st.just(STANDARD_MONOMIAL_CAP), st.integers(1, 40)),
-    st.sampled_from([None, -1, 0, 1]),
-    st.booleans(),
 )
-def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap, keep_slack, keep):
-    """Every report field and the cap; the slack puts the count just under,
-    at or just over the cap on kept monomials."""
+def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap):
+    """Every report field and the cap."""
     ring, tdeg, monos = module
     gens = tuple(Polynomial.from_monomial(ring, m, 1) for m in monos)
     basis = buchberger(GeneratorSet(ring, tdeg, gens))
     expected = monomial_module_colength(ring, tdeg, monos)
-    keep_cap = KEEP_MONOMIALS_CAP
-    if keep_slack is not None and expected is not None:
-        keep_cap = max(0, expected + keep_slack)
     try:
-        finite, value, standard = box_scan_colength(basis, cap, keep_cap)
+        finite, value = box_scan_colength(basis, cap)
     except ResourceLimit:
         with mock.patch.object(groebner, "STANDARD_MONOMIAL_CAP", cap):
             with pytest.raises(ResourceLimit):
-                colength(basis, keep_monomials=keep)
+                colength(basis)
         return
-    with mock.patch.object(groebner, "STANDARD_MONOMIAL_CAP", cap), mock.patch.object(
-        groebner, "KEEP_MONOMIALS_CAP", keep_cap
-    ):
-        rep = colength(basis, keep_monomials=keep)
+    with mock.patch.object(groebner, "STANDARD_MONOMIAL_CAP", cap):
+        rep = colength(basis)
     assert (rep.finite, rep.value) == (finite, value)
-    assert rep.standard_monomials == (standard if keep else None)
     assert rep.value == expected
+
+
+def test_colength_counts_without_a_term_order_key():
+    """The eight pure powers x1^4 and x2^5 at the four degree-3 positions of
+    R22 leave 4 * 4 * 5 = 80 standard monomials; counting them calls
+    ``MonomialOrder.key`` on none, as a list sorted in term order would on
+    each."""
+    positions = [tuple(pos) for pos in t_monomials(R22, 3)]
+    monos = [Monomial(pos, xe) for pos in positions for xe in ((4, 0), (0, 5))]
+    basis = buchberger(
+        GeneratorSet(R22, 3, tuple(Polynomial.from_monomial(R22, m, 1) for m in monos))
+    )
+    calls = []
+    real_key = MonomialOrder.key
+
+    def counted(self, m):
+        calls.append(m)
+        return real_key(self, m)
+
+    with mock.patch.object(MonomialOrder, "key", counted):
+        rep = colength(basis)
+    assert (rep.finite, rep.value) == box_scan_colength(basis, STANDARD_MONOMIAL_CAP)
+    assert rep.value == 80
+    assert calls == []
 
 
 @settings(max_examples=300, deadline=None)

@@ -208,7 +208,7 @@ def test_joint_single_module_positive():
     e = mk(R11, ["x1^2*t1"])
     x = P("x1^2*t1", R11)
     dec = is_joint_reduction([x], [e])
-    assert dec.verdict is Verdict.TRUE
+    assert dec.verdict is Verdict.TRUE and dec.witness_n0 == 1
 
 
 # -- (x_i) + m^n F witnesses --------------------------------------------------

@@ -93,6 +93,26 @@ def test_rank_of_sparse_matrices_matches_dense_elimination():
             assert rank(sparse(rows), PrimeField(p)) == modular_rank(rows, p), (p, rows)
 
 
+def dense_add(span, w, v):
+    """``PairedSpan.add`` on the dense lists ``DensePairedSpan`` takes: column
+    j of w and of v is the key j, and a kernel vector comes back as a list."""
+    status, u = span.add(dict(enumerate(w)), dict(enumerate(v)))
+    if status == "kernel":
+        u = [u.get(j, span.field.zero) for j in range(len(v))]
+    return status, u
+
+
+def dense_rows(span, width) -> dict:
+    """The span's rows in the dense reference's columns: w's column (0, j)
+    is j and v's column (1, j) is width + j."""
+
+    def col(key):
+        side, j = key
+        return side * width + j
+
+    return {col(p): {col(k): c for k, c in row.items()} for p, row in span.rows.items()}
+
+
 def test_paired_span_matches_the_dense_reference():
     """Same statuses and the same kernel vectors as dense elimination."""
     rng = random.Random(5)
@@ -111,7 +131,7 @@ def test_paired_span_matches_the_dense_reference():
             span, ref = PairedSpan(field), DensePairedSpan(field)
             for _ in range(rng.randint(1, 10)):
                 w, v = draw(width), draw(vwidth)
-                got, expected = span.add(w, v), ref.add(w, v)
+                got, expected = dense_add(span, w, v), ref.add(w, v)
                 assert got == expected, (field, w, v)
                 statuses.add(got[0])
     assert statuses == {"new", "kernel", "dependent"}
@@ -194,7 +214,7 @@ def test_paired_span_on_fraction_entries_matches_the_dense_reference():
         span, ref = PairedSpan(QQ), DensePairedSpan(QQ)
         for _ in range(rng.randint(1, 8)):
             w, v = draw(width), draw(vwidth)
-            got, expected = span.add(w, v), ref.add(w, v)
+            got, expected = dense_add(span, w, v), ref.add(w, v)
             assert got == expected, (w, v)
             statuses.add(got[0])
             if got[0] == "kernel" and any(c.denominator > 1 for c in got[1]):
@@ -203,7 +223,7 @@ def test_paired_span_on_fraction_entries_matches_the_dense_reference():
             for pivot, wr, vr in ref.rows:
                 dense = list(wr) + list(vr)
                 expected_rows[pivot] = {j: c for j, c in enumerate(dense) if c}
-            assert {p: sparse_monic(r) for p, r in span.rows.items()} == expected_rows
+            assert {p: sparse_monic(r) for p, r in dense_rows(span, width).items()} == expected_rows
             for pivot, row in span.rows.items():
                 assert all(type(c) is int for c in row.values()), row
                 assert row[pivot] > 0 and gcd(*row.values()) == 1, row
