@@ -56,6 +56,8 @@ R22_MODULES = {
     # two more presentations of mF: one submodule under three names
     "mFt": {"tdeg": 1, "gens": ["x2*t2", "x1*t2", "x2*t1", "x1*t1"]},
     "mFr": {"tdeg": 1, "gens": ["x1*t1+x2*t2", "x1*t1", "x2*t1", "x1*t2", "x2*t2+x1*t2"]},
+    # a parameter module of mF: three generators that are a reduction of mF
+    "P": {"tdeg": 1, "gens": ["x1*t1", "x2*t2", "x1*t2+x2*t1"]},
 }
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
@@ -100,6 +102,10 @@ PER_FIELD = [
     ("r22", "check converse -x c1,c2,c3 -m mF,mFt,mFr"),
     ("r21", "mixed -m A -d 2"),
     ("r22", "mixed -m E,mF -d 2,1"),
+    # graded products whose chain drops the last module: (P, mF)^(n, 1) is
+    # formed from P^n, and (mF, P)^(1, n) from mF
+    ("r22", "mixed -m P,mF -d 2,1"),
+    ("r22", "mixed -m mF,P -d 1,2"),
     ("r21", "assoc -m m -d 1 -j 1"),
     ("r21", "gmult -e a1,a2"),
     ("r21", "gmult -e b1,a2 -t 3"),

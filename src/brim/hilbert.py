@@ -128,6 +128,11 @@ def _lowered(exponents) -> tuple:
     return exponents[:-1] + (exponents[-1] - 1,)
 
 
+# The base of every product generator label: a digit counts the factors taken
+# from one input generator, at most its module's exponent in the key.
+LABEL_BASE = 1 << 16
+
+
 class Evaluator:
     """Caches products of powers and length cells for one computation.
 
@@ -138,6 +143,14 @@ class Evaluator:
     cells, and a table over (E, E') is a table of E^(a+b).  E1^n1 ... Ek^nk is
     formed as the ``_lowered`` product times E_i, and kept by its reduced
     basis or by its minimal generators.  The memo keeps its modules alive.
+
+    Each minimal generator of a graded product carries a label: the multiset
+    of input minimal generators it is the product of, packed into one int.
+    The j-th minimal generator of the module at offset o of the key (o the
+    number of minimal generators of the modules before it) is the digit
+    LABEL_BASE**(o + j), and a product's label is the sum of its factors'.
+    The lowered key's modules are a prefix of the key's, so a label means the
+    same in both.
     """
 
     def __init__(self):
@@ -167,26 +180,47 @@ class Evaluator:
         Nakayama subset of the lowered product's minimal generators times
         those of its module.  The sweep is the DegreeSweep that picked them
         when this call formed a product of two or more factors, else None;
-        the memo keeps the generators only, so the sweep dies with its
-        caller.  The empty product, every n_i 0, is the unit."""
+        the memo keeps the generators and their labels only, so the sweep
+        dies with its caller.  The empty product, every n_i 0, is the unit.
+
+        The candidates f*g are taken in the order f in the lowered product,
+        g in the module, and f*g is formed only for a label not seen before.
+        A candidate with a seen label equals the earlier one, so the sweep
+        would reduce it to zero: skipping it leaves the kept generators and
+        the sweep's pieces as they are."""
         key = self._key(modules, exponents)
         if not key[1]:
             return (Polynomial.constant(modules[0].ring, 1),), None
         if key in self._minimal_products:
-            return self._minimal_products[key], None
+            return self._minimal_products[key][0], None
         modules, exponents = key
         lowered = _lowered(exponents)
         gens, sweep = modules[-1].minimal_gens, None
+        offset = sum(len(m.minimal_gens) for m in modules[:-1])
+        labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
         if any(lowered):
-            prev = self.minimal_product(modules, lowered)[0]
+            if exponents[-1] >= LABEL_BASE:
+                raise ResourceLimit(
+                    f"product n={list(exponents)} has an exponent of {LABEL_BASE} or more"
+                )
+            self.minimal_product(modules, lowered)
+            prev, prev_labels = self._minimal_products[self._key(modules, lowered)]
             if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
                 raise ResourceLimit(
                     f"product n={list(exponents)} would form "
                     f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
                 )
+            formed = {}  # label -> candidate, in the order first seen
+            for f, label in zip(prev, prev_labels):
+                for g, step in zip(gens, steps):
+                    if (code := label + step) not in formed:
+                        formed[code] = f * g
             tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-            gens, sweep = minimal_sweep(modules[0].ring, tdeg, [f * g for f in prev for g in gens])
-        self._minimal_products[key] = gens
+            gens, sweep = minimal_sweep(modules[0].ring, tdeg, list(formed.values()))
+            # the kept generators are candidate objects: their ids find their labels
+            label_of = {id(c): label for label, c in formed.items()}
+            labels = [label_of[id(g)] for g in gens]
+        self._minimal_products[key] = gens, labels
         return gens, sweep
 
     def generators(self, modules, exponents) -> tuple:

@@ -123,13 +123,18 @@ class Echelon:
 
 def rank(rows, field) -> int:
     """Exact rank over the given field of a matrix given as sparse rows,
-    ``{column: value}`` dicts.  Over GF(p) the values are coerced to
-    residues; over QQ, ints and fractions enter as they are.  Zero values
-    are dropped, and the rows are left as they were."""
+    ``{column: value}`` dicts.  Over GF(p) ints are reduced mod p and
+    fractions coerced to residues; over QQ, ints and fractions enter as they
+    are.  Zero values are dropped, and the rows are left as they were."""
     echelon = Echelon(field)
+    p = echelon.modulus
     for row in rows:
-        if echelon.modulus:
-            vec = {j: c for j, v in row.items() if v and (c := field.coerce(v))}
+        if p:
+            vec = {
+                j: c
+                for j, v in row.items()
+                if (c := v % p if isinstance(v, int) else field.coerce(v))
+            }
         else:
             vec = {j: v for j, v in row.items() if v}
             echelon.integral(vec)

@@ -624,6 +624,11 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
     monkeypatch.setattr(hilbert, "PRODUCT_GENERATOR_CAP", 8)
     with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2.*cap 8"):
         length(LengthQuery((e,), (2,)))
+    monkeypatch.undo()
+    # a label digit counts up to the exponent, so it must stay below the base
+    monkeypatch.setattr(hilbert, "LABEL_BASE", 2)
+    with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2.*exponent of 2 or more"):
+        length(LengthQuery((e,), (2,)))
 
 
 @pytest.mark.parametrize("gens", [
@@ -666,6 +671,58 @@ def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
     for idx, value in tbl.values.items():
         sub = build_slice_submodule(ring, (e, mf), idx, evaluator=Evaluator())
         assert value == sub.colength_report().value, idx
+
+
+def test_graded_product_forms_each_candidate_once(monkeypatch):
+    """A fresh Evaluator forms mF^4 on R22 with one product per multiset of
+    mF's generators, 64 ``Polynomial.__mul__`` calls, where every pair of the
+    chain's minimal generators is 116.  Its generators, in order, are those
+    the sweep over every pair keeps, and its length is l(F^4 / (mF)^4)."""
+    mf = mk(R22, MF22_GENS)
+    every = mf.minimal_gens
+    for n in range(2, 5):
+        every = rees.minimal_sweep(R22, n, [f * g for f in every for g in mf.minimal_gens])[0]
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(f, g):
+        calls.append(None)
+        return mul(f, g)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    gens = Evaluator().minimal_product((mf,), (4,))[0]
+    monkeypatch.undo()
+    assert len(calls) == 64
+    assert [str(g) for g in gens] == [str(g) for g in every]
+    assert length(LengthQuery((mf,), (4,))) == length_mF_power(4) == 50
+
+
+# a parameter module of mF on R22: its three generators are a reduction of mF
+P22_GENS = ["x1*t1", "x2*t2", "x1*t2 + x2*t1"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF"])
+def test_graded_path_matches_buchberger_where_product_keys_merge_or_shrink(field):
+    """Product labels stay sound where a key's exponents merge, over two
+    copies of E or one E named twice, and where the lowered key drops its
+    last module, as (P, mF)^(2, 1) is formed from P^2 and (mF, P)^(1, 2)
+    from mF.  Digits that left out P's offset in (mF, P) would merge
+    mF_i P_j with mF_j P_i."""
+    ring = RingSpec(d=2, p=2, field=field)
+    e, e_copy = mk(ring, E22_GENS), mk(ring, E22_GENS)
+    p, mf = mk(ring, P22_GENS), mk(ring, MF22_GENS)
+    cells = [
+        ((e, e_copy), (1, 1)),
+        ((e, e_copy), (2, 1)),
+        ((e, e), (1, 2)),
+        ((p, mf), (2, 1)),
+        ((mf, p), (1, 2)),
+    ]
+    for modules, exps in cells:
+        for q in (0, 1):
+            graded, reference = _both_paths(LengthQuery(modules, exps, q))
+            assert graded == reference, (len(modules), exps, q)
+    assert mixed([p, mf], (2, 1)).value == 3
 
 
 def test_one_sweep_cells_keep_their_guards(monkeypatch):

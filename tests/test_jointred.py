@@ -457,9 +457,10 @@ def test_joint_lhs_matches_the_products_built_by_hand(m):
 
 
 def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeypatch):
-    """A slice quotient with more standard monomials than groebner keeps has
-    none listed; read as an empty list it would be U/V = 0 and the zero
-    candidate would pass unexamined."""
+    """A V or W slice quotient with more standard monomials than
+    ``KEEP_MONOMIALS_CAP``, the bound on the quotients the witness eliminates
+    on, stops the check with ResourceLimit; counted as no quotient at all it
+    would be U/V = 0, and the zero candidate would pass unexamined."""
     from brim import ResourceLimit, groebner
 
     monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
