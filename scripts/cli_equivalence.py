@@ -8,8 +8,9 @@ Usage, from the checkout root:
 Each command runs as ``python3 -m brim.cli ...`` once on this tree's
 ``src/`` and once on ``DIR/src``, each time in a fresh directory holding
 only the spec file, with the length-table cache on.  The set covers every
-subcommand and all seven check kinds over QQ and GF(32003), with
-non-monomial modules, and user-error (exit 2) and limit (exit 3) cases.
+subcommand and all seven check kinds over QQ, GF(32003) and GF(7), where
+coefficient products wrap often, with non-monomial modules, and user-error
+(exit 2) and limit (exit 3) cases.
 
 A command differs when its stdout outside the ``runtime`` key, its stderr,
 its exit code or the names of the ``.brim-cache`` entries it wrote differ.
@@ -62,6 +63,7 @@ R22_MODULES = {
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
 GF = {"GF": 32003}
+GF7 = {"GF": 7}
 
 
 def spec(field, d, p, modules, elements=None) -> dict:
@@ -76,6 +78,8 @@ SPECS = {
     "r21-gf": spec(GF, 2, 1, R21_MODULES, R21_ELEMENTS),
     "r22-qq": spec("QQ", 2, 2, R22_MODULES, R22_ELEMENTS),
     "r22-gf": spec(GF, 2, 2, R22_MODULES, R22_ELEMENTS),
+    "r21-gf7": spec(GF7, 2, 1, R21_MODULES, R21_ELEMENTS),
+    "r22-gf7": spec(GF7, 2, 2, R22_MODULES, R22_ELEMENTS),
     "r12-qq": spec("QQ", 1, 2, R12_MODULES),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
     "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
@@ -83,7 +87,7 @@ SPECS = {
     "tdeg-float": spec("QQ", 2, 1, {"m": {"tdeg": 1.5, "gens": ["x1*t1", "x2*t1"]}}),
 }
 
-# Commands run over both fields: (spec prefix, argv after the subcommand's spec).
+# Commands run over every field: (spec prefix, argv after the subcommand's spec).
 PER_FIELD = [
     ("r21", "length -m m,m2 -n 1,1"),
     ("r21", "length -m A -n 2 -q 1 --quotient a1"),
@@ -169,7 +173,7 @@ PER_FIELD = [
 
 COMMANDS = [
     (f"{prefix}-{field}", argv)
-    for field in ("qq", "gf")
+    for field in ("qq", "gf", "gf7")
     for prefix, argv in PER_FIELD
 ] + [
     ("r12-qq", "assoc -m E -d 1 -j 1"),

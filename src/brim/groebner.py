@@ -36,9 +36,6 @@ from .poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
 from .ring import RingSpec
 
 STANDARD_MONOMIAL_CAP = 10**6
-# the largest slice quotient, in standard monomials, on which
-# ``jointred._injective_on_quotient`` eliminates for a counterexample
-KEEP_MONOMIALS_CAP = 10_000
 PAIR_CAP = 200_000
 
 
@@ -70,12 +67,13 @@ class GeneratorSet:
 
 
 class _Reducer:
-    """Division engine: monic divisors indexed by leading position."""
+    """Division engine: monic divisors indexed by leading position; sums are
+    reduced mod the field's characteristic p when it is nonzero."""
 
-    __slots__ = ("field", "by_pos")
+    __slots__ = ("p", "by_pos")
 
     def __init__(self, field):
-        self.field = field
+        self.p = field.p
         self.by_pos = {}
 
     def add(self, g: Polynomial, lt: Monomial):
@@ -86,7 +84,7 @@ class _Reducer:
     def reduce(self, work: dict) -> dict:
         """Full normal form of the term dict; consumes and returns dicts."""
         order_key = DEGREVLEX_X.key
-        fld = self.field
+        p = self.p
         by_pos = self.by_pos
         heap = [(tuple(-k for k in order_key(m)), m) for m in work]
         heapq.heapify(heap)
@@ -114,8 +112,8 @@ class _Reducer:
                 mm = gm.mul(shift)
                 acc = work.get(mm)
                 if acc is None:
-                    nc = fld.neg(fld.mul(c, gc))
-                    if not fld.is_zero(nc):
+                    nc = -c * gc % p if p else -c * gc
+                    if nc:
                         work[mm] = nc
                         key = tuple(-k for k in order_key(mm))
                         if key <= top:
@@ -126,11 +124,13 @@ class _Reducer:
                             )
                         heapq.heappush(heap, (key, mm))
                 else:
-                    acc = fld.sub(acc, fld.mul(c, gc))
-                    if fld.is_zero(acc):
-                        del work[mm]
-                    else:
+                    acc -= c * gc
+                    if p:
+                        acc %= p
+                    if acc:
                         work[mm] = acc
+                    else:
+                        del work[mm]
         return rem
 
 
@@ -201,7 +201,7 @@ def _spair_of(f: Polynomial, g: Polynomial, lf: Monomial, lg: Monomial) -> Polyn
     lcm = tuple(max(a, b) for a, b in zip(lf.xexp, lg.xexp))
     mf = Monomial((0,) * len(lf.texp), tuple(l - a for l, a in zip(lcm, lf.xexp)))
     mg = Monomial((0,) * len(lg.texp), tuple(l - a for l, a in zip(lcm, lg.xexp)))
-    return f.mul_term(mf, 1) - g.mul_term(mg, 1)
+    return f.mul_term(mf, 1) + g.mul_term(mg, -1)
 
 
 def _sugar(f: Polynomial) -> int:

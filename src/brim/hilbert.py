@@ -174,6 +174,22 @@ class Evaluator:
         """A product's memo key: its classes with positive exponents."""
         return self._canonical((m, n) for m, n in zip(modules, exponents) if n)
 
+    def _unformed(self, memo, key) -> list:
+        """The (key, lowered key) pairs down key's ``_lowered`` chain that
+        memo lacks, top first; the lowered key is None for a single factor.
+        Callers form them in reverse order in one loop, never recursing once
+        per factor."""
+        chain = []
+        while key not in memo:
+            modules, exponents = key
+            lowered = _lowered(exponents)
+            below = self._key(modules, lowered) if any(lowered) else None
+            chain.append((key, below))
+            if below is None:
+                break
+            key = below
+        return chain
+
     def minimal_product(self, modules, exponents) -> tuple:
         """(minimal generators, sweep) of E1^n1 ... Ek^nk for modules whose
         reduced bases are x-homogeneous.  The generators are the graded
@@ -191,37 +207,37 @@ class Evaluator:
         key = self._key(modules, exponents)
         if not key[1]:
             return (Polynomial.constant(modules[0].ring, 1),), None
-        if key in self._minimal_products:
-            return self._minimal_products[key][0], None
-        modules, exponents = key
-        lowered = _lowered(exponents)
-        gens, sweep = modules[-1].minimal_gens, None
-        offset = sum(len(m.minimal_gens) for m in modules[:-1])
-        labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
-        if any(lowered):
-            if exponents[-1] >= LABEL_BASE:
+        memo = self._minimal_products
+        chain = self._unformed(memo, key)
+        for (_, exponents), below in chain:
+            if below and exponents[-1] >= LABEL_BASE:
                 raise ResourceLimit(
                     f"product n={list(exponents)} has an exponent of {LABEL_BASE} or more"
                 )
-            self.minimal_product(modules, lowered)
-            prev, prev_labels = self._minimal_products[self._key(modules, lowered)]
-            if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
-                raise ResourceLimit(
-                    f"product n={list(exponents)} would form "
-                    f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
-                )
-            formed = {}  # label -> candidate, in the order first seen
-            for f, label in zip(prev, prev_labels):
-                for g, step in zip(gens, steps):
-                    if (code := label + step) not in formed:
-                        formed[code] = f * g
-            tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-            gens, sweep = minimal_sweep(modules[0].ring, tdeg, list(formed.values()))
-            # the kept generators are candidate objects: their ids find their labels
-            label_of = {id(c): label for label, c in formed.items()}
-            labels = [label_of[id(g)] for g in gens]
-        self._minimal_products[key] = gens, labels
-        return gens, sweep
+        sweep = None
+        for (modules, exponents), below in reversed(chain):
+            gens = modules[-1].minimal_gens
+            offset = sum(len(m.minimal_gens) for m in modules[:-1])
+            labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
+            if below:
+                prev, prev_labels = memo[below]
+                if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
+                    raise ResourceLimit(
+                        f"product n={list(exponents)} would form "
+                        f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
+                    )
+                formed = {}  # label -> candidate, in the order first seen
+                for f, label in zip(prev, prev_labels):
+                    for g, step in zip(gens, steps):
+                        if (code := label + step) not in formed:
+                            formed[code] = f * g
+                tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
+                gens, sweep = minimal_sweep(modules[0].ring, tdeg, list(formed.values()))
+                # the kept generators are candidate objects: their ids find their labels
+                label_of = {id(c): label for label, c in formed.items()}
+                labels = [label_of[id(g)] for g in gens]
+            memo[modules, exponents] = gens, labels
+        return memo[key][0], sweep
 
     def generators(self, modules, exponents) -> tuple:
         """Generators of E1^n1 ... Ek^nk as its length cell counts them: the
@@ -234,13 +250,12 @@ class Evaluator:
     def product_of_powers(self, modules, exponents) -> Optional[GradedSubmodule]:
         """E1^n1 ... Ek^nk by its reduced basis; None when every n_i is 0."""
         key = self._key(modules, exponents)
-        if key[1] and key not in self._products:
-            modules, exponents = key
-            lowered = _lowered(exponents)
-            result = modules[-1]
-            if any(lowered):
-                result = product(self.product_of_powers(modules, lowered), result)
-            self._products[key] = result
+        if key[1]:
+            for (modules, exponents), below in reversed(self._unformed(self._products, key)):
+                result = modules[-1]
+                if below:
+                    result = product(self._products[below], result)
+                self._products[modules, exponents] = result
         return self._products.get(key)
 
     def length(self, query: LengthQuery) -> int:

@@ -24,7 +24,6 @@ from enum import Enum
 from functools import partial
 from typing import Optional, Sequence
 
-from . import groebner
 from .errors import (
     InfiniteColength,
     InternalError,
@@ -56,6 +55,9 @@ SAMPLING_ATTEMPTS = 5
 N1_SPAN = 2
 OTHER_MAX = 1
 Q_MAX = 1
+# the largest slice quotient, in standard monomials, on which
+# ``_injective_on_quotient`` eliminates for a counterexample
+WITNESS_QUOTIENT_CAP = 10_000
 
 
 class Verdict(Enum):
@@ -126,14 +128,14 @@ def sample_superficial(modules: Sequence[GradedSubmodule], seed) -> SuperficialC
 
 def _quotient_dim(sub: GradedSubmodule) -> int:
     """Number of standard monomials of a slice quotient the witness
-    eliminates on, at most ``groebner.KEEP_MONOMIALS_CAP``."""
+    eliminates on, at most ``WITNESS_QUOTIENT_CAP``."""
     report = sub.colength_report()
     if not report.finite:
         raise InfiniteColength("slice quotient is not finite dimensional")
-    if report.value > groebner.KEEP_MONOMIALS_CAP:
+    if report.value > WITNESS_QUOTIENT_CAP:
         raise ResourceLimit(
             f"slice quotient of t-degree {sub.tdeg} has {report.value} standard "
-            f"monomials (cap {groebner.KEEP_MONOMIALS_CAP})"
+            f"monomials (cap {WITNESS_QUOTIENT_CAP})"
         )
     return report.value
 
@@ -260,6 +262,13 @@ def verify_superficial(
     return Decision(verdict=Verdict.TRUE, witness_n0=c1, counterexample=None, window=_window(c1))
 
 
+def _check_n_max(n_max: int):
+    """A decider's window must test at least one exponent: with none, the
+    verdict would be inconclusive with no counterexample."""
+    if n_max < 1:
+        raise InvalidInput("n_max must be >= 1")
+
+
 def _first_missing(basis, gens):
     """Leading monomial, as text, of the normal form of the first of gens
     outside the span of the basis; None when all are inside."""
@@ -284,6 +293,7 @@ def is_reduction(
     monomial, except that an infinite-colength U against an m-primary E is a
     permanent failure and yields False.
     """
+    _check_n_max(n_max)
     if u.ring != e.ring or u.tdeg != e.tdeg:
         raise InvalidInput("reduction requires submodules of the same slice")
     for g in u.gens:
@@ -336,6 +346,7 @@ def is_joint_reduction(
     """Decide the joint-reduction equality
     (sum_i x_i prod_{j != i} E_j)(prod E)^(n-1) = (prod E)^n at some
     n <= n_max; True at the first verified n (the equality propagates)."""
+    _check_n_max(n_max)
     xs = tuple(xs)
     modules = tuple(modules)
     if len(xs) != len(modules) or not xs:
@@ -366,6 +377,7 @@ def mn_joint_reduction_witness(
 ) -> Decision:
     """Joint-reduction decision for the sequence ((x_i) + m^n F); the gate
     requires the submodule generated by the x_i to be m-primary in F."""
+    _check_n_max(n_max)
     xs = tuple(xs)
     if not xs:
         raise InvalidInput("need at least one element")
@@ -394,6 +406,7 @@ def rees_equivalence_check(
     n_max: int = 6,
 ) -> CriterionReport:
     """Reduction iff multiplicity equality, for m-primary U <= E in F."""
+    _check_n_max(n_max)
     if u.tdeg != 1 or e.tdeg != 1:
         raise InvalidInput("the equivalence check requires degree-1 submodules")
     for g in u.gens:
@@ -437,6 +450,7 @@ def converse_criterion(
 ) -> CriterionReport:
     """Multiplicity equality predicts joint reduction (and inequality predicts
     its absence); only the m-primary case with k = d+p-1 is implemented."""
+    _check_n_max(n_max)
     xs = tuple(xs)
     modules = tuple(modules)
     if len(xs) != len(modules) or not xs:

@@ -109,8 +109,8 @@ def _differentials(spec: KoszulSpec, t: int, delta: int):
     def code(mo):
         return sum(map(mul, weights, mo.texp + mo.xexp))
 
-    neg = spec.ring.field.neg
-    terms = [[(code(am), ac, neg(ac)) for am, ac in a.items()] for a in spec.elems]
+    # the packed terms of each element and of its negative
+    terms = [[[(code(m), c) for m, c in f.items()] for f in (a, -a)] for a in spec.elems]
     bases = [
         [(s, code(mo)) for s, mo in _slice_basis(spec, i, t, delta)] for i in range(spec.m + 1)
     ]
@@ -121,9 +121,8 @@ def _differentials(spec: KoszulSpec, t: int, delta: int):
         for col, (subset, u) in enumerate(src):
             for pos, elem_idx in enumerate(subset):
                 rest = subset[:pos] + subset[pos + 1 :]
-                k = 1 + pos % 2  # the coefficient, or its negative at odd positions
-                for term in terms[elem_idx]:
-                    rows[tgt_index[rest, term[0] + u]][col] = term[k]
+                for packed, c in terms[elem_idx][pos % 2]:  # the negative at odd positions
+                    rows[tgt_index[rest, packed + u]][col] = c
         out.append((rows, len(src)))
     return out
 
@@ -185,6 +184,8 @@ def g_mult_et(spec: KoszulSpec, t: Optional[int] = None) -> GMultResult:
     """Alternating sum of degree-t Koszul homology lengths."""
     if t is None:
         t = default_t(spec)
+    if t < 0:
+        raise InvalidInput("t must be non-negative")
     _multiplicity_system_gate(spec, t)
     per_delta = _sweep(spec, t)
     value = 0

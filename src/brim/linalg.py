@@ -42,12 +42,9 @@ class Echelon:
     """Sparse integer rows in echelon form, keyed by pivot column."""
 
     def __init__(self, field):
-        if isinstance(field, PrimeField):
-            self.modulus = field.p
-        elif isinstance(field, Rationals):
-            self.modulus = 0
-        else:
+        if not isinstance(field, (PrimeField, Rationals)):
             raise InvalidInput(f"linear algebra over unsupported field {field!r}")
+        self.modulus = field.p  # the characteristic: 0 over QQ
         self.field = field
         self.rows = {}  # pivot column -> {column: int}, the pivot entry included
 

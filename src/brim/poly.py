@@ -56,31 +56,46 @@ class MonomialOrder:
 DEGREVLEX_X = MonomialOrder()
 
 
+def _add_terms(res: dict, terms, p: int) -> dict:
+    """Add the nonzero (monomial, coefficient) terms into res, reducing each
+    sum mod p when p is nonzero and dropping the sums that vanish."""
+    for m, c in terms:
+        acc = res.get(m)
+        if acc is None:
+            res[m] = c
+        else:
+            acc += c
+            if p:
+                acc %= p
+            if acc:
+                res[m] = acc
+            else:
+                del res[m]
+    return res
+
+
 class Polynomial:
-    """Immutable sparse polynomial; no zero coefficients, no duplicate monomials."""
+    """Immutable sparse polynomial; no zero coefficients, no duplicate monomials.
+
+    Coefficients are combined with Python operators and, over GF(p), reduced
+    mod the field's characteristic p, so they stay residues in [0, p); over
+    QQ (p = 0) they are fractions."""
 
     __slots__ = ("ring", "_terms", "_hash")
 
     def __init__(self, ring: RingSpec, terms=None):
         self.ring = ring
         fld = ring.field
-        tt = {}
-        if terms:
-            for m, c in terms.items() if isinstance(terms, dict) else terms:
-                if len(m.texp) != ring.p or len(m.xexp) != ring.d:
-                    raise InvalidInput("monomial does not match ring dimensions")
-                c = fld.coerce(c)
-                if not fld.is_zero(c):
-                    acc = tt.get(m)
-                    if acc is None:
-                        tt[m] = c
-                    else:
-                        acc = fld.add(acc, c)
-                        if fld.is_zero(acc):
-                            del tt[m]
-                        else:
-                            tt[m] = acc
-        self._terms = tt
+        if isinstance(terms, dict):
+            terms = terms.items()
+        coerced = []
+        for m, c in terms or ():
+            if len(m.texp) != ring.p or len(m.xexp) != ring.d:
+                raise InvalidInput("monomial does not match ring dimensions")
+            c = fld.coerce(c)
+            if c:
+                coerced.append((m, c))
+        self._terms = _add_terms({}, coerced, fld.p)
         self._hash = None
 
     @classmethod
@@ -134,73 +149,48 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        fld = self.ring.field
-        res = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = res.get(m)
-            if acc is None:
-                res[m] = c
-            else:
-                acc = fld.add(acc, c)
-                if fld.is_zero(acc):
-                    del res[m]
-                else:
-                    res[m] = acc
+        res = _add_terms(dict(self._terms), other._terms.items(), self.ring.field.p)
         return Polynomial._raw(self.ring, res)
 
     def __neg__(self) -> "Polynomial":
-        fld = self.ring.field
-        return Polynomial._raw(self.ring, {m: fld.neg(c) for m, c in self._terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_same_ring(other)
-        fld = self.ring.field
-        res = dict(self._terms)
-        for m, c in other._terms.items():
-            acc = res.get(m)
-            if acc is None:
-                res[m] = fld.neg(c)
-            else:
-                acc = fld.sub(acc, c)
-                if fld.is_zero(acc):
-                    del res[m]
-                else:
-                    res[m] = acc
-        return Polynomial._raw(self.ring, res)
+        return self + -other
 
     def scale(self, c) -> "Polynomial":
-        fld = self.ring.field
-        c = fld.coerce(c)
-        if fld.is_zero(c):
-            return Polynomial.zero(self.ring)
-        return Polynomial._raw(self.ring, {m: fld.mul(v, c) for m, v in self._terms.items()})
+        return self.mul_term(one_monomial(self.ring), c)
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
         fld = self.ring.field
         c = fld.coerce(c)
-        if fld.is_zero(c):
+        if not c:
             return Polynomial.zero(self.ring)
-        return Polynomial._raw(
-            self.ring, {mm.mul(m): fld.mul(v, c) for mm, v in self._terms.items()}
-        )
+        p = fld.p
+        if p:
+            return Polynomial._raw(
+                self.ring, {mm.mul(m): v * c % p for mm, v in self._terms.items()}
+            )
+        return Polynomial._raw(self.ring, {mm.mul(m): v * c for mm, v in self._terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        fld = self.ring.field
+        p = self.ring.field.p
         res = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 m = m1.mul(m2)
-                c = fld.mul(c1, c2)
                 acc = res.get(m)
                 if acc is None:
-                    res[m] = c
+                    res[m] = c1 * c2 % p if p else c1 * c2
                 else:
-                    acc = fld.add(acc, c)
-                    if fld.is_zero(acc):
-                        del res[m]
-                    else:
+                    acc += c1 * c2
+                    if p:
+                        acc %= p
+                    if acc:
                         res[m] = acc
+                    else:
+                        del res[m]
         return Polynomial._raw(self.ring, res)
 
     def bidegree(self):
@@ -330,22 +320,17 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
             i += 1
         if i >= n:
             raise InvalidInput("dangling sign in polynomial text")
-        coeff = None
+        coeff = 1  # the constructor coerces every coefficient into the field
         kind, val = toks[i]
         if kind == "rat":
             num, den = (int(s) for s in val.replace(" ", "").split("/"))
             coeff = fld.from_fraction(num, den)
             i += 1
         elif kind == "int":
-            coeff = fld.coerce(int(val))
+            coeff = int(val)
             i += 1
-        if coeff is None:
-            coeff = fld.one
-        if sign < 0:
-            coeff = fld.neg(coeff)
         xexp = [0] * ring.d
         texp = [0] * ring.p
-        saw_var = False
         while i < n:
             kind, val = toks[i]
             if kind == "op" and val == "*":
@@ -366,10 +351,7 @@ def parse_polynomial(ring: RingSpec, text: str) -> Polynomial:
                 xexp[idx] += exp
             else:
                 texp[idx] += exp
-            saw_var = True
-        if not saw_var and fld.is_zero(coeff) and sign > 0:
-            pass  # literal "0"
-        terms.append((Monomial(tuple(texp), tuple(xexp)), coeff))
+        terms.append((Monomial(tuple(texp), tuple(xexp)), sign * coeff))
         if i < n and not (toks[i][0] == "op" and toks[i][1] in "+-"):
             raise InvalidInput(f"unexpected token {toks[i][1]!r} in polynomial text")
     return Polynomial(ring, terms)
@@ -388,7 +370,7 @@ def _format_coeff_and_vars(ring: RingSpec, m: Monomial, c) -> str:
         elif e > 1:
             parts.append(f"{name}^{e}")
     body = "*".join(parts)
-    cs = ring.field.fmt(c)
+    cs = str(c)
     if not body:
         return cs
     if cs == "1":

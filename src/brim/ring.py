@@ -2,7 +2,9 @@
 
 The ambient ring is S = k[x1..xd, t1..tp], the symmetric algebra of the free
 module F = R^p over R = k[x1..xd].  Coefficients are exact: arbitrary
-precision rationals or residues modulo a prime.
+precision rationals or residues modulo a prime.  A field is its
+characteristic ``p``, 0 for QQ: every layer computes with Python operators
+and reduces mod p when p is nonzero.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ class Rationals:
     """Exact rational field; elements are fractions.Fraction in lowest terms."""
 
     name = "QQ"
+    p = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -37,30 +40,10 @@ class Rationals:
         return Fraction(v)
 
     @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
     def invert(a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return 1 / Fraction(a)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
 
     def from_fraction(self, num: int, den: int):
         if den == 0:
@@ -70,10 +53,6 @@ class Rationals:
     def random_nonzero(self, rng):
         # small positive integers keep intermediate fractions tame
         return Fraction(rng.randint(1, 64))
-
-    @staticmethod
-    def fmt(a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -101,26 +80,10 @@ class PrimeField:
             return self.from_fraction(v.numerator, v.denominator)
         return int(v) % self.p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
     def invert(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
 
     def from_fraction(self, num: int, den: int):
         if den % self.p == 0:
@@ -129,10 +92,6 @@ class PrimeField:
 
     def random_nonzero(self, rng):
         return rng.randint(1, self.p - 1)
-
-    @staticmethod
-    def fmt(a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -195,12 +195,12 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
         for k in range(bound):
             for be in compositions_desc(k, d):
                 shift = Monomial((0,) * ring.p, tuple(be))
-                row = [fld.zero] * len(cols)
+                row = [0] * len(cols)
                 nonzero = False
                 for m, c in g.items():
                     mm = m.mul(shift)
                     if sum(mm.xexp) < bound:
-                        row[index[mm]] = fld.add(row[index[mm]], c)
+                        row[index[mm]] += c
                         nonzero = True
                 if nonzero:
                     rows.append(dict(enumerate(row)))
@@ -219,8 +219,8 @@ def dense_differential(spec, n, t, delta):
     if not src or not tgt:
         return [], len(src), len(tgt)
     tgt_index = {key: r for r, key in enumerate(tgt)}
-    fld = spec.ring.field
-    rows = [[fld.zero] * len(src) for _ in tgt]
+    p = spec.ring.field.p
+    rows = [[0] * len(src) for _ in tgt]
     for col, (subset, u) in enumerate(src):
         for pos, elem_idx in enumerate(subset):
             rest = subset[:pos] + subset[pos + 1 :]
@@ -228,8 +228,9 @@ def dense_differential(spec, n, t, delta):
             for am, ac in spec.elems[elem_idx].items():
                 target = (rest, am.mul(u))
                 r = tgt_index[target]
-                c = ac if sign > 0 else fld.neg(ac)
-                rows[r][col] = fld.add(rows[r][col], c)
+                rows[r][col] += sign * ac
+                if p:
+                    rows[r][col] %= p
     return rows, len(src), len(tgt)
 
 
@@ -243,21 +244,26 @@ class DensePairedSpan:
 
     def add(self, w, v):
         fld = self.field
+        p = fld.p
+
+        def reduced(vec):
+            return [a % p for a in vec] if p else vec
+
         w = list(w)
         v = list(v)
         for pivot, wr, vr in self.rows:
             c = w[pivot]
-            if not fld.is_zero(c):
-                w = [fld.sub(a, fld.mul(c, b)) for a, b in zip(w, wr)]
-                v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, vr)]
+            if c:
+                w = reduced([a - c * b for a, b in zip(w, wr)])
+                v = reduced([a - c * b for a, b in zip(v, vr)])
         for i, val in enumerate(w):
-            if not fld.is_zero(val):
+            if val:
                 inv = fld.invert(val)
-                w = [fld.mul(a, inv) for a in w]
-                v = [fld.mul(a, inv) for a in v]
+                w = reduced([a * inv for a in w])
+                v = reduced([a * inv for a in v])
                 self.rows.append((i, w, v))
                 self.rows.sort(key=lambda t: t[0])
                 return ("new", None)
-        if any(not fld.is_zero(a) for a in v):
+        if any(v):
             return ("kernel", v)
         return ("dependent", None)

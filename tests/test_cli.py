@@ -367,6 +367,9 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         ("check rees SPEC -u U", "requires at least one module (-m)"),
         ("check superficial SPEC -m m", "requires at least one element (-x)"),
         ("check superficial SPEC -x a1 -m m --c1 -1", "c1 must be non-negative"),
+        ("check reduction SPEC -u U -m m2 --nmax 0", "n_max must be >= 1"),
+        ("check joint SPEC -x a1,a2 -m m,m --nmax -2", "n_max must be >= 1"),
+        ("gmult SPEC -e a1,a2 -t -3", "t must be non-negative"),
         ("length SPEC -m m -n 1,x", "-n '1,x' is not a comma list of integers"),
         ("check risler SPEC -m m -d 1.5", "-d '1.5' is not a comma list of integers"),
         ("gmult SPEC -e a1 -t x", "-t 'x' is not a comma list of integers"),
@@ -381,6 +384,9 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         "rees-without-m",
         "superficial-without-x",
         "superficial-negative-c1",
+        "reduction-nmax-zero",
+        "joint-nmax-negative",
+        "gmult-negative-t",
         "length-n-not-int",
         "risler-d-not-int",
         "gmult-t-not-int",

@@ -631,6 +631,20 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
         length(LengthQuery((e,), (2,)))
 
 
+def test_products_of_many_factors_are_formed_in_a_loop(monkeypatch):
+    """Both product paths form E^1500 bottom up in one loop, where one call
+    per factor would exceed Python's default recursion limit of 1000.  The
+    label-digit limit is still checked top down, before any product is
+    formed, so it names the exponent asked for."""
+    e = mk(R11, ["x1*t1"])
+    assert length(LengthQuery((e,), (1500,))) == 1500
+    power = Evaluator().product_of_powers((e,), (1500,))
+    assert [str(g) for g in power.gens] == ["x1^1500*t1^1500"]
+    monkeypatch.setattr(hilbert, "LABEL_BASE", 2)
+    with pytest.raises(ResourceLimit, match=r"n=\[5\], q=0, t-degree 5.*exponent of 2 or more"):
+        length(LengthQuery((e,), (5,)))
+
+
 @pytest.mark.parametrize("gens", [
     ["x1^2*t1", "x1*x2*t1", "x2^2*t1"],
     ["x1^3*t1 + x2^2*t1", "x1*x2*t1", "x2^3*t1"],

@@ -238,6 +238,31 @@ def test_mn_witness_gate():
 # -- Rees equivalence ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("n_max", [0, -2])
+def test_deciders_reject_a_window_without_exponents(m, m2, n_max, monkeypatch):
+    """n_max < 1 tests no exponent, so the verdict could only be inconclusive
+    with no counterexample: every decider and every entry point that calls
+    one rejects it before any product or multiplicity is formed."""
+    from brim.hilbert import Evaluator
+
+    def formed(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(Evaluator, "product_of_powers", formed)
+    monkeypatch.setattr(Evaluator, "minimal_product", formed)
+    u = mk(R21, ["x1^2*t1", "x2^2*t1"])
+    xs = [P("x1*t1"), P("x2*t1")]
+    for decide in [
+        lambda: is_reduction(u, m2, n_max),
+        lambda: rees_equivalence_check(u, m2, n_max),
+        lambda: is_joint_reduction(xs, [m, m], n_max),
+        lambda: mn_joint_reduction_witness(xs, 1, n_max),
+        lambda: converse_criterion(xs, [m, m], n_max),
+    ]:
+        with pytest.raises(InvalidInput, match=r"n_max must be >= 1"):
+            decide()
+
+
 def test_rees_equivalence_positive(m2):
     u = mk(R21, ["x1^2*t1", "x2^2*t1"])
     rep = rees_equivalence_check(u, m2)
@@ -458,12 +483,12 @@ def test_joint_lhs_matches_the_products_built_by_hand(m):
 
 def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeypatch):
     """A V or W slice quotient with more standard monomials than
-    ``KEEP_MONOMIALS_CAP``, the bound on the quotients the witness eliminates
+    ``WITNESS_QUOTIENT_CAP``, the bound on the quotients the witness eliminates
     on, stops the check with ResourceLimit; counted as no quotient at all it
     would be U/V = 0, and the zero candidate would pass unexamined."""
-    from brim import ResourceLimit, groebner
+    from brim import ResourceLimit
 
-    monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
+    monkeypatch.setattr(jointred, "WITNESS_QUOTIENT_CAP", 2)
     with pytest.raises(ResourceLimit, match=r"3 standard monomials \(cap 2\)"):
         verify_superficial(Polynomial.zero(R21), [m])
 
@@ -472,9 +497,9 @@ def test_superficial_limits_name_the_cell(m, monkeypatch):
     """With c1 = 1 no slice is built for the cells with n1 <= 2, so a cap of
     2 is first hit by the V slice m^2 of the cell n = [3], q = 0, whose
     quotient has three standard monomials."""
-    from brim import ResourceLimit, groebner
+    from brim import ResourceLimit
 
-    monkeypatch.setattr(groebner, "KEEP_MONOMIALS_CAP", 2)
+    monkeypatch.setattr(jointred, "WITNESS_QUOTIENT_CAP", 2)
     with pytest.raises(
         ResourceLimit,
         match=r"^superficial cell n=\[3\], q=0: slice quotient of t-degree 2 has 3 ",

@@ -158,7 +158,7 @@ def test_differential_squares_to_zero():
     every swept slice."""
     composed = 0
     for spec, t, delta, diffs in swept_slices():
-        fld = spec.ring.field
+        p = spec.ring.field.p
         for (outer, mid), (inner, _) in zip(diffs, diffs[1:]):
             if not inner:  # K_n or K_(n-1) is zero
                 continue
@@ -168,9 +168,11 @@ def test_differential_squares_to_zero():
                 acc = {}
                 for k, a in row.items():
                     for c, b in inner[k].items():
-                        acc[c] = fld.add(acc.get(c, fld.zero), fld.mul(a, b))
+                        acc[c] = acc.get(c, 0) + a * b
                         composed += 1
-                assert all(fld.is_zero(v) for v in acc.values()), (spec.elems, t, delta)
+                if p:
+                    acc = {c: v % p for c, v in acc.items()}
+                assert not any(acc.values()), (spec.elems, t, delta)
     assert composed > 0
 
 

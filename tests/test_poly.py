@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from brim import (
@@ -11,11 +11,13 @@ from brim import (
     InvalidInput,
     Monomial,
     Polynomial,
+    PrimeField,
     RingSpec,
     Undefined,
     format_polynomial,
     parse_polynomial,
 )
+from brim.groebner import GroebnerBasis, normal_form
 from brim.poly import compositions_desc, t_shifts
 
 from .oracles import order_compare
@@ -208,3 +210,78 @@ def test_t_shifts_matches_the_nested_loop(ring, data, deg):
     ]
     if deg == 0:
         assert got == polys and all(a is not b for a, b in zip(got, polys))
+
+
+# -- QQ against GF(p) ---------------------------------------------------------
+# Integer coefficients make every QQ result below integral, and reducing it
+# mod p must give the GF(p) result: coefficients up to 300 wrap both moduli.
+
+int_coeffs = st.integers(min_value=-300, max_value=300)
+
+
+@st.composite
+def integer_terms(draw, tdeg=None):
+    """(monomial, int) pairs over R22, t-homogeneous of degree tdeg if given;
+    repeated monomials are summed by the constructor."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if tdeg is None:
+            texp = (draw(exps), draw(exps))
+        else:
+            texp = draw(st.sampled_from(list(compositions_desc(tdeg, 2))))
+        terms.append((Monomial(texp, (draw(exps), draw(exps))), draw(int_coeffs)))
+    return terms
+
+
+def residues(f, p):
+    """The integral QQ polynomial f's coefficients mod p, zeros dropped."""
+    assert all(c.denominator == 1 for _, c in f.items())
+    return {m: c.numerator % p for m, c in f.items() if c.numerator % p}
+
+
+def gf_terms(f, p):
+    """f's terms, checked to be residues in [0, p)."""
+    terms = dict(f.items())
+    assert all(type(c) is int and 0 < c < p for c in terms.values())
+    return terms
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@settings(max_examples=150, deadline=None)
+@given(integer_terms(), integer_terms(), monomials(), int_coeffs)
+def test_gf_arithmetic_is_qq_arithmetic_mod_p(p, f_terms, g_terms, mono, c):
+    gf = RingSpec(d=2, p=2, field=PrimeField(p))
+    f, g = Polynomial(R22, f_terms), Polynomial(R22, g_terms)
+    fp, gp = Polynomial(gf, f_terms), Polynomial(gf, g_terms)
+    for qq, mod_p in [
+        (f, fp),
+        (f + g, fp + gp),
+        (f - g, fp - gp),
+        (-f, -fp),
+        (f * g, fp * gp),
+        (f.scale(c), fp.scale(c)),
+        (f.mul_term(mono, c), fp.mul_term(mono, c)),
+    ]:
+        assert gf_terms(mod_p, p) == residues(qq, p)
+
+
+@pytest.mark.parametrize("p", [7, 32003])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(integer_terms(tdeg=1), min_size=1, max_size=3), integer_terms(tdeg=1))
+def test_gf_normal_form_is_qq_normal_form_mod_p(p, divisor_terms, v_terms):
+    """Division by integer divisors whose leading coefficient is one takes
+    the same steps over both fields, so it commutes with reduction mod p;
+    the divisors need not form a Groebner basis."""
+    gf = RingSpec(d=2, p=2, field=PrimeField(p))
+    divisors = []
+    for terms in divisor_terms:
+        f = Polynomial(R22, terms)
+        if f:
+            lt, _ = f.leading_term()
+            divisors.append({m: 1 if m == lt else c.numerator for m, c in f.items()})
+    assume(divisors)
+    v = Polynomial(R22, v_terms)
+    rem = normal_form(v, GroebnerBasis(R22, 1, [Polynomial(R22, d) for d in divisors]))
+    basis_p = GroebnerBasis(gf, 1, [Polynomial(gf, d) for d in divisors])
+    rem_p = normal_form(Polynomial(gf, v_terms), basis_p)
+    assert gf_terms(rem_p, p) == residues(rem, p)
