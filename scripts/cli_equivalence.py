@@ -50,6 +50,7 @@ R21_ELEMENTS = {
     "h1": "x1^3*t1+x2^2*t1",
     "h2": "x1*x2*t1",
     "h3": "x2^3*t1",
+    "z": "0",
 }
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
@@ -135,6 +136,10 @@ PER_FIELD = [
     ("r21", "check superficial -x a1 -m m --c1 0"),
     # a false verdict whose counterexample comes from the n1 = 4 slices
     ("r21", "check superficial -x h2 -m I,m --c1 2"),
+    # the zero candidate with c1 = 0 fails at n = [2], q = 0, whose U is the
+    # empty product: its slice is the whole degree-1 slice
+    ("r21", "check superficial -x z -m m --c1 0"),
+    ("r21", "check superficial -x z -m A --c1 0"),
     ("r21", "check rees -u U -m m2"),
     ("r21", "check converse -x a1,a2 -m m,m"),
     ("r21", "check converse -x g1,g2 -m m,m"),

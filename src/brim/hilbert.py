@@ -19,7 +19,8 @@ q = 0 already, so a q = 0 cell without quotient elements that forms a
 product of two or more factors sums its codimensions on that one sweep;
 other graded cells sweep the product's minimal generators afresh.
 Otherwise the cell's submodule is presented by generators and its colength
-is read off its reduced Groebner basis.
+is read off its reduced Groebner basis.  On either path every factor with a
+positive exponent passes the primarity gate first.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .errors import (
     InvalidInput,
     NoStabilization,
     ResourceLimit,
+    SupportOffOrigin,
     WindowTooSmall,
 )
 from .groebner import STANDARD_MONOMIAL_CAP
@@ -48,7 +50,6 @@ from .rees import (
     minimal_sweep,
     product,
 )
-from .ring import RingSpec
 
 
 @dataclass(frozen=True)
@@ -268,34 +269,28 @@ class Evaluator:
         return self._lengths[query]
 
 
-def build_slice_submodule(
-    ring: RingSpec,
-    modules: Sequence[GradedSubmodule],
-    exponents: Sequence[int],
-    qdeg: int = 0,
-    quotient_elems: Sequence[Polynomial] = (),
-    evaluator: Optional[Evaluator] = None,
-) -> GradedSubmodule:
-    """The submodule E1^n1...Ek^nk * M_q + sum elem * S_(., amb - tdeg elem)
+def build_slice_submodule(query: LengthQuery, evaluator: Evaluator) -> GradedSubmodule:
+    """The cell's submodule E1^n1...Ek^nk * M_q + sum elem * S_(., amb - tdeg elem)
     of the ambient slice, presented by explicit generators."""
-    evaluator = evaluator or Evaluator()
-    amb = sum(m.tdeg * n for m, n in zip(modules, exponents)) + qdeg
-    prod = evaluator.product_of_powers(modules, exponents)
+    ring, amb = query.modules[0].ring, query.ambient_tdeg()
+    prod = evaluator.product_of_powers(query.modules, query.exponents)
     if prod is None:
         # empty product acts as the unit: the full degree-amb slice
         gens = t_shifts(ring, [Polynomial.constant(ring, 1)], amb)
-    elif qdeg == 0 and not quotient_elems:
+    elif query.qdeg == 0 and not query.quotient_elems:
         return prod  # presented by its reduced basis already
     else:
-        gens = t_shifts(ring, prod.gens, qdeg)
-    gens.extend(_quotient_shifts(ring, amb, quotient_elems))
+        gens = t_shifts(ring, prod.gens, query.qdeg)
+    gens.extend(_quotient_shifts(query))
     return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
 
 
-def _quotient_shifts(ring: RingSpec, amb: int, quotient_elems) -> list:
-    """Every quotient element times every t-monomial that lifts it to t-degree amb."""
+def _quotient_shifts(query: LengthQuery) -> list:
+    """Every quotient element of the cell times every t-monomial that lifts
+    it to the cell's t-degree."""
+    ring, amb = query.modules[0].ring, query.ambient_tdeg()
     shifts = []
-    for elem in quotient_elems:
+    for elem in query.quotient_elems:
         etd = elem.tdeg_if_homogeneous()
         if etd is None:
             raise InvalidInput("quotient elements must be t-homogeneous and nonzero")
@@ -313,22 +308,20 @@ def _cell_name(query: LengthQuery) -> str:
 
 
 def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
+    """The cell's length on its path, once every factor passes the primarity
+    gate: the quotient is then finite and supported at the origin, so the
+    count over the whole slice is the local length."""
+    try:
+        for m, n in zip(query.modules, query.exponents):
+            if n >= 1:
+                m.primarity()
+    except (InfiniteColength, SupportOffOrigin) as exc:
+        raise type(exc)(f"{_cell_name(query)}: {exc}") from exc
     if query.graded():
         return _graded_length(query, evaluator)
-    ring = query.modules[0].ring
-    sub = build_slice_submodule(
-        ring,
-        query.modules,
-        query.exponents,
-        query.qdeg,
-        query.quotient_elems,
-        evaluator,
-    )
-    report = sub.colength_report()
+    report = build_slice_submodule(query, evaluator).colength_report()
     if not report.finite:
-        raise InfiniteColength(
-            f"{_cell_name(query)} is infinite; an input module violates the primarity gate"
-        )
+        raise InternalError(f"{_cell_name(query)} is infinite, yet its factors pass the gate")
     return report.value
 
 
@@ -347,22 +340,18 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     amb = query.ambient_tdeg()
     cell = _cell_name(query)
     factors = [(m, n) for m, n in zip(query.modules, query.exponents) if n >= 1]
+    # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
+    killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
     try:
-        # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
-        killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
         products, sweep = evaluator.minimal_product(query.modules, query.exponents)
-    except (InfiniteColength, ResourceLimit) as exc:
-        raise type(exc)(f"{cell}: {exc}") from exc
+    except ResourceLimit as exc:
+        raise ResourceLimit(f"{cell}: {exc}") from exc
     if sweep is not None and not query.qdeg and not query.quotient_elems:
         # the sweep that picked the products spans N already
         top = max(by_xdegree(products))
     else:
         gens = t_shifts(ring, products, query.qdeg) if query.qdeg else products
-        sweep = DegreeSweep(
-            ring,
-            amb,
-            by_xdegree(itertools.chain(gens, _quotient_shifts(ring, amb, query.quotient_elems))),
-        )
+        sweep = DegreeSweep(ring, amb, by_xdegree(itertools.chain(gens, _quotient_shifts(query))))
         top = sweep.top
     bound = max(top, killed)
     total = sum(count_bidegree(ring, amb, delta) for delta in range(sweep.start))

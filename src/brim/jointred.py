@@ -126,34 +126,20 @@ def sample_superficial(modules: Sequence[GradedSubmodule], seed) -> SuperficialC
     return SuperficialCandidate(element=elem, seed=seed, coefficients=coeffs)
 
 
-def _quotient_dim(sub: GradedSubmodule) -> int:
-    """Number of standard monomials of a slice quotient the witness
-    eliminates on, at most ``WITNESS_QUOTIENT_CAP``."""
-    report = sub.colength_report()
-    if not report.finite:
-        raise InfiniteColength("slice quotient is not finite dimensional")
-    if report.value > WITNESS_QUOTIENT_CAP:
-        raise ResourceLimit(
-            f"slice quotient of t-degree {sub.tdeg} has {report.value} standard "
-            f"monomials (cap {WITNESS_QUOTIENT_CAP})"
-        )
-    return report.value
-
-
 def _injective_on_quotient(x, u_sub, v_sub, w_sub):
     """Is multiplication by x injective on U/V as a map into A'/W?
 
     Returns None when injective, else a witness polynomial in U \\ V whose
-    x-multiple lies in W.  The columns are the normal forms' monomials, and
-    their order does not change the witness: the preimages that enlarged the
-    image span have independent images, so the kernel vector is the new
-    preimage minus the one combination of them whose images give its image.
+    x-multiple lies in W.  Precondition: the cells of V and W are counted
+    finite, with at most ``WITNESS_QUOTIENT_CAP`` standard monomials each.
+    ``verify_superficial`` calls it on failing cells only, which have
+    l(A/V) > 0: were V the whole slice, U = V and xU <= W would make both
+    counts 0.  The columns are the normal forms' monomials, and their order
+    does not change the witness: the preimages that enlarged the image span
+    have independent images, so the kernel vector is the new preimage minus
+    the one combination of them whose images give its image.
     """
     ring = u_sub.ring
-    v_dim = _quotient_dim(v_sub)
-    _quotient_dim(w_sub)
-    if not v_dim:
-        return None  # U/V = 0
     span = PairedSpan(ring.field)
     xshifts = [
         Monomial((0,) * ring.p, tuple(1 if j == i else 0 for j in range(ring.d)))
@@ -193,16 +179,16 @@ def verify_superficial(
     four lengths are Evaluator cells, so they share its memo with every
     other cell of the computation; W + xU is W's cell with x times the
     ``Evaluator.generators`` of E1^c1 P added to the quotient elements.
-    Only a cell whose two counts differ builds its three slices, and linear
-    algebra on them gives the counterexample; finding none there is an
-    internal error."""
+    Only a cell whose two counts differ builds the slices of U, V and W,
+    once the counts of V and W are within ``WITNESS_QUOTIENT_CAP``, and
+    linear algebra on them gives the counterexample; finding none there is
+    an internal error."""
     modules = tuple(modules)
     if not modules:
         raise InvalidInput("need at least one module")
     if c1 < 0:
         raise InvalidInput("c1 must be non-negative")
     e1 = modules[0]
-    ring = e1.ring
     if not x.is_zero() and x.tdeg_if_homogeneous() != e1.tdeg:
         raise InvalidDegree(
             f"candidate t-degree {x.tdeg_if_homogeneous()} != module degree {e1.tdeg}"
@@ -227,24 +213,26 @@ def verify_superficial(
                 slack = e1.tdeg * (n1 - 1 - c1) + q
                 cell = {"n": [n1, *rest], "q": q}
                 where = f"superficial cell n={cell['n']}, q={q}"
-                v_exps, w_exps, u_exps = (n1 - 1,) + rest, (n1,) + rest, (c1,) + rest
+                u = query((c1,) + rest, slack)
+                v, w = query((n1 - 1,) + rest, q), query((n1,) + rest, q)
                 try:
-                    u_query = query(u_exps, slack)
-                    domain = evaluator.length(query(v_exps, q)) - evaluator.length(u_query)
+                    v_len = evaluator.length(v)
+                    domain = v_len - evaluator.length(u)
                     x_u = () if x.is_zero() else tuple(
-                        x * g for g in evaluator.generators(modules, u_exps)
+                        x * g for g in evaluator.generators(modules, u.exponents)
                     )
-                    image = evaluator.length(query(w_exps, q)) - evaluator.length(
-                        query(w_exps, q, x_u)
-                    )
+                    w_len = evaluator.length(w)
+                    image = w_len - evaluator.length(query(w.exponents, q, x_u))
                     if domain == image:
                         continue
+                    for slice_query, n in ((v, v_len), (w, w_len)):
+                        if n > WITNESS_QUOTIENT_CAP:
+                            raise ResourceLimit(
+                                f"slice quotient of t-degree {slice_query.ambient_tdeg()} "
+                                f"has {n} standard monomials (cap {WITNESS_QUOTIENT_CAP})"
+                            )
                     witness = _injective_on_quotient(
-                        x,
-                        *(
-                            build_slice_submodule(ring, modules, exps, s, quotient_elems, evaluator)
-                            for exps, s in ((u_exps, slack), (v_exps, q), (w_exps, q))
-                        ),
+                        x, *(build_slice_submodule(c, evaluator) for c in (u, v, w))
                     )
                 except (InfiniteColength, ResourceLimit) as exc:
                     raise type(exc)(f"{where}: {exc}") from exc

@@ -19,6 +19,7 @@ Nakayama then picks the minimal generators out of the reduced basis
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOrigin
@@ -34,7 +35,6 @@ from .poly import (
 from .ring import RingSpec  # noqa: F401  (re-exported: ambient data lives here)
 
 PRODUCT_GENERATOR_CAP = 50_000
-_UNSET = object()
 
 
 # the presentation a GradedSubmodule wraps; callers import it by this name
@@ -56,10 +56,8 @@ class GradedSubmodule:
         if spec.tdeg < 1:
             raise InvalidInput("slice degree must be >= 1")
         self.spec = spec
-        self._basis = None
         self._colength = None
         self._primarity = None
-        self._minimal = _UNSET
 
     @classmethod
     def from_gens(cls, ring: RingSpec, tdeg: int, gens) -> "GradedSubmodule":
@@ -100,24 +98,20 @@ class GradedSubmodule:
     def tdeg(self) -> int:
         return self.spec.tdeg
 
-    @property
+    @cached_property
     def basis(self) -> GroebnerBasis:
-        if self._basis is None:
-            self._basis = buchberger(self.spec)
-        return self._basis
+        return buchberger(self.spec)
 
     @property
     def gens(self) -> tuple:
         """Canonical (inter-reduced) generators: the reduced basis elements."""
         return self.basis.elements
 
-    @property
+    @cached_property
     def minimal_gens(self):
         """The reduced basis elements that graded Nakayama keeps, a minimal
         generating set; None when the basis is not x-homogeneous."""
-        if self._minimal is _UNSET:
-            self._minimal = minimal_sweep(self.ring, self.tdeg, self.basis.elements)[0]
-        return self._minimal
+        return minimal_sweep(self.ring, self.tdeg, self.basis.elements)[0]
 
     def colength_report(self):
         if self._colength is None:

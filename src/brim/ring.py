@@ -33,7 +33,6 @@ class Rationals:
 
     name = "QQ"
     p = 0
-    zero = Fraction(0)
     one = Fraction(1)
 
     def coerce(self, v):
@@ -72,7 +71,6 @@ class PrimeField:
             raise InvalidInput(f"modulus {p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.zero = 0
         self.one = 1 % p
 
     def coerce(self, v):

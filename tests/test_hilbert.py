@@ -435,7 +435,7 @@ def test_slice_of_a_product_without_shift_is_the_product():
     e1 = mk(R21, ["x1^2*t1 + x2^2*t1", "x1*x2*t1"])
     e2 = mk(R21, ["x1*t1 + x2*t1", "x2^2*t1"])
     evaluator = Evaluator()
-    sub = build_slice_submodule(R21, (e1, e2), (2, 1), 0, (), evaluator)
+    sub = build_slice_submodule(LengthQuery((e1, e2), (2, 1)), evaluator)
     prod = evaluator.product_of_powers((e1, e2), (2, 1))
     assert sub is prod
     fresh = buchberger(GeneratorSet(R21, prod.tdeg, prod.spec.gens))
@@ -491,11 +491,8 @@ GRADED_FIXTURES = [
 
 def _both_paths(query):
     """(graded path, Buchberger path) lengths of one cell."""
-    ring = query.modules[0].ring
     graded = hilbert._graded_length(query, Evaluator())
-    sub = build_slice_submodule(
-        ring, query.modules, query.exponents, query.qdeg, query.quotient_elems, Evaluator()
-    )
+    sub = build_slice_submodule(query, Evaluator())
     return graded, sub.colength_report().value
 
 
@@ -683,7 +680,7 @@ def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
     assert len(formed) == 11  # the 9 cells and the intermediate E^2, E^3
     assert len(sweeps) == len(formed)
     for idx, value in tbl.values.items():
-        sub = build_slice_submodule(ring, (e, mf), idx, evaluator=Evaluator())
+        sub = build_slice_submodule(LengthQuery((e, mf), idx), Evaluator())
         assert value == sub.colength_report().value, idx
 
 
@@ -771,6 +768,21 @@ def test_infinite_buchberger_cell_names_the_cell():
     line = mk(R21, ["x1*t1 + x2^2*t1"])
     with pytest.raises(InfiniteColength, match=r"n=\[2\], q=1, t-degree 3"):
         Evaluator().length(LengthQuery((line,), (2,), 1))
+
+
+def test_buchberger_cells_pass_the_primarity_gate():
+    """E = (x1^2 t1 - x1 t1, x2 t1) is not x-homogeneous, so its cells take
+    the Buchberger path.  Its quotient is supported at the origin and at
+    x1 = 1, so a table over it raises SupportOffOrigin naming the first
+    cell, not the global colengths 2 and 6."""
+    from brim import SupportOffOrigin
+
+    e = mk(R21, ["x1^2*t1 - x1*t1", "x2*t1"])
+    assert e.minimal_gens is None
+    with pytest.raises(
+        SupportOffOrigin, match=r"^length cell n=\[1\], q=0, t-degree 1: colength 2 is finite"
+    ):
+        table([e], [(1, 2)])
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,30 @@ def test_superficial_limits_name_the_cell(m, monkeypatch):
         verify_superficial(Polynomial.zero(R21), [m])
 
 
+def test_superficial_witness_cap_reads_the_counts_before_building_slices(m, monkeypatch):
+    """The failing cell n = [3], q = 0 has counted l(A/V) = 3 for V = m^2,
+    so a cap of 2 stops the check on that count, before any of the cell's
+    three slices is built."""
+    from brim import ResourceLimit
+
+    built = []
+    real = jointred.build_slice_submodule
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jointred, "build_slice_submodule", counting)
+    monkeypatch.setattr(jointred, "WITNESS_QUOTIENT_CAP", 2)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^superficial cell n=\[3\], q=0: slice quotient of t-degree 2 has 3 "
+        r"standard monomials \(cap 2\)$",
+    ):
+        verify_superficial(Polynomial.zero(R21), [m])
+    assert len(built) == 0
+
+
 def test_verify_superficial_counts_lengths_without_buchberger(monkeypatch):
     """Over (mF, mF, mF) with c1 = 1 only the 8 cells with n1 = 3 are
     tested, each by four length cells.  The three factors are one class, so
@@ -550,10 +574,10 @@ def _superficial_by_linear_algebra(x, modules, c1=1, quotient_elems=()):
     window cell on whose slices multiplication by x is not injective from
     U/V into A'/W.  Every window cell is tried where U and V can be built
     (U's slack is non-negative and the slice degree positive)."""
-    from brim.hilbert import Evaluator, build_slice_submodule
+    from brim.hilbert import Evaluator, LengthQuery, build_slice_submodule
 
     modules = tuple(modules)
-    ring, e = modules[0].ring, modules[0].tdeg
+    e = modules[0].tdeg
     ev = Evaluator()
     lo = max(c1, 1)
     for n1 in range(lo, lo + jointred.N1_SPAN + 1):
@@ -564,7 +588,7 @@ def _superficial_by_linear_algebra(x, modules, c1=1, quotient_elems=()):
                 if slack < 0 or sum(m.tdeg * n for m, n in zip(modules, v_exps)) + q < 1:
                     continue
                 u, v, w = (
-                    build_slice_submodule(ring, modules, exps, s, quotient_elems, ev)
+                    build_slice_submodule(LengthQuery(modules, exps, s, quotient_elems), ev)
                     for exps, s in (((c1,) + rest, slack), (v_exps, q), ((n1,) + rest, q))
                 )
                 witness = jointred._injective_on_quotient(x, u, v, w)

@@ -145,7 +145,7 @@ def test_sparse_rows_match_the_dense_reference():
         for n, (rows, cols) in enumerate(diffs, start=1):
             dense, src, tgt = dense_differential(spec, n, t, delta)
             assert cols == src, (spec.elems, n, t, delta)
-            zero = spec.ring.field.zero
+            zero = spec.ring.field.coerce(0)
             assert [[row.get(j, zero) for j in range(cols)] for row in rows] == dense
             assert all(v for row in rows for v in row.values())
             if rows:

@@ -98,7 +98,7 @@ def dense_add(span, w, v):
     j of w and of v is the key j, and a kernel vector comes back as a list."""
     status, u = span.add(dict(enumerate(w)), dict(enumerate(v)))
     if status == "kernel":
-        u = [u.get(j, span.field.zero) for j in range(len(v))]
+        u = [u.get(j, span.field.coerce(0)) for j in range(len(v))]
     return status, u
 
 
@@ -124,7 +124,7 @@ def test_paired_span_matches_the_dense_reference():
 
             def draw(size):
                 return [
-                    field.coerce(rng.randint(-3, 3)) if rng.random() < density else field.zero
+                    field.coerce(rng.randint(-3, 3)) if rng.random() < density else field.coerce(0)
                     for _ in range(size)
                 ]
 
@@ -209,7 +209,7 @@ def test_paired_span_on_fraction_entries_matches_the_dense_reference():
         density = rng.uniform(0.3, 0.9)
 
         def draw(size):
-            return [draw_fraction(rng) if rng.random() < density else QQ.zero for _ in range(size)]
+            return [draw_fraction(rng) if rng.random() < density else QQ.coerce(0) for _ in range(size)]
 
         span, ref = PairedSpan(QQ), DensePairedSpan(QQ)
         for _ in range(rng.randint(1, 8)):
