@@ -51,6 +51,8 @@ R21_ELEMENTS = {
     "h2": "x1*x2*t1",
     "h3": "x2^3*t1",
     "z": "0",
+    # an element of t-degree 2, for the degree-1 modules' element checks
+    "w2": "x1*t1^2",
 }
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
@@ -184,6 +186,14 @@ COMMANDS = [
     ("r12-qq", "assoc -m E -d 1 -j 1"),
     ("r21-qq", "check rees -u U"),
     ("r21-qq", "check superficial -m m"),
+    # each decider's contract errors: an element of the wrong t-degree,
+    # U not inside E, n = 0 for a span that fails the gate, and a module
+    # that fails the primarity gate `mixed` runs
+    ("r21-qq", "check converse -x w2,a2 -m m,m"),
+    ("r21-qq", "check joint -x w2,a2 -m m,m"),
+    ("r21-qq", "check rees -u line -m m2"),
+    ("r21-qq", "check mn-joint -x a1 -n 0"),
+    ("r21-qq", "check risler -m line,m -d 1,1"),
     ("d-float", "ebr -m m"),
     ("p-bool", "ebr -m m"),
     ("gf-float", "ebr -m m"),

@@ -421,7 +421,6 @@ def finite_difference(tbl: LengthTable, orders: Sequence[int]) -> LengthTable:
         raise InvalidInput("one difference order per axis required")
     vals = dict(tbl.values)
     window = list(tbl.window)
-    naxes = len(tbl.axes)
     for ax, k in enumerate(orders):
         if k < 0:
             raise InvalidInput("difference orders must be non-negative")
@@ -431,17 +430,12 @@ def finite_difference(tbl: LengthTable, orders: Sequence[int]) -> LengthTable:
                 raise WindowTooSmall(
                     f"axis {tbl.axes[ax]} window too small for difference order {orders[ax]}"
                 )
-            new = {}
-            for idx in itertools.product(
-                *(
-                    range(window[a][0], window[a][1] + (0 if a == ax else 1))
-                    for a in range(naxes)
-                )
-            ):
-                nxt = tuple(v + 1 if a == ax else v for a, v in enumerate(idx))
-                new[idx] = vals[nxt] - vals[idx]
+            vals = {
+                idx: vals[idx[:ax] + (idx[ax] + 1,) + idx[ax + 1 :]] - v
+                for idx, v in vals.items()
+                if idx[ax] < hi
+            }
             window[ax] = (lo, hi - 1)
-            vals = new
     return LengthTable(tbl.axes, tuple(window), vals)
 
 

@@ -99,6 +99,12 @@ class CriterionReport:
     values_by_seed: dict = dc_field(default_factory=dict)
 
 
+def _report(lhs, rhs, decision, consistent, **extra) -> CriterionReport:
+    # heights_ok and radical_ok are reported true, not computed (ROADMAP
+    # item 9: make the converse criterion's hypotheses real checks)
+    return CriterionReport(lhs, rhs, True, True, decision, consistent, **extra)
+
+
 def sample_superficial(modules: Sequence[GradedSubmodule], seed) -> SuperficialCandidate:
     """Deterministic random field-linear combination of the first module's
     minimal generators, in reduced-basis order, or of its reduced basis when
@@ -257,6 +263,33 @@ def _check_n_max(n_max: int):
         raise InvalidInput("n_max must be >= 1")
 
 
+def _elements_of(xs, modules) -> tuple:
+    """(xs, modules) as tuples, once there is one nonzero element per
+    module, of that module's t-degree and inside it."""
+    xs = tuple(xs)
+    modules = tuple(modules)
+    if len(xs) != len(modules) or not xs:
+        raise InvalidInput("need one element per module")
+    for x, m in zip(xs, modules):
+        if x.is_zero() or x.tdeg_if_homogeneous() != m.tdeg:
+            raise InvalidDegree("element t-degree does not match its module")
+        if not m.contains(x):
+            raise NotMember(f"{x} is not in its module")
+    return xs, modules
+
+
+def _first_exponent(missing_at, n_max: int) -> Decision:
+    """True at the first n <= n_max where ``missing_at(n)`` is None, else
+    inconclusive with the last counterexample it returned."""
+    window = {"n_max": n_max}
+    counterexample = None
+    for n in range(1, n_max + 1):
+        counterexample = missing_at(n)
+        if counterexample is None:
+            return Decision(Verdict.TRUE, n, None, window)
+    return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
+
+
 def _first_missing(basis, gens):
     """Leading monomial, as text, of the normal form of the first of gens
     outside the span of the basis; None when all are inside."""
@@ -287,31 +320,30 @@ def is_reduction(
     for g in u.gens:
         if not e.contains(g):
             raise NotSubmodule("U is not contained in E")
-    window = {"n_max": n_max}
     e_primary = True
     try:
         e.primarity()
     except (InfiniteColength, SupportOffOrigin):
         e_primary = False
     power_of = partial((evaluator or Evaluator()).product_of_powers, (u, e))
+
+    def missing_at(n):
+        return _first_missing(power_of((1, n)).basis, power_of((0, n + 1)).gens)
+
     if e_primary and not u.colength_report().finite:
         # a reduction of an m-primary module must itself be m-primary
-        ce = _first_missing(power_of((1, 1)).basis, power_of((0, 2)).gens)
-        return Decision(Verdict.FALSE, None, ce, {**window, "reason": "infinite colength"})
-
-    counterexample = None
-    for n in range(1, n_max + 1):
-        missing = _first_missing(power_of((1, n)).basis, power_of((0, n + 1)).gens)
-        if missing is None:
-            nxt = _first_missing(power_of((1, n + 1)).basis, power_of((0, n + 2)).gens)
-            if nxt is not None:
-                raise InternalError(
-                    f"reduction equality E^{n + 1} = U E^{n} holds but "
-                    f"E^{n + 2} = U E^{n + 1} fails at {nxt}"
-                )
-            return Decision(Verdict.TRUE, n, None, window)
-        counterexample = missing
-    return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
+        window = {"n_max": n_max, "reason": "infinite colength"}
+        return Decision(Verdict.FALSE, None, missing_at(1), window)
+    decision = _first_exponent(missing_at, n_max)
+    n = decision.witness_n0
+    if n is not None:
+        nxt = missing_at(n + 1)
+        if nxt is not None:
+            raise InternalError(
+                f"reduction equality E^{n + 1} = U E^{n} holds but "
+                f"E^{n + 2} = U E^{n + 1} fails at {nxt}"
+            )
+    return decision
 
 
 def _joint_lhs(xs, modules, n, evaluator):
@@ -335,27 +367,17 @@ def is_joint_reduction(
     (sum_i x_i prod_{j != i} E_j)(prod E)^(n-1) = (prod E)^n at some
     n <= n_max; True at the first verified n (the equality propagates)."""
     _check_n_max(n_max)
-    xs = tuple(xs)
-    modules = tuple(modules)
-    if len(xs) != len(modules) or not xs:
-        raise InvalidInput("need one element per module")
-    for x, m in zip(xs, modules):
-        if x.is_zero() or x.tdeg_if_homogeneous() != m.tdeg:
-            raise InvalidDegree("element t-degree does not match its module")
-        if not m.contains(x):
-            raise NotMember(f"{x} is not in its module")
+    xs, modules = _elements_of(xs, modules)
     for m in modules:
         m.primarity()
     evaluator = evaluator or Evaluator()
-    window = {"n_max": n_max}
-    counterexample = None
-    for n in range(1, n_max + 1):
+
+    def missing_at(n):
         lhs = _joint_lhs(xs, modules, n, evaluator)
         rhs = evaluator.product_of_powers(modules, (n,) * len(modules))
-        counterexample = _first_missing(lhs.basis, rhs.gens)
-        if counterexample is None:
-            return Decision(Verdict.TRUE, n, None, window)
-    return Decision(Verdict.INCONCLUSIVE, None, counterexample, window)
+        return _first_missing(lhs.basis, rhs.gens)
+
+    return _first_exponent(missing_at, n_max)
 
 
 def mn_joint_reduction_witness(
@@ -366,6 +388,8 @@ def mn_joint_reduction_witness(
     """Joint-reduction decision for the sequence ((x_i) + m^n F); the gate
     requires the submodule generated by the x_i to be m-primary in F."""
     _check_n_max(n_max)
+    if n < 1:
+        raise InvalidInput("n must be >= 1")
     xs = tuple(xs)
     if not xs:
         raise InvalidInput("need at least one element")
@@ -375,8 +399,6 @@ def mn_joint_reduction_witness(
             raise InvalidDegree("elements must be t-homogeneous of degree 1")
     span = GradedSubmodule(SubmoduleSpec(ring, 1, xs))
     mprimary_check(span)  # propagate gate failures
-    if n < 1:
-        raise InvalidInput("n must be >= 1")
     mnf_gens = [
         Polynomial.from_monomial(ring, Monomial(tuple(pos), tuple(xe)), 1)
         for pos in t_monomials(ring, 1)
@@ -407,14 +429,7 @@ def rees_equivalence_check(
     rhs = ebr(e, evaluator)
     decision = is_reduction(u, e, n_max, evaluator)
     consistent = (lhs.value == rhs.value) == (decision.verdict is Verdict.TRUE)
-    return CriterionReport(
-        lhs_mult=lhs,
-        rhs_mult=rhs,
-        heights_ok=True,
-        radical_ok=True,
-        decision=decision,
-        consistent=consistent,
-    )
+    return _report(lhs, rhs, decision, consistent)
 
 
 def _parameter_ebr(span: GradedSubmodule, evaluator: Evaluator) -> MultiplicityResult:
@@ -439,22 +454,13 @@ def converse_criterion(
     """Multiplicity equality predicts joint reduction (and inequality predicts
     its absence); only the m-primary case with k = d+p-1 is implemented."""
     _check_n_max(n_max)
-    xs = tuple(xs)
-    modules = tuple(modules)
-    if len(xs) != len(modules) or not xs:
-        raise InvalidInput("need one element per module")
+    xs, modules = _elements_of(xs, modules)
     ring = modules[0].ring
     k = len(xs)
-    heights_ok = k == ring.d + ring.p - 1
-    if not heights_ok:
+    if k != ring.d + ring.p - 1:
         raise NotDeskCase(f"k = {k} != d+p-1 = {ring.d + ring.p - 1}")
     if any(m.tdeg != 1 for m in modules):
         raise NotDeskCase("all modules must sit inside the degree-1 slice")
-    for x, m in zip(xs, modules):
-        if x.is_zero() or x.tdeg_if_homogeneous() != 1:
-            raise InvalidDegree("elements must be t-homogeneous of degree 1")
-        if not m.contains(x):
-            raise NotMember(f"{x} is not in its module")
     span = GradedSubmodule(SubmoduleSpec(ring, 1, xs))
     try:
         span.primarity()
@@ -462,7 +468,6 @@ def converse_criterion(
             m.primarity()
     except (InfiniteColength, SupportOffOrigin) as exc:
         raise NotDeskCase(f"primarity gate failed: {exc}") from exc
-    radical_ok = True
     evaluator = Evaluator()
     lhs = _parameter_ebr(span, evaluator)
     rhs = mixed(modules, (1,) * k, evaluator)
@@ -473,14 +478,7 @@ def converse_criterion(
         consistent = decision.verdict is not Verdict.TRUE and (
             decision.counterexample is not None
         )
-    return CriterionReport(
-        lhs_mult=lhs,
-        rhs_mult=rhs,
-        heights_ok=heights_ok,
-        radical_ok=radical_ok,
-        decision=decision,
-        consistent=consistent,
-    )
+    return _report(lhs, rhs, decision, consistent)
 
 
 def _sample_verified_sequence(e_list, seed, evaluator):
@@ -489,7 +487,6 @@ def _sample_verified_sequence(e_list, seed, evaluator):
         derived = f"{seed}:{attempt}"
         candidates = []
         elems = []
-        ok = True
         for j in range(len(e_list)):
             cand = sample_superficial(e_list[j:], f"{derived}#{j}")
             decision = verify_superficial(
@@ -497,22 +494,18 @@ def _sample_verified_sequence(e_list, seed, evaluator):
             )
             if decision.verdict is not Verdict.TRUE:
                 last_failure = f"superficiality failed at position {j}: {decision.counterexample}"
-                ok = False
                 break
             candidates.append(cand)
             elems.append(cand.element)
-        if not ok:
-            continue
-        ring = e_list[0].ring
-        span = GradedSubmodule(SubmoduleSpec(ring, 1, elems))
-        try:
-            span.primarity()
-        except (InfiniteColength, SupportOffOrigin) as exc:
-            # global colengths only equal local lengths for quotients supported
-            # at the origin, so such a sample cannot be used
-            last_failure = f"sampled span fails the primarity gate: {exc}"
-            continue
-        return candidates, span
+        else:
+            span = GradedSubmodule(SubmoduleSpec(e_list[0].ring, 1, elems))
+            try:
+                span.primarity()
+                return candidates, span
+            except (InfiniteColength, SupportOffOrigin) as exc:
+                # global colengths only equal local lengths for quotients
+                # supported at the origin, so such a sample cannot be used
+                last_failure = f"sampled span fails the primarity gate: {exc}"
     raise SuperficialSamplingFailed(
         f"no verified superficial sequence after {SAMPLING_ATTEMPTS} attempts (seed {seed});"
         f" last failure: {last_failure}"
@@ -529,10 +522,8 @@ def risler_teissier_check(
     modules, dvec = check_type_vector(modules, dvec)
     if any(m.tdeg != 1 for m in modules):
         raise InvalidInput("the check requires degree-1 submodules")
-    for m in modules:
-        m.primarity()
     evaluator = Evaluator()
-    lhs = mixed(modules, dvec, evaluator)
+    lhs = mixed(modules, dvec, evaluator)  # gates every module, in order
     e_list = [m for m, d in zip(modules, dvec) for _ in range(d)]
     all_candidates = []
     values = {}
@@ -551,13 +542,6 @@ def risler_teissier_check(
         counterexample=None,
         window={**_window(1), "seeds": [str(s) for s in seeds]},
     )
-    return CriterionReport(
-        lhs_mult=lhs,
-        rhs_mult=rhs,
-        heights_ok=True,
-        radical_ok=True,
-        decision=decision,
-        consistent=consistent,
-        candidates=tuple(all_candidates),
-        values_by_seed=values,
+    return _report(
+        lhs, rhs, decision, consistent, candidates=tuple(all_candidates), values_by_seed=values
     )

@@ -137,6 +137,11 @@ def test_is_reduction_requires_containment(m2):
         is_reduction(u, m2)
 
 
+def test_rees_equivalence_requires_containment(m2):
+    with pytest.raises(NotSubmodule, match="U is not contained in E"):
+        rees_equivalence_check(mk(R21, ["x1*t1"]), m2)
+
+
 def test_is_reduction_propagation(m2):
     # every True verdict re-verifies at n0 + 1 (checked inside the decider;
     # re-check here explicitly)
@@ -194,6 +199,14 @@ def test_is_joint_reduction_membership_gate(m, m2):
         is_joint_reduction([P("x1*t1"), P("x1*t1")], [m, m2])
 
 
+def test_is_joint_reduction_element_contract(m):
+    """One nonzero element per module, of that module's t-degree."""
+    with pytest.raises(InvalidDegree, match="element t-degree does not match its module"):
+        is_joint_reduction([P("x1*t1^2"), P("x2*t1")], [m, m])
+    with pytest.raises(InvalidInput, match="need one element per module"):
+        is_joint_reduction([P("x1*t1")], [m, m])
+
+
 def test_joint_single_module_agrees_with_reduction():
     e = mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
     x = P("x1^2*t1 + x2^2*t1")
@@ -233,6 +246,13 @@ def test_mn_witness_gate():
 
     with pytest.raises(InfiniteColength):
         mn_joint_reduction_witness([P("x1*t1")], 1)
+
+
+def test_mn_witness_checks_n_before_the_gate():
+    """n = 0 is a user error whatever the elements: it is rejected before
+    the span of (x1 t1), which has infinite colength, reaches the gate."""
+    with pytest.raises(InvalidInput, match=r"^n must be >= 1$"):
+        mn_joint_reduction_witness([P("x1*t1")], 0)
 
 
 # -- Rees equivalence ---------------------------------------------------------
@@ -314,6 +334,11 @@ def test_converse_mixed_modules(m):
 def test_converse_desk_case_gate(m):
     with pytest.raises(NotDeskCase):
         converse_criterion([P("x1*t1")], [m])
+
+
+def test_converse_element_degree_gate(m):
+    with pytest.raises(InvalidDegree):
+        converse_criterion([P("x1*t1^2"), P("x2*t1")], [m, m])
 
 
 def test_converse_membership_gate(m, m2):
@@ -484,8 +509,8 @@ def test_joint_lhs_matches_the_products_built_by_hand(m):
 def test_superficial_check_without_kept_standard_monomials_is_a_limit(m, monkeypatch):
     """A V or W slice quotient with more standard monomials than
     ``WITNESS_QUOTIENT_CAP``, the bound on the quotients the witness eliminates
-    on, stops the check with ResourceLimit; counted as no quotient at all it
-    would be U/V = 0, and the zero candidate would pass unexamined."""
+    on, stops the check with ResourceLimit rather than passing the zero
+    candidate unexamined."""
     from brim import ResourceLimit
 
     monkeypatch.setattr(jointred, "WITNESS_QUOTIENT_CAP", 2)
