@@ -97,6 +97,11 @@ PER_FIELD = [
     # two-factor q = 0 graded cells: the length comes from the product's sweep
     ("r22", "length -m E,mF -n 2,1"),
     ("r22", "length -m mF -n 3"),
+    # graded cells that sweep the product's minimal generators afresh: q > 0
+    # with a quotient element, the q axis, and a two-factor product at q > 0
+    ("r21", "length -m m2 -n 2 -q 1 --quotient a1"),
+    ("r22", "assoc -m mF -d 2 -j 1"),
+    ("r22", "length -m mF,P -n 1,1 -q 1"),
     ("r21", "ebr -m m2"),
     ("r21", "ebr -m A"),
     ("r22", "ebr -m E"),

@@ -13,9 +13,10 @@ extraction uses these settings.
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
 and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
-N built degree by degree (``rees.DegreeSweep``).  The sweep that picks a
-product's minimal generators out of the candidate products builds N for
-q = 0 already, so a q = 0 cell without quotient elements that forms a
+N built degree by degree (``rees.DegreeSweep``) on packed monomials
+(``poly.Packing``), where products and t-shifts add codes.  The sweep that
+picks a product's minimal generators out of the candidate products builds
+N for q = 0 already, so a q = 0 cell without quotient elements that forms a
 product of two or more factors sums its codimensions on that one sweep;
 other graded cells sweep the product's minimal generators afresh.
 Otherwise the cell's submodule is presented by generators and its colength
@@ -40,7 +41,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .groebner import STANDARD_MONOMIAL_CAP
-from .poly import Polynomial, count_bidegree, t_shifts
+from .poly import Packing, Polynomial, count_bidegree, t_shifts
 from .rees import (
     PRODUCT_GENERATOR_CAP,
     DegreeSweep,
@@ -69,7 +70,7 @@ class LengthQuery:
         factor and every quotient element x-homogeneous."""
         return all(
             m.minimal_gens is not None for m, n in zip(self.modules, self.exponents) if n >= 1
-        ) and by_xdegree(self.quotient_elems) is not None
+        ) and all(e and e.bidegree()[0] != "mixed" for e in self.quotient_elems)
 
 
 @dataclass
@@ -151,7 +152,7 @@ class Evaluator:
     number of minimal generators of the modules before it) is the digit
     LABEL_BASE**(o + j), and a product's label is the sum of its factors'.
     The lowered key's modules are a prefix of the key's, so a label means the
-    same in both.
+    same in both.  The memo keeps the generators packed (``poly.Packing``).
     """
 
     def __init__(self):
@@ -192,22 +193,25 @@ class Evaluator:
         return chain
 
     def minimal_product(self, modules, exponents) -> tuple:
-        """(minimal generators, sweep) of E1^n1 ... Ek^nk for modules whose
-        reduced bases are x-homogeneous.  The generators are the graded
+        """``_minimal_codes`` with the generators unpacked."""
+        gens, sweep = self._minimal_codes(modules, exponents)
+        return tuple(map(Packing(modules[0].ring).unpack, gens)), sweep
+
+    def _minimal_codes(self, modules, exponents) -> tuple:
+        """(packed minimal generators, sweep) of E1^n1 ... Ek^nk: the graded
         Nakayama subset of the lowered product's minimal generators times
-        those of its module.  The sweep is the DegreeSweep that picked them
-        when this call formed a product of two or more factors, else None;
-        the memo keeps the generators and their labels only, so the sweep
-        dies with its caller.  The empty product, every n_i 0, is the unit.
+        those of its module, and the DegreeSweep that picked them when this
+        call formed a product of two or more factors, else None (the memo
+        keeps generators and labels only).  The empty product is the unit.
 
         The candidates f*g are taken in the order f in the lowered product,
-        g in the module, and f*g is formed only for a label not seen before.
-        A candidate with a seen label equals the earlier one, so the sweep
-        would reduce it to zero: skipping it leaves the kept generators and
-        the sweep's pieces as they are."""
-        key = self._key(modules, exponents)
+        g in the module, and f*g is formed only for a label not seen before:
+        a candidate with a seen label equals the earlier one, which the sweep
+        would reduce to zero, so skipping it changes neither the kept
+        generators nor the sweep's pieces."""
+        key, pack = self._key(modules, exponents), Packing(modules[0].ring)
         if not key[1]:
-            return (Polynomial.constant(modules[0].ring, 1),), None
+            return [{0: pack.ring.field.one}], None
         memo = self._minimal_products
         chain = self._unformed(memo, key)
         for (_, exponents), below in chain:
@@ -217,7 +221,7 @@ class Evaluator:
                 )
         sweep = None
         for (modules, exponents), below in reversed(chain):
-            gens = modules[-1].minimal_gens
+            gens = list(map(pack.pack, modules[-1].minimal_gens))
             offset = sum(len(m.minimal_gens) for m in modules[:-1])
             labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
             if below:
@@ -227,13 +231,13 @@ class Evaluator:
                         f"product n={list(exponents)} would form "
                         f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
                     )
+                tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
                 formed = {}  # label -> candidate, in the order first seen
                 for f, label in zip(prev, prev_labels):
                     for g, step in zip(gens, steps):
-                        if (code := label + step) not in formed:
-                            formed[code] = f * g
-                tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-                gens, sweep = minimal_sweep(modules[0].ring, tdeg, list(formed.values()))
+                        if (lab := label + step) not in formed:
+                            formed[lab] = pack.mul(f, g)
+                gens, sweep = minimal_sweep(pack.ring, tdeg, list(formed.values()))
                 # the kept generators are candidate objects: their ids find their labels
                 label_of = {id(c): label for label, c in formed.items()}
                 labels = [label_of[id(g)] for g in gens]
@@ -281,23 +285,21 @@ def build_slice_submodule(query: LengthQuery, evaluator: Evaluator) -> GradedSub
         return prod  # presented by its reduced basis already
     else:
         gens = t_shifts(ring, prod.gens, query.qdeg)
-    gens.extend(_quotient_shifts(query))
+    gens += [s for elem, deg in _quotient_lifts(query) for s in t_shifts(ring, [elem], deg)]
     return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
 
 
-def _quotient_shifts(query: LengthQuery) -> list:
-    """Every quotient element of the cell times every t-monomial that lifts
-    it to the cell's t-degree."""
-    ring, amb = query.modules[0].ring, query.ambient_tdeg()
-    shifts = []
+def _quotient_lifts(query: LengthQuery):
+    """(elem, deg) for every quotient element of the cell: the t-monomials
+    of degree deg lift it to the cell's t-degree."""
+    amb = query.ambient_tdeg()
     for elem in query.quotient_elems:
         etd = elem.tdeg_if_homogeneous()
         if etd is None:
             raise InvalidInput("quotient elements must be t-homogeneous and nonzero")
         if etd > amb:
             raise InvalidInput("quotient element t-degree exceeds the ambient degree")
-        shifts.extend(t_shifts(ring, [elem], amb - etd))
-    return shifts
+        yield elem, amb - etd
 
 
 def _cell_name(query: LengthQuery) -> str:
@@ -318,7 +320,10 @@ def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
     except (InfiniteColength, SupportOffOrigin) as exc:
         raise type(exc)(f"{_cell_name(query)}: {exc}") from exc
     if query.graded():
-        return _graded_length(query, evaluator)
+        try:
+            return _graded_length(query, evaluator)
+        except ResourceLimit as exc:
+            raise ResourceLimit(f"{_cell_name(query)}: {exc}") from exc
     report = build_slice_submodule(query, evaluator).colength_report()
     if not report.finite:
         raise InternalError(f"{_cell_name(query)} is infinite, yet its factors pass the gate")
@@ -335,23 +340,25 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     A cell with q = 0 and no quotient elements whose product this call forms
     from two or more factors reads its pieces off the sweep that picked the
     product's minimal generators: that sweep builds the same N_delta from
-    all the candidate products.  Every other cell sweeps N afresh."""
+    all the candidate products.  Every other cell sweeps N afresh, shifting
+    its generators by adding t-monomial codes."""
     ring = query.modules[0].ring
     amb = query.ambient_tdeg()
     cell = _cell_name(query)
+    pack = Packing(ring)
     factors = [(m, n) for m, n in zip(query.modules, query.exponents) if n >= 1]
     # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
     killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
-    try:
-        products, sweep = evaluator.minimal_product(query.modules, query.exponents)
-    except ResourceLimit as exc:
-        raise ResourceLimit(f"{cell}: {exc}") from exc
+    products, sweep = evaluator._minimal_codes(query.modules, query.exponents)
     if sweep is not None and not query.qdeg and not query.quotient_elems:
         # the sweep that picked the products spans N already
-        top = max(by_xdegree(products))
+        top = max(map(max, products)) >> pack.xshift
     else:
-        gens = t_shifts(ring, products, query.qdeg) if query.qdeg else products
-        sweep = DegreeSweep(ring, amb, by_xdegree(itertools.chain(gens, _quotient_shifts(query))))
+        shifts = pack.t_codes(query.qdeg)
+        lifts = [(g, shifts) for g in products]
+        lifts += [(pack.pack(elem), pack.t_codes(deg)) for elem, deg in _quotient_lifts(query)]
+        gens = [{c + s: v for c, v in g.items()} for g, codes in lifts for s in codes]
+        sweep = DegreeSweep(ring, amb, by_xdegree(gens, pack))
         top = sweep.top
     bound = max(top, killed)
     total = sum(count_bidegree(ring, amb, delta) for delta in range(sweep.start))
@@ -359,8 +366,7 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
         total += count - rank
         if total > STANDARD_MONOMIAL_CAP:
             raise ResourceLimit(
-                f"{cell}: more than {STANDARD_MONOMIAL_CAP} standard monomials "
-                f"by x-degree {delta}"
+                f"more than {STANDARD_MONOMIAL_CAP} standard monomials by x-degree {delta}"
             )
         if rank == count:
             return total
@@ -506,8 +512,7 @@ def ebr(
     order-(d+p-1) difference of n -> l(F^n / E^n)."""
     if module.tdeg != 1:
         raise InvalidInput("ebr requires a submodule of the degree-1 slice")
-    ring = module.ring
-    D = ring.d + ring.p - 1
+    D = module.ring.d + module.ring.p - 1
     return _univariate(module, D, {"type": "ebr"}, evaluator)
 
 
@@ -516,8 +521,7 @@ def tilde_ebr(
 ) -> MultiplicityResult:
     """Higher-degree variant for E inside the degree-e slice; at e = 1 it
     agrees with ebr."""
-    ring = module.ring
-    D = ring.d + ring.p - 1
+    D = module.ring.d + module.ring.p - 1
     return _univariate(module, D, {"type": "tilde_ebr"}, evaluator)
 
 

@@ -317,15 +317,19 @@ def is_reduction(
     _check_n_max(n_max)
     if u.ring != e.ring or u.tdeg != e.tdeg:
         raise InvalidInput("reduction requires submodules of the same slice")
-    for g in u.gens:
-        if not e.contains(g):
-            raise NotSubmodule("U is not contained in E")
+    if not all(map(e.contains, u.gens)):
+        raise NotSubmodule("U is not contained in E")
+    return _reduction(u, e, n_max, evaluator or Evaluator())
+
+
+def _reduction(u, e, n_max: int, evaluator: Evaluator) -> Decision:
+    """``is_reduction``'s decision for U <= E, once the inputs are checked."""
     e_primary = True
     try:
         e.primarity()
     except (InfiniteColength, SupportOffOrigin):
         e_primary = False
-    power_of = partial((evaluator or Evaluator()).product_of_powers, (u, e))
+    power_of = partial(evaluator.product_of_powers, (u, e))
 
     def missing_at(n):
         return _first_missing(power_of((1, n)).basis, power_of((0, n + 1)).gens)
@@ -419,15 +423,14 @@ def rees_equivalence_check(
     _check_n_max(n_max)
     if u.tdeg != 1 or e.tdeg != 1:
         raise InvalidInput("the equivalence check requires degree-1 submodules")
-    for g in u.gens:
-        if not e.contains(g):
-            raise NotSubmodule("U is not contained in E")
+    if not all(map(e.contains, u.gens)):
+        raise NotSubmodule("U is not contained in E")
     u.primarity()
     e.primarity()
     evaluator = Evaluator()
     lhs = ebr(u, evaluator)
     rhs = ebr(e, evaluator)
-    decision = is_reduction(u, e, n_max, evaluator)
+    decision = _reduction(u, e, n_max, evaluator)
     consistent = (lhs.value == rhs.value) == (decision.verdict is Verdict.TRUE)
     return _report(lhs, rhs, decision, consistent)
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import re
 from math import comb
+from operator import sub
 from typing import NamedTuple
 
-from .errors import InvalidInput, Undefined
+from .errors import InvalidInput, ResourceLimit, Undefined
 from .ring import RingSpec
 
 
@@ -258,9 +259,11 @@ def t_monomials(ring: RingSpec, deg: int):
 
 def t_shifts(ring: RingSpec, polys, deg: int) -> list:
     """Every g * mu, for g in polys (outer loop) and mu over the degree-deg
-    t-monomials lex descending; deg = 0 gives copies of the inputs."""
+    t-monomials lex descending; deg = 0 gives copies of the inputs.  The
+    coefficients are g's own: only the t-exponents move."""
     shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, deg)]
-    return [g.mul_term(mu, 1) for g in polys for mu in shifts]
+    return [Polynomial._raw(ring, {m.mul(mu): c for m, c in g.items()})
+            for g in polys for mu in shifts]
 
 
 def count_monomials(nvars: int, deg: int) -> int:
@@ -274,6 +277,62 @@ def count_bidegree(ring: RingSpec, tdeg: int, xdeg: int) -> int:
     if tdeg < 0 or xdeg < 0:
         return 0
     return count_monomials(ring.p, tdeg) * count_monomials(ring.d, xdeg)
+
+
+# ---------------------------------------------------------------------------
+# packed monomials (M. Monagan and R. Pearce, CASC 2007): one int a monomial
+
+SLOT_BITS = 16
+
+
+class Packing:
+    """A ring's monomials as ints of SLOT_BITS-bit slots, from the top s_d,
+    t1..tp, s_(d-1), ..., s_1 with s_k = x1 + ... + xk.  A product's code is
+    the sum of the codes, x_i adds ``steps[i]``, ``code >> xshift`` is the
+    x-degree and codes of one x-degree compare as the term order does.  The
+    slots hold while degrees stay below the slot base, which ``code`` and
+    ``DegreeSweep`` ``check``.  A packed polynomial is a ``{code:
+    coefficient}`` dict; an integral rational enters it as an int."""
+
+    def __init__(self, ring: RingSpec):
+        d, p, self.ring = ring.d, ring.p, ring
+        self.base = 1 << SLOT_BITS
+        self.mask, self.xshift = self.base - 1, SLOT_BITS * (d + p - 1)
+        sums = [1 << SLOT_BITS * k for k in range(d - 1)] + [1 << self.xshift]  # s_1..s_d
+        self.steps = [sum(sums[i:]) for i in range(d)]
+        self.weights = [1 << SLOT_BITS * (d + p - 2 - j) for j in range(p)] + self.steps
+
+    def check(self, *degrees: int):
+        if max(degrees) >= self.base:
+            raise ResourceLimit(f"degree {max(degrees)} reaches the slot base {self.base}")
+
+    def code(self, m: Monomial) -> int:
+        self.check(sum(m.texp), sum(m.xexp))
+        return sum(e * w for e, w in zip(m.texp + m.xexp, self.weights))
+
+    def pack(self, f: Polynomial) -> dict:
+        return {self.code(m): c.numerator if c.denominator == 1 else c for m, c in f.items()}
+
+    def unpack(self, terms: dict) -> Polynomial:
+        d, out, coerce = self.ring.d, {}, self.ring.field.coerce
+        for code, c in terms.items():
+            low = [code >> b & self.mask for b in range(0, self.xshift, SLOT_BITS)]
+            s = [0] + low[:d - 1] + [code >> self.xshift]  # 0, s_1..s_d; low[d-1:] is tp..t1
+            out[Monomial(tuple(reversed(low[d - 1:])), tuple(map(sub, s[1:], s[:-1])))] = coerce(c)
+        return Polynomial._raw(self.ring, out)
+
+    def t_codes(self, deg: int) -> list:
+        """The codes of the degree-deg t-monomials, lex descending."""
+        return [self.code(Monomial(t, (0,) * self.ring.d)) for t in t_monomials(self.ring, deg)]
+
+    def mul(self, f: dict, g: dict) -> dict:
+        """The product of two packed polynomials, with no degree check."""
+        res, p = {}, self.ring.field.p
+        for a, c in f.items():
+            for b, e in g.items():
+                k = a + b
+                res[k] = res[k] + c * e if k in res else c * e
+        return {k: r for k, v in res.items() if (r := v % p if p else v)}
 
 
 # ---------------------------------------------------------------------------

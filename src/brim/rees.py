@@ -11,8 +11,9 @@ with lengths over the local ring at the origin exactly when the quotient is
 supported there, which is what mprimary_check certifies.
 
 When the reduced basis is x-homogeneous the submodule is graded by x-degree,
-and ``DegreeSweep`` builds its degree pieces by linear algebra; graded
-Nakayama then picks the minimal generators out of the reduced basis
+and ``DegreeSweep`` builds its degree pieces by linear algebra on packed
+polynomials (``poly.Packing``), unpacked only where a caller takes them;
+graded Nakayama then picks the minimal generators out of the reduced basis
 (``minimal_sweep``, which hands back the sweep for its pieces).
 """
 
@@ -20,15 +21,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, count
 
 from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOrigin
 from .groebner import GeneratorSet, GroebnerBasis, buchberger, colength, contains
 from .linalg import Echelon
 from .poly import (
     Monomial,
+    Packing,
     Polynomial,
-    compositions_desc,
+    count_bidegree,
     parse_polynomial,
     t_monomials,
 )
@@ -61,9 +63,7 @@ class GradedSubmodule:
 
     @classmethod
     def from_gens(cls, ring: RingSpec, tdeg: int, gens) -> "GradedSubmodule":
-        polys = [
-            parse_polynomial(ring, g) if isinstance(g, str) else g for g in gens
-        ]
+        polys = [parse_polynomial(ring, g) if isinstance(g, str) else g for g in gens]
         return cls(SubmoduleSpec(ring, tdeg, polys))
 
     @classmethod
@@ -78,12 +78,8 @@ class GradedSubmodule:
                     f"vector length {len(vec)} != {len(positions)} positions in degree {tdeg}"
                 )
             acc = Polynomial.zero(ring)
-            for coeff_poly, pos in zip(vec, positions):
-                h = (
-                    parse_polynomial(ring, coeff_poly)
-                    if isinstance(coeff_poly, str)
-                    else coeff_poly
-                )
+            for h, pos in zip(vec, positions):
+                h = parse_polynomial(ring, h) if isinstance(h, str) else h
                 if not h.is_zero() and h.tdeg_if_homogeneous() != 0:
                     raise InvalidInput("vector entries must be x-polynomials")
                 acc = acc + h.mul_term(Monomial(tuple(pos), (0,) * ring.d), 1)
@@ -111,7 +107,9 @@ class GradedSubmodule:
     def minimal_gens(self):
         """The reduced basis elements that graded Nakayama keeps, a minimal
         generating set; None when the basis is not x-homogeneous."""
-        return minimal_sweep(self.ring, self.tdeg, self.basis.elements)[0]
+        pack = Packing(self.ring)
+        kept = minimal_sweep(self.ring, self.tdeg, list(map(pack.pack, self.basis.elements)))[0]
+        return None if kept is None else tuple(map(pack.unpack, kept))
 
     def colength_report(self):
         if self._colength is None:
@@ -143,12 +141,12 @@ class GradedSubmodule:
         return f"<submodule tdeg={self.tdeg} gens={len(self.spec.gens)}>"
 
 
-def by_xdegree(gens):
-    """{x-degree: generators of that degree}, in the given order; None
-    unless every generator is nonzero and x-homogeneous."""
-    groups = {}
+def by_xdegree(gens, packing: Packing):
+    """{x-degree: packed generators of that degree}, in the given order;
+    None unless every generator is nonzero and x-homogeneous."""
+    groups, shift = {}, packing.xshift
     for g in gens:
-        degs = {m.xdeg for m, _ in g.items()}
+        degs = {c >> shift for c in g}
         if len(degs) != 1:
             return None
         groups.setdefault(degs.pop(), []).append(g)
@@ -160,26 +158,26 @@ class DegreeSweep:
     slice generated by x-homogeneous generators, built upward one degree at
     a time.
 
-    ``groups`` maps x-degrees to generators (see ``by_xdegree``); ``start``
-    and ``top`` are its lowest and highest degree.  The sweep consumes it,
-    letting go of each degree's generators once they are swept.
+    ``groups`` maps x-degrees to packed generators (see ``by_xdegree``);
+    ``start`` and ``top`` are its lowest and highest degree.  The sweep
+    consumes it, letting go of each degree's generators once they are swept.
     ``advance()`` moves from delta-1 to delta: N_delta = x_1 N_(delta-1) +
     ... + x_d N_(delta-1) + span(generators of degree delta), with
-    N_(start-1) = 0.  Columns of degree delta are the bidegree (tdeg, delta)
-    monomials in the term order, descending, so a row's pivot is its leading
-    monomial; ``count`` is their number and ``rank`` is dim N_delta.
+    N_(start-1) = 0.  The columns are the negated packed codes of the
+    bidegree (tdeg, delta) monomials (``poly.Packing``), so a row's pivot is
+    its leading monomial and x_i times a row subtracts x_i's step from each
+    column; ``count`` is their number and ``rank`` is dim N_delta.
     ``pieces()`` yields both degree by degree from ``start``, the degrees
     already swept first.
     """
 
     def __init__(self, ring: RingSpec, tdeg: int, groups: dict):
-        self.ring = ring
+        self.ring, self.tdeg = ring, tdeg
         self._groups = groups
         self.start, self.top = min(groups), max(groups)
         self.delta = self.start - 1
-        self.count = 0
-        self._positions = {pos: i for i, pos in enumerate(t_monomials(ring, tdeg))}
-        self._xexps = []
+        self._packing = Packing(ring)
+        self._packing.check(tdeg)
         self._echelon = Echelon(ring.field)
         self._swept = []  # (count, rank) of every degree swept, from start
 
@@ -192,71 +190,47 @@ class DegreeSweep:
         span.  Once N_delta is the whole degree piece the remaining rows are
         skipped."""
         self.delta += 1
-        # ascending on the reversed exponents is degrevlex descending
-        new = sorted(compositions_desc(self.delta, self.ring.d), key=lambda x: x[::-1])
-        index = {x: j for j, x in enumerate(new)}
-        width = len(new)
-        positions = self._positions
-        count = self.count = len(positions) * width
+        self._packing.check(self.delta)
+        full = self.count = count_bidegree(self.ring, self.tdeg, self.delta)
         echelon = Echelon(self.ring.field)
         kept = []
-        rows = chain(self._shifted_rows(index, width), self._generator_rows(echelon, index, width))
-        for g, vec in rows:
-            if len(echelon.rows) == count:
+        shifted = (
+            (None, {c - step: v for c, v in row.items()})
+            for row in self._echelon.rows.values()
+            for step in self._packing.steps
+        )
+        fresh = ((g, {-c: v for c, v in g.items()}) for g in self._groups.pop(self.delta, ()))
+        for g, vec in chain(shifted, fresh):
+            if len(echelon.rows) == full:
                 break
+            if g is not None:
+                echelon.integral(vec)
             echelon.reduce(vec)
             if vec:
                 echelon.insert(vec)
                 if g is not None:
                     kept.append(g)
-        self._echelon, self._xexps = echelon, new
-        self._swept.append((count, len(echelon.rows)))
+        self._echelon = echelon
+        self._swept.append((full, len(echelon.rows)))
         return kept
 
     def pieces(self):
         """(delta, count, rank) of every degree from start on: the degrees
         already swept, then one ``advance()`` for each further degree."""
-        i = 0
-        while True:
+        for i in count():
             if i == len(self._swept):
                 self.advance()
             yield (self.start + i, *self._swept[i])
-            i += 1
-
-    def _generator_rows(self, echelon: Echelon, index: dict, width: int):
-        """(g, g as an integer vector over the degree-delta columns) for
-        every generator g of degree delta."""
-        positions = self._positions
-        for g in self._groups.pop(self.delta, ()):
-            vec = {positions[m.texp] * width + index[m.xexp]: c for m, c in g.items()}
-            echelon.integral(vec)
-            yield g, vec
-
-    def _shifted_rows(self, index: dict, width: int):
-        """(None, x_i * row) for every row of N_(delta-1), then every
-        variable, as vectors over the degree-delta columns."""
-        old_width = len(self._xexps)
-        bumps = [
-            [index[x[:i] + (x[i] + 1,) + x[i + 1:]] for x in self._xexps]
-            for i in range(self.ring.d)
-        ]
-        for row in self._echelon.rows.values():
-            for bump in bumps:
-                vec = {}
-                for col, val in row.items():
-                    pos, j = divmod(col, old_width)
-                    vec[pos * width + bump[j]] = val
-                yield None, vec
 
 
 def minimal_sweep(ring: RingSpec, tdeg: int, gens):
-    """(minimal generators, the DegreeSweep that picked them).  The kept
-    gens are those outside m times the submodule they generate, taken degree
-    by degree in the given order: a minimal generating set by graded
-    Nakayama.  The sweep stops at the top degree of gens or at the first
-    full piece, above which every generator is redundant.  (None, None)
-    unless every generator is x-homogeneous; ((), None) for no generators."""
-    groups = by_xdegree(gens)
+    """(minimal generators, the DegreeSweep that picked them) of packed
+    gens: those outside m times the submodule they generate, taken degree by
+    degree in the given order, a minimal generating set by graded Nakayama.
+    The sweep stops at the top degree of gens or at the first full piece,
+    above which every generator is redundant.  (None, None) unless every
+    generator is x-homogeneous; ((), None) for no generators."""
+    groups = by_xdegree(gens, Packing(ring))
     if not groups:
         return (None if groups is None else ()), None
     sweep = DegreeSweep(ring, tdeg, groups)

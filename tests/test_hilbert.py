@@ -450,16 +450,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 from brim import (  # noqa: E402
     QQ,
+    InfiniteColength,
     InternalError,
     PrimarityCertificate,
     PrimeField,
     ResourceLimit,
     SubmoduleSpec,
+    SupportOffOrigin,
 )
-from brim import hilbert, rees  # noqa: E402
+from brim import hilbert, poly, rees  # noqa: E402
 from brim.hilbert import build_slice_submodule  # noqa: E402
 from brim.poly import (  # noqa: E402
     Monomial,
+    Packing,
     Polynomial,
     compositions_desc,
     parse_polynomial,
@@ -584,6 +587,77 @@ def test_graded_path_matches_buchberger_on_drawn_modules(query):
     assert graded == reference
 
 
+GF7 = PrimeField(7)
+
+
+@st.composite
+def packed_cells(draw):
+    """A cell over one or two random x-homogeneous m-primary modules on R21,
+    R22 or R31, over QQ or GF(7), where products wrap mod 7 often: every pure
+    power x_i^a mu, perhaps with a tail of other degree-a monomials at any
+    position, and up to two more x-homogeneous elements.  The cell has
+    q = 0 or q > 0, and perhaps a quotient element."""
+    d, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    ring = RingSpec(d=d, p=p, field=draw(st.sampled_from([QQ, GF7])))
+    positions = t_monomials(ring, 1)
+
+    def element(deg, head=None):
+        monos = [Monomial(pos, xe) for pos in positions for xe in compositions_desc(deg, d)]
+        tail = draw(st.lists(st.sampled_from(monos), max_size=2, unique=True))
+        terms = {m: draw(st.integers(1, 6)) for m in tail}
+        terms.update({head: 1} if head else {})
+        return Polynomial(ring, terms)
+
+    def module():
+        gens = []
+        for pos in positions:
+            for i in range(d):
+                a = draw(st.integers(1, 2))
+                gens.append(element(a, Monomial(pos, tuple(a if j == i else 0 for j in range(d)))))
+        gens += [element(draw(st.integers(1, 2))) for _ in range(draw(st.integers(0, 2)))]
+        e = GradedSubmodule(SubmoduleSpec(ring, 1, [g for g in gens if g]))
+        try:
+            e.primarity()
+        except (InfiniteColength, SupportOffOrigin):
+            assume(False)
+        return e
+
+    modules = (module(),) if draw(st.booleans()) else (module(), module())
+    exponents = tuple(draw(st.integers(1, 2)) for _ in modules)
+    budget = 12 // (d * p) - sum(exponents)  # t-degree times d*p at most 12
+    assume(budget >= 0)
+    q = draw(st.integers(0, min(2, budget)))
+    elems = ()
+    if draw(st.booleans()):
+        deg = draw(st.integers(1, 2))
+        elems = (element(deg, Monomial(positions[-1], (deg,) + (0,) * (d - 1))),)
+    return LengthQuery(modules, exponents, q, elems)
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_cells())
+def test_graded_path_matches_buchberger_on_packed_products(query):
+    """Packed products, t-shifts by code and the sweeps they feed count the
+    same lengths as Buchberger on the cell's slice."""
+    assert query.graded()
+    graded, reference = _both_paths(query)
+    assert graded == reference
+
+
+def test_packed_products_drop_the_terms_that_vanish_mod_p():
+    """Over GF(7), f = x1^2 + x1x2 + 3x2^2 squares to x1^4 + 2x1^3x2 +
+    6x1x2^3 + 2x2^4: the x1^2x2^2 coefficient 2*3 + 1 = 7 vanishes, and the
+    packed product must drop it as ``Polynomial.__mul__`` does."""
+    ring = RingSpec(d=2, p=1, field=GF7)
+    e = mk(ring, ["x1^2*t1 + x1*x2*t1 + 3*x2^2*t1", "x2^3*t1"])
+    f = e.minimal_gens[0]
+    pack = Packing(ring)
+    assert pack.unpack(pack.mul(pack.pack(f), pack.pack(f))) == f * f
+    for n, q in [(1, 0), (2, 0), (2, 1), (3, 0)]:
+        graded, reference = _both_paths(LengthQuery((e,), (n,), q))
+        assert graded == reference, (n, q)
+
+
 def test_non_homogeneous_cell_takes_the_buchberger_path(monkeypatch):
     def refuse(query, evaluator):
         raise RuntimeError("graded path entered")
@@ -626,6 +700,20 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
     monkeypatch.setattr(hilbert, "LABEL_BASE", 2)
     with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2.*exponent of 2 or more"):
         length(LengthQuery((e,), (2,)))
+
+
+def test_slot_overflow_names_the_cell(monkeypatch):
+    """Packed codes hold while every degree stays below the slot base.  With
+    2-bit slots (base 4) m2 on R21 still counts its first cell, but the
+    candidates of m2^2 have x-degree 4 and a q = 3 shift lifts a cell to
+    t-degree 4: each is a ResourceLimit that names its cell."""
+    monkeypatch.setattr(poly, "SLOT_BITS", 2)
+    e = mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
+    assert length(LengthQuery((e,), (1,))) == 3
+    with pytest.raises(ResourceLimit, match=r"n=\[2\], q=0, t-degree 2: degree 4 reaches the slot base 4"):
+        length(LengthQuery((e,), (2,)))
+    with pytest.raises(ResourceLimit, match=r"n=\[1\], q=3, t-degree 4: degree 4 reaches the slot base 4"):
+        length(LengthQuery((e,), (1,), 3))
 
 
 def test_products_of_many_factors_are_formed_in_a_loop(monkeypatch):
@@ -686,21 +774,26 @@ def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
 
 def test_graded_product_forms_each_candidate_once(monkeypatch):
     """A fresh Evaluator forms mF^4 on R22 with one product per multiset of
-    mF's generators, 64 ``Polynomial.__mul__`` calls, where every pair of the
-    chain's minimal generators is 116.  Its generators, in order, are those
-    the sweep over every pair keeps, and its length is l(F^4 / (mF)^4)."""
+    mF's generators, 64 packed products (``Packing.mul``), where every pair
+    of the chain's minimal generators is 116.  Its generators, in order, are
+    those the sweep over every pair of ``Polynomial`` products keeps, and
+    its length is l(F^4 / (mF)^4)."""
     mf = mk(R22, MF22_GENS)
+    pack = Packing(R22)
     every = mf.minimal_gens
     for n in range(2, 5):
-        every = rees.minimal_sweep(R22, n, [f * g for f in every for g in mf.minimal_gens])[0]
+        candidates = [f * g for f in every for g in mf.minimal_gens]
+        packed = list(map(pack.pack, candidates))
+        kept = {id(g) for g in rees.minimal_sweep(R22, n, packed)[0]}
+        every = [f for f, g in zip(candidates, packed) if id(g) in kept]
     calls = []
-    mul = Polynomial.__mul__
+    mul = Packing.mul
 
-    def counting(f, g):
+    def counting(self, f, g):
         calls.append(None)
-        return mul(f, g)
+        return mul(self, f, g)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    monkeypatch.setattr(Packing, "mul", counting)
     gens = Evaluator().minimal_product((mf,), (4,))[0]
     monkeypatch.undo()
     assert len(calls) == 64

@@ -142,6 +142,33 @@ def test_rees_equivalence_requires_containment(m2):
         rees_equivalence_check(mk(R21, ["x1*t1"]), m2)
 
 
+def test_rees_equivalence_tests_each_generator_once(m2, monkeypatch):
+    """check rees tests U <= E once, before any multiplicity: past the
+    primarity gates, U = (x1^2 t1, x2^2 t1) against m2 takes one membership
+    test per generator of U, and a U outside E is a NotSubmodule that never
+    reaches ebr."""
+    u = mk(R21, ["x1^2*t1", "x2^2*t1"])
+    u.primarity()
+    m2.primarity()
+    tested = []
+    contains = GradedSubmodule.contains
+
+    def counting(self, v):
+        tested.append(str(v))
+        return contains(self, v)
+
+    monkeypatch.setattr(GradedSubmodule, "contains", counting)
+    assert rees_equivalence_check(u, m2).decision.verdict is Verdict.TRUE
+    assert sorted(tested) == ["x1^2*t1", "x2^2*t1"]
+
+    def no_ebr(*args):
+        raise AssertionError("a multiplicity was computed")
+
+    monkeypatch.setattr(jointred, "ebr", no_ebr)
+    with pytest.raises(NotSubmodule, match="U is not contained in E"):
+        rees_equivalence_check(mk(R21, ["x1*t1"]), m2)
+
+
 def test_is_reduction_propagation(m2):
     # every True verdict re-verifies at n0 + 1 (checked inside the decider;
     # re-check here explicitly)
@@ -270,6 +297,7 @@ def test_deciders_reject_a_window_without_exponents(m, m2, n_max, monkeypatch):
 
     monkeypatch.setattr(Evaluator, "product_of_powers", formed)
     monkeypatch.setattr(Evaluator, "minimal_product", formed)
+    monkeypatch.setattr(Evaluator, "_minimal_codes", formed)
     u = mk(R21, ["x1^2*t1", "x2^2*t1"])
     xs = [P("x1*t1"), P("x2*t1")]
     for decide in [
