@@ -64,6 +64,10 @@ R22_MODULES = {
     "P": {"tdeg": 1, "gens": ["x1*t1", "x2*t2", "x1*t2+x2*t1"]},
 }
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
+# D = d+p-1 = 4: mF, and a parameter span c1..c4 of it over R32
+R32_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2) for i in (1, 2, 3)]}}
+R32_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x3*t1+x2*t2", "c4": "x3*t2"}
+R23_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2, 3) for i in (1, 2)]}}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
 GF = {"GF": 32003}
 GF7 = {"GF": 7}
@@ -84,6 +88,8 @@ SPECS = {
     "r21-gf7": spec(GF7, 2, 1, R21_MODULES, R21_ELEMENTS),
     "r22-gf7": spec(GF7, 2, 2, R22_MODULES, R22_ELEMENTS),
     "r12-qq": spec("QQ", 1, 2, R12_MODULES),
+    "r32-gf": spec(GF, 3, 2, R32_MODULES, R32_ELEMENTS),
+    "r23-gf": spec(GF, 2, 3, R23_MODULES),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
     "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
     "gf-float": spec({"GF": 32003.7}, 2, 1, {"m": R21_MODULES["m"]}),
@@ -189,6 +195,10 @@ COMMANDS = [
     for prefix, argv in PER_FIELD
 ] + [
     ("r12-qq", "assoc -m E -d 1 -j 1"),
+    # parameter spans with D = 4, whose e_BR tables run to n = 8
+    ("r32-gf", "check risler -m mF -d 4"),
+    ("r32-gf", "check converse -x c1,c2,c3,c4 -m mF,mF,mF,mF"),
+    ("r23-gf", "check risler -m mF -d 4"),
     ("r21-qq", "check rees -u U"),
     ("r21-qq", "check superficial -m m"),
     # each decider's contract errors: an element of the wrong t-degree,

@@ -770,21 +770,58 @@ def test_is_reduction_failed_propagation_is_an_internal_error(m2, monkeypatch):
 
 
 def test_parameter_span_ebr_is_cross_checked_against_colength(m, monkeypatch):
-    """By Buchsbaum-Rim a finite-colength span of d+p-1 elements has e_BR
-    equal to its colength; a windowed value off by one is an internal
-    error in both theorem checkers."""
-    import dataclasses
+    """By Buchsbaum-Rim a finite-colength span of d+p-1 elements has
+    l(F^n/E^n) = l(F/E) * C(n+D-1, D); a computed cell off by one is an
+    internal error in both theorem checkers.  The span is the one degree-1
+    module other than the fixture m whose cell n = 2 is asked for."""
+    from brim import InternalError
+    from brim.hilbert import Evaluator
 
-    from brim import InternalError, jointred
+    real_length = Evaluator.length
 
-    real_ebr = jointred.ebr
+    def off_at_two(self, query):
+        value = real_length(self, query)
+        span_cell = query.exponents == (2,) and query.modules[0] is not m
+        return value + 1 if span_cell else value
 
-    def off_by_one(module, evaluator=None):
-        result = real_ebr(module, evaluator)
-        return dataclasses.replace(result, value=result.value + 1)
-
-    monkeypatch.setattr(jointred, "ebr", off_by_one)
-    with pytest.raises(InternalError, match="e_BR 2 .* colength 1"):
+    monkeypatch.setattr(Evaluator, "length", off_at_two)
+    message = r"parameter span cell n=2: computed length 4, closed form .* = 3$"
+    with pytest.raises(InternalError, match=message):
         converse_criterion([P("x1*t1"), P("x2*t1")], [m, m])
-    with pytest.raises(InternalError, match="e_BR 2 .* colength 1"):
+    with pytest.raises(InternalError, match=message):
         risler_teissier_check([m, m], (1, 1), seeds=(0,))
+
+
+# (name, d, p, generators) of parameter spans: D = d+p-1 elements, finite colength
+PARAMETER_SPANS = [
+    ("R21", 2, 1, ["x1^2*t1+x2^2*t1", "x1*x2*t1"]),
+    ("R12", 1, 2, ["x1*t1+x1^2*t2", "x1^2*t2"]),  # not x-homogeneous
+    # (x1 t1, x2 t1 + c x1 t2, x2 t2 + c' x1 t1), a benchmark parameter module
+    ("R22", 2, 2, ["x1*t1", "x2*t1+3*x1*t2", "x2*t2+7*x1*t1"]),
+]
+PARAMETER_SPAN_CASES = [
+    pytest.param(RingSpec(d, p, field), gens, id=f"{name}-{label}")
+    for name, d, p, gens in PARAMETER_SPANS
+    for label, field in (("QQ", QQ), ("GF", PrimeField(32003)))
+] + [
+    pytest.param(
+        RingSpec(3, 2, PrimeField(32003)),
+        ["x1*t1", "x2*t1+x1*t2", "x3*t1+x2*t2", "x3*t2"],
+        id="R32-GF",  # D = 4
+    )
+]
+
+
+@pytest.mark.parametrize("ring, gens", PARAMETER_SPAN_CASES)
+def test_parameter_span_ebr_equals_the_full_window(ring, gens):
+    """The parameter-span e_BR, whose table beyond n = N_CHECK is the
+    Buchsbaum-Rim closed form, equals ``ebr``'s, every cell of whose window
+    is computed: value, certificate and table."""
+    from brim.hilbert import Evaluator
+
+    span = mk(ring, gens)
+    fast = jointred._parameter_ebr(span, Evaluator())
+    full = ebr(span)
+    assert fast.table.window[0][1] > jointred.N_CHECK
+    assert (fast.value, fast.kind, fast.certificate) == (full.value, full.kind, full.certificate)
+    assert fast.table.to_json() == full.table.to_json()
