@@ -39,6 +39,8 @@ R21_MODULES = {
     "UA": {"tdeg": 1, "gens": ["x1^3*t1+x2^2*t1", "x1*x2*t1"]},
     "m2sq": {"tdeg": 2, "gens": ["x1^2*t1^2", "x1*x2*t1^2", "x2^2*t1^2"]},
     "line": {"tdeg": 1, "gens": ["x1*t1"]},
+    # m2 with coefficients other than one, nonzero mod 7
+    "m2s": {"tdeg": 1, "gens": ["2*x1^2*t1", "3*x1*x2*t1", "4*x2^2*t1"]},
 }
 R21_ELEMENTS = {
     "a1": "x1*t1",
@@ -62,6 +64,8 @@ R22_MODULES = {
     "mFr": {"tdeg": 1, "gens": ["x1*t1+x2*t2", "x1*t1", "x2*t1", "x1*t2", "x2*t2+x1*t2"]},
     # a parameter module of mF: three generators that are a reduction of mF
     "P": {"tdeg": 1, "gens": ["x1*t1", "x2*t2", "x1*t2+x2*t1"]},
+    # mF with coefficients other than one, nonzero mod 7
+    "mFs": {"tdeg": 1, "gens": ["3*x1*t1", "5*x2*t1", "6*x1*t2", "2*x2*t2"]},
 }
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 # D = d+p-1 = 4: mF, and a parameter span c1..c4 of it over R32
@@ -124,6 +128,11 @@ PER_FIELD = [
     # formed from P^n, and (mF, P)^(1, n) from mF
     ("r22", "mixed -m P,mF -d 2,1"),
     ("r22", "mixed -m mF,P -d 1,2"),
+    # scaled monomial modules: their graded products are swept as sets of
+    # codes, beside E (monomial reduced basis) and the non-homogeneous A
+    ("r22", "mixed -m mFs,E -d 2,1"),
+    ("r22", "assoc -m mFs -d 2 -j 1"),
+    ("r21", "mixed -m m2s,A -d 1,1"),
     ("r21", "assoc -m m -d 1 -j 1"),
     ("r21", "gmult -e a1,a2"),
     ("r21", "gmult -e b1,a2 -t 3"),

@@ -152,7 +152,8 @@ class Evaluator:
     number of minimal generators of the modules before it) is the digit
     LABEL_BASE**(o + j), and a product's label is the sum of its factors'.
     The lowered key's modules are a prefix of the key's, so a label means the
-    same in both.  The memo keeps the generators packed (``poly.Packing``).
+    same in both.  The memo keeps the generators packed (``poly.Packing``),
+    and unpacked too once ``minimal_product`` has asked for them.
     """
 
     def __init__(self):
@@ -193,16 +194,21 @@ class Evaluator:
         return chain
 
     def minimal_product(self, modules, exponents) -> tuple:
-        """``_minimal_codes`` with the generators unpacked."""
+        """``_minimal_codes`` with the generators unpacked.  The memo entry
+        keeps them, so each product is unpacked once."""
         gens, sweep = self._minimal_codes(modules, exponents)
-        return tuple(map(Packing(modules[0].ring).unpack, gens)), sweep
+        # the memo does not hold the unit, which gets an entry of its own
+        entry = self._minimal_products.get(self._key(modules, exponents)) or [gens, None, None]
+        if entry[2] is None:
+            entry[2] = tuple(map(Packing(modules[0].ring).unpack, gens))
+        return entry[2], sweep
 
     def _minimal_codes(self, modules, exponents) -> tuple:
         """(packed minimal generators, sweep) of E1^n1 ... Ek^nk: the graded
         Nakayama subset of the lowered product's minimal generators times
         those of its module, and the DegreeSweep that picked them when this
         call formed a product of two or more factors, else None (the memo
-        keeps generators and labels only).  The empty product is the unit.
+        keeps no sweep).  The empty product is the unit.
 
         The candidates f*g are taken in the order f in the lowered product,
         g in the module, and f*g is formed only for a label not seen before:
@@ -225,7 +231,7 @@ class Evaluator:
             offset = sum(len(m.minimal_gens) for m in modules[:-1])
             labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
             if below:
-                prev, prev_labels = memo[below]
+                prev, prev_labels, _ = memo[below]
                 if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
                     raise ResourceLimit(
                         f"product n={list(exponents)} would form "
@@ -241,7 +247,7 @@ class Evaluator:
                 # the kept generators are candidate objects: their ids find their labels
                 label_of = {id(c): label for label, c in formed.items()}
                 labels = [label_of[id(g)] for g in gens]
-            memo[modules, exponents] = gens, labels
+            memo[modules, exponents] = [gens, labels, None]  # unpacked on demand
         return memo[key][0], sweep
 
     def generators(self, modules, exponents) -> tuple:

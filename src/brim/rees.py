@@ -11,8 +11,9 @@ with lengths over the local ring at the origin exactly when the quotient is
 supported there, which is what mprimary_check certifies.
 
 When the reduced basis is x-homogeneous the submodule is graded by x-degree,
-and ``DegreeSweep`` builds its degree pieces by linear algebra on packed
-polynomials (``poly.Packing``), unpacked only where a caller takes them;
+and ``DegreeSweep`` builds its degree pieces on packed polynomials
+(``poly.Packing``), unpacked only where a caller takes them, by linear
+algebra or, when every generator is a monomial, as sets of codes;
 graded Nakayama then picks the minimal generators out of the reduced basis
 (``minimal_sweep``, which hands back the sweep for its pieces).
 """
@@ -169,6 +170,14 @@ class DegreeSweep:
     column; ``count`` is their number and ``rank`` is dim N_delta.
     ``pieces()`` yields both degree by degree from ``start``, the degrees
     already swept first.
+
+    ``monomial`` is whether every generator, over every degree, is a single
+    term.  Then N_delta is spanned by monomials, and the span of monomials
+    is the set of their columns, whatever their nonzero coefficients: the
+    sweep keeps N_delta as that set, shifts it by the steps and keeps a
+    generator exactly when its column is not in it yet.  This is what
+    elimination does to a one-term row, so the kept generators and every
+    (count, rank) are the same.  Otherwise N_delta is a ``linalg.Echelon``.
     """
 
     def __init__(self, ring: RingSpec, tdeg: int, groups: dict):
@@ -178,40 +187,51 @@ class DegreeSweep:
         self.delta = self.start - 1
         self._packing = Packing(ring)
         self._packing.check(tdeg)
-        self._echelon = Echelon(ring.field)
+        self.monomial = all(len(g) == 1 for gens in groups.values() for g in gens)
+        self._span = set() if self.monomial else {}  # its columns, or echelon rows by pivot
         self._swept = []  # (count, rank) of every degree swept, from start
 
     @property
     def rank(self) -> int:
-        return len(self._echelon.rows)
+        return len(self._span)
 
     def advance(self) -> list:
         """Step to the next degree; returns its generators that enlarged the
-        span.  Once N_delta is the whole degree piece the remaining rows are
-        skipped."""
+        span.  Elimination skips the remaining rows once N_delta is the
+        whole degree piece."""
         self.delta += 1
         self._packing.check(self.delta)
         full = self.count = count_bidegree(self.ring, self.tdeg, self.delta)
-        echelon = Echelon(self.ring.field)
+        fresh = self._groups.pop(self.delta, ())
         kept = []
-        shifted = (
-            (None, {c - step: v for c, v in row.items()})
-            for row in self._echelon.rows.values()
-            for step in self._packing.steps
-        )
-        fresh = ((g, {-c: v for c, v in g.items()}) for g in self._groups.pop(self.delta, ()))
-        for g, vec in chain(shifted, fresh):
-            if len(echelon.rows) == full:
-                break
-            if g is not None:
-                echelon.integral(vec)
-            echelon.reduce(vec)
-            if vec:
-                echelon.insert(vec)
-                if g is not None:
+        if self.monomial:
+            span = {c - step for c in self._span for step in self._packing.steps}
+            for g in fresh:
+                (code,) = g
+                if -code not in span:
+                    span.add(-code)
                     kept.append(g)
-        self._echelon = echelon
-        self._swept.append((full, len(echelon.rows)))
+        else:
+            echelon = Echelon(self.ring.field)
+            shifted = (
+                (None, {c - step: v for c, v in row.items()})
+                for row in self._span.values()
+                for step in self._packing.steps
+            )
+            fresh = ((g, {-c: v for c, v in g.items()}) for g in fresh)
+            for g, vec in chain(shifted, fresh):
+                if len(echelon.rows) == full:
+                    break
+                if g is not None:
+                    echelon.integral(vec)
+                echelon.reduce(vec)
+                if vec:
+                    echelon.insert(vec)
+                    if g is not None:
+                        kept.append(g)
+            span = echelon.rows
+        self._span = span
+        self._swept.append((full, len(span)))
         return kept
 
     def pieces(self):

@@ -12,6 +12,10 @@ products, apart from the production division code.
 with ``Monomial.mul`` on unpacked monomials: the reference for the sparse
 rows of packed monomials that ``brim.koszul`` builds.
 
+``echelon_sweep`` runs the rows of a graded degree sweep through
+``linalg.Echelon`` with no shortcut: the reference for the monomial mode of
+``brim.rees.DegreeSweep``, which keeps its pieces as sets of codes.
+
 ``embed_w``, ``submodule_eq``, ``order_compare``, ``monic`` and ``divides``
 are helpers only the tests need, written on the package's public API.
 """
@@ -20,6 +24,7 @@ import itertools
 from math import comb
 
 from brim import InvalidInput, ResourceLimit, buchberger, contains, parse_polynomial
+from brim.linalg import Echelon
 from brim.poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
 
 
@@ -267,3 +272,26 @@ class DensePairedSpan:
         if any(v):
             return ("kernel", v)
         return ("dependent", None)
+
+
+def echelon_sweep(field, steps, groups):
+    """Reference for ``brim.rees.DegreeSweep``: for each x-degree from the
+    lowest in ``groups`` (x-degree -> packed generators) to the highest,
+    (the generators of that degree that enlarge the span, in order;
+    dim N_delta).  N_delta is spanned by x_i times the rows of N_(delta-1),
+    x_i adding ``steps[i]`` to every code, and then by the degree's
+    generators; every row goes through ``linalg.Echelon`` on its codes."""
+    rows, out = [], []
+    for delta in range(min(groups), max(groups) + 1):
+        echelon, kept = Echelon(field), []
+        shifted = [(None, {c + s: v for c, v in row.items()}) for row in rows for s in steps]
+        for g, vec in shifted + [(g, dict(g)) for g in groups.get(delta, ())]:
+            echelon.integral(vec)
+            echelon.reduce(vec)
+            if vec:
+                echelon.insert(vec)
+                if g is not None:
+                    kept.append(g)
+        rows = list(echelon.rows.values())
+        out.append((kept, len(rows)))
+    return out

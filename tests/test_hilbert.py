@@ -17,7 +17,7 @@ from brim import (
     tilde_ebr,
 )
 
-from .oracles import length_m_power, length_mF_power
+from .oracles import echelon_sweep, length_m_power, length_mF_power
 
 R11 = RingSpec(d=1, p=1)
 R21 = RingSpec(d=2, p=1)
@@ -445,6 +445,9 @@ def test_slice_of_a_product_without_shift_is_the_product():
 # ---------------------------------------------------------------------------
 # the graded length path against Buchberger
 
+from fractions import Fraction  # noqa: E402
+from unittest import mock  # noqa: E402
+
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
@@ -656,6 +659,120 @@ def test_packed_products_drop_the_terms_that_vanish_mod_p():
     for n, q in [(1, 0), (2, 0), (2, 1), (3, 0)]:
         graded, reference = _both_paths(LengthQuery((e,), (n,), q))
         assert graded == reference, (n, q)
+
+
+def _sweep_modes(query):
+    """``_both_paths`` of the cell, and the ``monomial`` mode of every
+    DegreeSweep built meanwhile, in order."""
+    modes = []
+    init = rees.DegreeSweep.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        modes.append(self.monomial)
+
+    with mock.patch.object(rees.DegreeSweep, "__init__", recording):
+        return (*_both_paths(query), modes)
+
+
+# nonzero mod 7 and other than one, as a monomial's coefficient
+SCALES = [2, 3, 5, -1, -4]
+
+
+@st.composite
+def monomial_cells(draw):
+    """A cell over one or two monomial modules on R21, R22 or R31, over QQ
+    or GF(7): every pure power x_i^a mu and up to three more monomials,
+    each times a coefficient other than one.  The cell has q = 0, 1 or 2
+    and perhaps a scaled monomial quotient element."""
+    d, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    ring = RingSpec(d=d, p=p, field=draw(st.sampled_from([QQ, GF7])))
+    positions = t_monomials(ring, 1)
+    monos = [
+        Monomial(pos, xe) for pos in positions for a in (1, 2) for xe in compositions_desc(a, d)
+    ]
+
+    def term(mono):
+        return Polynomial(ring, {mono: draw(st.sampled_from(SCALES))})
+
+    def module():
+        gens = []
+        for pos in positions:
+            for i in range(d):
+                a = draw(st.integers(1, 2))
+                gens.append(term(Monomial(pos, tuple(a if j == i else 0 for j in range(d)))))
+        gens += [term(draw(st.sampled_from(monos))) for _ in range(draw(st.integers(0, 3)))]
+        return GradedSubmodule(SubmoduleSpec(ring, 1, gens))
+
+    modules = (module(),) if draw(st.booleans()) else (module(), module())
+    exponents = tuple(draw(st.integers(1, 2)) for _ in modules)
+    budget = 12 // (d * p) - sum(exponents)  # t-degree times d*p at most 12
+    assume(budget >= 0)
+    q = draw(st.integers(0, min(2, budget)))
+    elems = ()
+    if draw(st.booleans()):
+        pos = draw(st.sampled_from(t_monomials(ring, draw(st.integers(1, sum(exponents) + q)))))
+        xe = draw(st.sampled_from(list(compositions_desc(draw(st.integers(1, 2)), d))))
+        elems = (term(Monomial(pos, xe)),)
+    return LengthQuery(modules, exponents, q, elems)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_cells())
+def test_monomial_sweeps_match_buchberger(query):
+    """Products of monomial modules, their t-shifts and a monomial quotient
+    element give monomial generators only, so every sweep keeps its pieces
+    as sets of codes; its lengths are Buchberger's on the cell's slice."""
+    assert query.graded()
+    graded, reference, modes = _sweep_modes(query)
+    assert graded == reference
+    assert modes and all(modes)
+
+
+def test_a_binomial_quotient_element_sweeps_by_elimination():
+    """Over GF(7), mFs and E reduce to monomial bases, so their products are
+    swept as sets of codes.  A binomial quotient element makes the cell's
+    own sweep take elimination, and its lengths are still Buchberger's."""
+    ring = RingSpec(d=2, p=2, field=GF7)
+    mfs = mk(ring, ["3*x1*t1", "5*x2*t1", "6*x1*t2", "2*x2*t2"])
+    e = mk(ring, E22_GENS)
+    elem = parse_polynomial(ring, "2*x1*t1 + 3*x2*t2")
+    for exps, q in [((2, 1), 0), ((1, 1), 1), ((1, 2), 0)]:
+        graded, reference, modes = _sweep_modes(LengthQuery((mfs, e), exps, q, (elem,)))
+        assert graded == reference, (exps, q)
+        assert modes[-1] is False and all(modes[:-1]), (exps, q)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_monomial_sweep_keeps_what_elimination_keeps(data):
+    """On monomial generators with repeated codes and coefficients other
+    than one, a sweep keeps, degree by degree and in order, the very
+    generators that running the same rows through ``linalg.Echelon`` keeps
+    (``oracles.echelon_sweep``), with the same ranks."""
+    d, p = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+    ring = RingSpec(d=d, p=p, field=data.draw(st.sampled_from([QQ, GF7])))
+    tdeg = data.draw(st.integers(1, 2))
+    pack = Packing(ring)
+    monos = [
+        Monomial(t, xe) for t in t_monomials(ring, tdeg) for a in (1, 2, 3)
+        for xe in compositions_desc(a, d)
+    ]
+    picked = data.draw(st.lists(st.sampled_from(monos), min_size=1, max_size=12))
+    picked += data.draw(st.lists(st.sampled_from(picked), min_size=1, max_size=4))
+    scales = st.sampled_from(SCALES + [1, Fraction(2, 3)])
+    gens = [
+        pack.pack(Polynomial(ring, {mono: data.draw(scales)}))
+        for mono in data.draw(st.permutations(picked))
+    ]
+    groups = rees.by_xdegree(gens, pack)
+    sweep = rees.DegreeSweep(ring, tdeg, {a: list(g) for a, g in groups.items()})
+    assert sweep.monomial
+    swept = []
+    while sweep.delta < sweep.top:
+        swept.append((list(map(id, sweep.advance())), sweep.rank))
+    reference = echelon_sweep(ring.field, pack.steps, groups)
+    assert swept == [(list(map(id, kept)), rank) for kept, rank in reference]
 
 
 def test_non_homogeneous_cell_takes_the_buchberger_path(monkeypatch):

@@ -215,10 +215,24 @@ def test_is_joint_reduction_positive(m):
     assert dec.verdict is Verdict.TRUE and dec.witness_n0 == 1
 
 
-def test_is_joint_reduction_repeated_element_fails(m):
+def test_is_joint_reduction_repeated_element_fails(m, monkeypatch):
+    """Both sides of each n ask for m^(2n-1), and it is unpacked once: the
+    2 + 4 + 6 generators of m, m^3 and m^5."""
+    from brim.poly import Packing
+
+    m.minimal_gens  # unpacked on its own, outside the product memo
+    calls = []
+    unpack = Packing.unpack
+
+    def counting(self, terms):
+        calls.append(None)
+        return unpack(self, terms)
+
+    monkeypatch.setattr(Packing, "unpack", counting)
     dec = is_joint_reduction([P("x1*t1"), P("x1*t1")], [m, m], n_max=3)
     assert dec.verdict is Verdict.INCONCLUSIVE
     assert "x2^" in dec.counterexample
+    assert len(calls) == 2 + 4 + 6
 
 
 def test_is_joint_reduction_membership_gate(m, m2):
