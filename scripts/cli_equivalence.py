@@ -66,6 +66,9 @@ R22_MODULES = {
     "P": {"tdeg": 1, "gens": ["x1*t1", "x2*t2", "x1*t2+x2*t1"]},
     # mF with coefficients other than one, nonzero mod 7
     "mFs": {"tdeg": 1, "gens": ["3*x1*t1", "5*x2*t1", "6*x1*t2", "2*x2*t2"]},
+    # not x-homogeneous across positions: its reduced basis keeps
+    # x1*t1 + x2^2*t2 and x2^2*t1 + x1*t2, so its cells take Buchberger
+    "B": {"tdeg": 1, "gens": ["x1*t1+x2^2*t2", "x2^2*t1+x1*t2", "x1^2*t2", "x2^3*t2", "x1*x2*t1"]},
 }
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 # D = d+p-1 = 4: mF, and a parameter span c1..c4 of it over R32
@@ -134,6 +137,11 @@ PER_FIELD = [
     ("r22", "assoc -m mFs -d 2 -j 1"),
     ("r21", "mixed -m m2s,A -d 1,1"),
     ("r21", "assoc -m m -d 1 -j 1"),
+    # heavier Buchberger-path bases: A^12, and two positions of B^4; E's
+    # reduced basis is monomial, so E^4 is the graded count beside it
+    ("r21", "length -m A -n 12"),
+    ("r22", "length -m B -n 4"),
+    ("r22", "length -m E -n 4"),
     ("r21", "gmult -e a1,a2"),
     ("r21", "gmult -e b1,a2 -t 3"),
     # homology dimensions of a rank-two module, and of higher exponents

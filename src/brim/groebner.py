@@ -22,17 +22,27 @@ elements whose leading monomial no later one divides, is the basis kept.
 The product (coprimality) criterion is left out: it rests on f*g = g*f
 for ring elements, and two module elements at the same position with
 coprime leading monomials need not have an S-pair that reduces to zero.
+
+Division and Buchberger compute on packed polynomials (``poly.Packing``,
+after M. Monagan and R. Pearce, CASC 2007): each monomial is one int whose
+order is the term order, a product is a sum of codes, the position is the
+code's top slots, and divisibility and lcms are guard-bit operations on
+exponent codes.  ``Polynomial`` and ``Monomial`` appear only at the
+boundary: the generators are packed once, and the basis elements, their
+leading monomials and normal forms are unpacked.  A degree that reaches the
+slot base is a ``ResourceLimit``.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from math import prod
 from typing import Optional
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
+from .poly import Monomial, Packing, Polynomial, _add_terms, t_monomials
 from .ring import RingSpec
 
 STANDARD_MONOMIAL_CAP = 10**6
@@ -67,64 +77,56 @@ class GeneratorSet:
 
 
 class _Reducer:
-    """Division engine: monic divisors indexed by leading position; sums are
-    reduced mod the field's characteristic p when it is nonzero."""
+    """Division engine on packed polynomials (``poly.Packing``): monic
+    divisors indexed by leading position, each with its leading code, the
+    exponent code of that and its other terms; sums are reduced mod the
+    field's characteristic p when it is nonzero."""
 
-    __slots__ = ("p", "by_pos")
+    __slots__ = ("pack", "p", "by_pos")
 
-    def __init__(self, field):
-        self.p = field.p
+    def __init__(self, pack: Packing):
+        self.pack = pack
+        self.p = pack.ring.field.p
         self.by_pos = {}
 
-    def add(self, g: Polynomial, lt: Monomial):
-        """Add the monic divisor g, whose leading monomial is lt."""
-        tail = tuple((m, c) for m, c in g.items() if m != lt)
-        self.by_pos.setdefault(lt.texp, []).append((lt.xexp, tail))
+    def add(self, g: dict, lt: int):
+        """Add the monic packed divisor g, whose leading code is lt."""
+        tail = tuple((c, v) for c, v in g.items() if c != lt)
+        divisor = (self.pack.exponents(lt), lt, tail)
+        self.by_pos.setdefault(lt >> self.pack.tshift, []).append(divisor)
 
     def reduce(self, work: dict) -> dict:
-        """Full normal form of the term dict; consumes and returns dicts."""
-        order_key = DEGREVLEX_X.key
-        p = self.p
-        by_pos = self.by_pos
-        heap = [(tuple(-k for k in order_key(m)), m) for m in work]
-        heapq.heapify(heap)
+        """Full normal form of the packed terms, its terms in descending
+        order; consumes work.  Terms are popped largest first; the exponent
+        code and the guard test are ``Packing.exponents`` and ``divides``."""
+        pack, p, by_pos = self.pack, self.p, self.by_pos
+        tshift, xmask, width, guards = pack.tshift, pack.xmask, pack.width, pack.guards
+        heap = [-m for m in work]
+        heapify(heap)
         rem = {}
         while heap:
-            top, m = heapq.heappop(heap)
-            c = work.get(m)
+            m = -heappop(heap)
+            c = work.pop(m, None)
             if c is None:
                 continue
-            divisor = None
-            for lx, tail in by_pos.get(m.texp, ()):
-                if all(a <= b for a, b in zip(lx, m.xexp)):
-                    divisor = (lx, tail)
+            e = (m & xmask) - (m << width & xmask)
+            for ed, lt, tail in by_pos.get(m >> tshift, ()):
+                if not (e - ed) & guards:
                     break
-            if divisor is None:
+            else:
                 rem[m] = c
-                del work[m]
                 continue
-            lx, tail = divisor
-            shift = Monomial(
-                (0,) * len(m.texp), tuple(b - a for a, b in zip(lx, m.xexp))
-            )
-            del work[m]  # the divisor is monic: leading terms cancel exactly
-            for gm, gc in tail:
-                mm = gm.mul(shift)
+            shift = m - lt  # the divisor is monic: leading terms cancel exactly
+            for tm, tc in tail:
+                mm = tm + shift
                 acc = work.get(mm)
-                if acc is None:
-                    nc = -c * gc % p if p else -c * gc
-                    if nc:
-                        work[mm] = nc
-                        key = tuple(-k for k in order_key(mm))
-                        if key <= top:
-                            raise InternalError(
-                                f"division by a divisor whose leading monomial is not "
-                                f"{Monomial(m.texp, lx)}: tail term {mm} does not sort "
-                                f"below {m}"
-                            )
-                        heapq.heappush(heap, (key, mm))
+                if acc is None:  # a new term: -c * tc is nonzero in a field
+                    if mm >= m or mm & guards:
+                        self._refuse(m, lt, mm)
+                    work[mm] = -c * tc % p if p else -c * tc
+                    heappush(heap, -mm)
                 else:
-                    acc -= c * gc
+                    acc -= c * tc
                     if p:
                         acc %= p
                     if acc:
@@ -133,12 +135,34 @@ class _Reducer:
                         del work[mm]
         return rem
 
+    def _refuse(self, m: int, lt: int, mm: int):
+        """Raise for the tail term mm that dividing m by lt formed: one that
+        does not sort below m, or one whose x-degree reaches the slot base."""
+        pack = self.pack
+        if mm >= m:
+            raise InternalError(
+                f"division by a divisor whose leading monomial is not {pack.monomial(lt)}: "
+                f"tail term {pack.monomial(mm)} does not sort below {pack.monomial(m)}"
+            )
+        pack.check(pack.xdeg(mm))
 
-def _monic(g: Polynomial):
-    """g scaled to leading coefficient one, and its leading monomial."""
-    lt, lc = g.leading_term()
-    fld = g.ring.field
-    return (g if lc == fld.one else g.scale(fld.invert(lc))), lt
+
+def _polynomial(pack: Packing, terms: dict) -> Polynomial:
+    """The packed terms as a Polynomial, by ``Packing.monomial``.
+    ``Packing.unpack`` stays the graded layer's own conversion, so that its
+    calls count the product memo's unpackings."""
+    coerce, monomial = pack.ring.field.coerce, pack.monomial
+    return Polynomial._raw(pack.ring, {monomial(c): coerce(v) for c, v in terms.items()})
+
+
+def _monic(g: dict, field):
+    """The leading code of the packed g, and g scaled to leading coefficient one."""
+    lt = max(g)
+    lc, p = g[lt], field.p
+    if lc != 1:
+        inv = field.invert(lc)
+        g = {c: v * inv % p for c, v in g.items()} if p else {c: v * inv for c, v in g.items()}
+    return lt, g
 
 
 class GroebnerBasis:
@@ -146,18 +170,16 @@ class GroebnerBasis:
 
     ``lts`` holds each element's leading monomial, in element order.  A
     caller that already holds them passes ``lts`` with monic elements; each
-    given lt must be a term of its element with coefficient one.
+    given lt must be a term of its element with coefficient one.  The
+    division engine holds the elements packed.
     """
 
     __slots__ = ("ring", "tdeg", "elements", "lts", "_reducer")
 
     def __init__(self, ring, tdeg, elements, lts=None):
-        self.ring = ring
-        self.tdeg = tdeg
+        pack = Packing(ring)
         if lts is None:
-            pairs = [_monic(g) for g in elements]
-            elements = [g for g, _ in pairs]
-            lts = [lt for _, lt in pairs]
+            rows = [_monic(pack.pack(g), ring.field) for g in elements]
         else:
             if len(lts) != len(elements):
                 raise InternalError(f"{len(lts)} leading monomials for {len(elements)} elements")
@@ -167,10 +189,22 @@ class GroebnerBasis:
                     raise InternalError(
                         f"leading monomial {lt} given for {g} is not a term with coefficient one"
                     )
-        self.elements = tuple(elements)
-        self.lts = tuple(lts)
-        self._reducer = _Reducer(ring.field)
-        for g, lt in zip(self.elements, self.lts):
+            rows = [(pack.code(lt), pack.pack(g)) for g, lt in zip(elements, lts)]
+        self._fill(pack, tdeg, rows)
+
+    @classmethod
+    def _from_codes(cls, pack: Packing, tdeg: int, rows) -> "GroebnerBasis":
+        """The basis of monic packed elements given as (leading code, terms)."""
+        basis = object.__new__(cls)
+        basis._fill(pack, tdeg, rows)
+        return basis
+
+    def _fill(self, pack, tdeg, rows):
+        self.ring, self.tdeg = pack.ring, tdeg
+        self.elements = tuple(_polynomial(pack, g) for _, g in rows)
+        self.lts = tuple(pack.monomial(lt) for lt, _ in rows)
+        self._reducer = _Reducer(pack)
+        for lt, g in rows:
             self._reducer.add(g, lt)
 
     def __iter__(self):
@@ -188,45 +222,25 @@ def normal_form(v: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise InvalidInput(
             f"normal form requires t-degree {basis.tdeg}, got {v.tdeg_if_homogeneous()}"
         )
-    rem = basis._reducer.reduce(dict(v.items()))
-    return Polynomial._raw(v.ring, rem)
+    pack = basis._reducer.pack
+    return _polynomial(pack, basis._reducer.reduce(pack.pack(v)))
 
 
 def contains(basis: GroebnerBasis, v: Polynomial) -> bool:
     return normal_form(v, basis).is_zero()
 
 
-def _spair_of(f: Polynomial, g: Polynomial, lf: Monomial, lg: Monomial) -> Polynomial:
-    # lf, lg: the leading monomials of the monic f and g; their positions agree
-    lcm = tuple(max(a, b) for a, b in zip(lf.xexp, lg.xexp))
-    mf = Monomial((0,) * len(lf.texp), tuple(l - a for l, a in zip(lcm, lf.xexp)))
-    mg = Monomial((0,) * len(lg.texp), tuple(l - a for l, a in zip(lcm, lg.xexp)))
-    return f.mul_term(mf, 1) + g.mul_term(mg, -1)
-
-
-def _sugar(f: Polynomial) -> int:
-    return max(m.xdeg for m, _ in f.items())
-
-
-def _xdivides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _xlcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def _minimalize_monomials(ring, tdeg, monos):
+def _minimalize_monomials(ring, tdeg, gens):
     """Reduced basis for monomial generators: drop dominated monomials."""
-    kept = {}  # position -> kept x-exponents
-    for m in sorted(set(monos)):  # componentwise divisors sort first
-        here = kept.setdefault(m.texp, [])
-        if not any(_xdivides(k, m.xexp) for k in here):
-            here.append(m.xexp)
-    lts = sorted(
-        (Monomial(pos, x) for pos, xs in kept.items() for x in xs), key=DEGREVLEX_X.key
-    )
-    return GroebnerBasis(ring, tdeg, [Polynomial.from_monomial(ring, m, 1) for m in lts], lts)
+    pack, one = Packing(ring), ring.field.one
+    kept = {}  # position -> kept exponent codes
+    rows = []
+    for lt in sorted({pack.code(m) for g in gens for m, _ in g.items()}):  # divisors first
+        e, here = pack.exponents(lt), kept.setdefault(lt >> pack.tshift, [])
+        if not any(pack.divides(k, e) for k in here):
+            here.append(e)
+            rows.append((lt, {lt: one}))
+    return GroebnerBasis._from_codes(pack, tdeg, rows)
 
 
 def buchberger(gset: GeneratorSet) -> GroebnerBasis:
@@ -237,66 +251,72 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     index.  An input is reduced by the current basis when it is popped and
     joins it only if the remainder is nonzero.  Pairs with distinct leading
     positions are never formed, and ``PAIR_CAP`` counts S-pairs only.  The
-    elements kept are the Gebauer-Moeller active set, tail-reduced.
+    elements kept are the Gebauer-Moeller active set, tail-reduced.  Every
+    polynomial is packed; lcms and divisibility are on exponent codes, and
+    a pair whose sugar reaches the slot base is a ``ResourceLimit``.
     """
     ring = gset.ring
     if all(g.num_terms() == 1 for g in gset.gens):
-        return _minimalize_monomials(ring, gset.tdeg, [g.leading_term()[0] for g in gset.gens])
+        return _minimalize_monomials(ring, gset.tdeg, gset.gens)
 
-    reducer = _Reducer(ring.field)
+    pack, field = Packing(ring), ring.field
+    xdeg, divides, lcm_of, ones = pack.xdeg, pack.divides, pack.lcm, pack.ones
+    gens = [pack.pack(g) for g in gset.gens]
+    reducer = _Reducer(pack)
     G = []
-    lts = []
-    sugars = []
+    lts = []  # leading codes
+    exps = []  # their exponent codes
+    lifts = []  # sugar minus the leading term's x-degree
     active = {}  # position -> indices whose leading term no later one divides
-    queued = {}  # position -> {(i, j): x-lcm} for pairs still to reduce
+    queued = {}  # position -> {(i, j): exponent code of the lcm} for pairs still to reduce
     pairs = []  # heap of (sugar, i, j); entries gone from queued are skipped
+
+    def sugar(g):
+        return max(map(xdeg, g))
 
     def append(g):
         """Add g, made monic, to the basis and queue its surviving pairs."""
         k = len(G)
-        g, lt = _monic(g)
+        lt, g = _monic(g, field)
+        x = pack.exponents(lt)
         G.append(g)
         lts.append(lt)
-        sugars.append(_sugar(g))
+        exps.append(x)
+        lifts.append(sugar(g) - xdeg(lt))
         reducer.add(g, lt)
-        pos, x = lt.texp, lt.xexp
+        pos = lt >> pack.tshift
         live = queued.setdefault(pos, {})
         # B_k: (i, j) has a chain through k unless k's lcm with i or j is lcm(i, j)
         for (i, j), lcm in list(live.items()):
-            if (
-                _xdivides(x, lcm)
-                and _xlcm(lts[i].xexp, x) != lcm
-                and _xlcm(lts[j].xexp, x) != lcm
-            ):
+            if divides(x, lcm) and lcm_of(exps[i], x) != lcm and lcm_of(exps[j], x) != lcm:
                 del live[(i, j)]
         # M and F: keep (i, k) only if no other new pair's lcm divides its lcm;
         # of pairs with equal lcms the last is kept
         olds = active.setdefault(pos, [])
-        new = [(i, _xlcm(lts[i].xexp, x)) for i in olds]
+        new = [(i, lcm_of(exps[i], x)) for i in olds]
         kept = []
         for n, (i, lcm) in enumerate(new):
-            if any(_xdivides(other, lcm) for _, other in new[n + 1:]) or any(
-                _xdivides(other, lcm) for _, other in kept
+            if any(divides(other, lcm) for _, other in new[n + 1:]) or any(
+                divides(other, lcm) for _, other in kept
             ):
                 continue
             kept.append((i, lcm))
         for i, lcm in kept:
-            lcm_deg = sum(lcm)
-            s = max(sugars[i] + lcm_deg - lts[i].xdeg, sugars[k] + lcm_deg - lt.xdeg)
             live[(i, k)] = lcm
-            heapq.heappush(pairs, (s, i, k))
-        olds[:] = [i for i in olds if not _xdivides(x, lts[i].xexp)]
+            # lcm * ones is the lcm's x-code, with spill above its s_d slot
+            heappush(pairs, (xdeg(lcm * ones) + max(lifts[i], lifts[k]), i, k))
+        olds[:] = [i for i in olds if not divides(x, exps[i])]
         olds.append(k)
 
     # input k waits as (sugar, -1, k), ahead of the S-pairs of its sugar
-    for k, g in enumerate(gset.gens):
-        heapq.heappush(pairs, (_sugar(g), -1, k))
+    for k, g in enumerate(gens):
+        heappush(pairs, (sugar(g), -1, k))
 
     processed = 0
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        s, i, j = heappop(pairs)
         if i < 0:
-            rem = reducer.reduce(dict(gset.gens[j].items()))
+            rem = reducer.reduce(dict(gens[j]))
         else:
             processed += 1
             if processed > PAIR_CAP:
@@ -305,27 +325,36 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
                     f"processed from {len(gset.gens)} input generators, basis reached "
                     f"{len(G)} elements (pair cap {PAIR_CAP})"
                 )
-            if queued[lts[i].texp].pop((i, j), None) is None:
+            lcm = queued[lts[i] >> pack.tshift].pop((i, j), None)
+            if lcm is None:
                 continue
-            rem = reducer.reduce(dict(_spair_of(G[i], G[j], lts[i], lts[j]).items()))
+            pack.check(s)  # the largest x-degree of the S-pair's terms
+            rem = reducer.reduce(_spair(pack, G[i], G[j], lts[i], lts[j], lcm))
         if rem:
-            append(Polynomial._raw(ring, rem))
+            append(rem)
 
     # each element joined reduced by the earlier ones, and active drops every
     # index a later leading term divides: it holds the minimal basis already
-    keep = [i for olds in active.values() for i in olds]
+    keep = sorted((i for olds in active.values() for i in olds), key=lts.__getitem__)
     # tail-reduce: an element's own leading term divides none of its tail terms
-    tails = _Reducer(ring.field)
+    tails = _Reducer(pack)
     for i in keep:
         tails.add(G[i], lts[i])
-    one = ring.field.one
-    keep.sort(key=lambda i: DEGREVLEX_X.key(lts[i]))
-    reduced = []
+    one = field.one
+    rows = []
     for i in keep:
         lt = lts[i]
-        tail = tails.reduce({m: c for m, c in G[i].items() if m != lt})
-        reduced.append(Polynomial._raw(ring, {lt: one, **tail}))
-    return GroebnerBasis(ring, gset.tdeg, reduced, [lts[i] for i in keep])
+        rows.append((lt, {lt: one, **tails.reduce({c: v for c, v in G[i].items() if c != lt})}))
+    return GroebnerBasis._from_codes(pack, gset.tdeg, rows)
+
+
+def _spair(pack: Packing, f: dict, g: dict, lf: int, lg: int, lcm: int) -> dict:
+    """The S-polynomial of the monic packed f and g, whose leading codes lf
+    and lg share a position and whose exponent codes have the lcm given."""
+    top, xmask, p = lcm * pack.ones & pack.xmask, pack.xmask, pack.ring.field.p
+    sf, sg = top - (lf & xmask), top - (lg & xmask)
+    minus = ((c + sg, -v % p if p else -v) for c, v in g.items())
+    return _add_terms({c + sf: v for c, v in f.items()}, minus, p)
 
 
 @dataclass
@@ -341,11 +370,14 @@ def colength(basis: GroebnerBasis) -> ColengthReport:
     Finite iff at every position the leading-term staircase contains a pure
     power of every x-variable; infinite is a valid report, not an error.
     At a position the pure powers bound a box.  The count runs over the heads
-    (e_1..e_(d-1)) of that box: the standard monomials over a head are
-    x^head * x_d^j for j below the smallest last exponent among the leading
-    monomials whose other exponents divide the head.  Both the pure powers
-    and the column heights are minima over the monomials that divide, so a
-    basis that is not reduced gives the same report.
+    (e_1..e_(d-1)) of that box in lex order: the standard monomials over a
+    head are x^head * x_d^j for j below its column height, the smallest last
+    exponent among the leading monomials whose other exponents divide the
+    head.  That is the smallest of those whose other exponents are the
+    head's and of the heights one step below the head in each variable,
+    which the count has passed already.  Both the pure powers and the column
+    heights are minima over the monomials that divide, so a basis that is
+    not reduced gives the same report.
     """
     ring = basis.ring
     d = ring.d
@@ -367,18 +399,28 @@ def colength(basis: GroebnerBasis) -> ColengthReport:
 
     cap = STANDARD_MONOMIAL_CAP
     total = 0
-    for exps, bounds in per_pos:
-        box = 1
-        for b in bounds:
-            box *= b
+    for pos, (exps, bounds) in zip(positions, per_pos):
+        box = prod(bounds)
         if box > cap:
-            raise ResourceLimit("standard monomial enumeration exceeds the cap")
-        for head in itertools.product(*(range(b) for b in bounds[:-1])):
-            height = bounds[-1]
-            for e in exps:
-                if e[-1] < height and all(a <= b for a, b in zip(e, head)):
-                    height = e[-1]
+            at = Polynomial.from_monomial(ring, Monomial(tuple(pos), (0,) * d))
+            raise ResourceLimit(
+                f"the pure-power box at {at} holds {box} monomials (standard monomial cap {cap})"
+            )
+        dims, top = bounds[:-1], bounds[-1]
+        strides = [prod(dims[i + 1:]) for i in range(d - 1)]  # a head's index, lex
+        own = {}  # head index -> least last exponent over the head exactly
+        for e in exps:
+            if all(a < b for a, b in zip(e, dims)):
+                k = sum(a * s for a, s in zip(e, strides))
+                own[k] = min(own.get(k, top), e[-1])
+        heights = []
+        for k, head in enumerate(itertools.product(*map(range, dims))):
+            height = own.get(k, top)
+            for a, s in zip(head, strides):
+                if a and heights[k - s] < height:
+                    height = heights[k - s]
+            heights.append(height)
             total += height
             if total > cap:
-                raise ResourceLimit("standard monomial enumeration exceeds the cap")
+                raise ResourceLimit(f"the standard monomial count reached {total} (cap {cap})")
     return ColengthReport(True, total)

@@ -323,14 +323,11 @@ def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
         for m, n in zip(query.modules, query.exponents):
             if n >= 1:
                 m.primarity()
-    except (InfiniteColength, SupportOffOrigin) as exc:
-        raise type(exc)(f"{_cell_name(query)}: {exc}") from exc
-    if query.graded():
-        try:
+        if query.graded():
             return _graded_length(query, evaluator)
-        except ResourceLimit as exc:
-            raise ResourceLimit(f"{_cell_name(query)}: {exc}") from exc
-    report = build_slice_submodule(query, evaluator).colength_report()
+        report = build_slice_submodule(query, evaluator).colength_report()
+    except (InfiniteColength, SupportOffOrigin, ResourceLimit) as exc:
+        raise type(exc)(f"{_cell_name(query)}: {exc}") from exc
     if not report.finite:
         raise InternalError(f"{_cell_name(query)} is infinite, yet its factors pass the gate")
     return report.value
@@ -358,7 +355,7 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     products, sweep = evaluator._minimal_codes(query.modules, query.exponents)
     if sweep is not None and not query.qdeg and not query.quotient_elems:
         # the sweep that picked the products spans N already
-        top = max(map(max, products)) >> pack.xshift
+        top = max(pack.xdeg(min(g)) for g in products)  # each is x-homogeneous
     else:
         shifts = pack.t_codes(query.qdeg)
         lifts = [(g, shifts) for g in products]

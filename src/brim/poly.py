@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from math import comb
-from operator import sub
 from typing import NamedTuple
 
 from .errors import InvalidInput, ResourceLimit, Undefined
@@ -286,21 +285,31 @@ SLOT_BITS = 16
 
 
 class Packing:
-    """A ring's monomials as ints of SLOT_BITS-bit slots, from the top s_d,
-    t1..tp, s_(d-1), ..., s_1 with s_k = x1 + ... + xk.  A product's code is
-    the sum of the codes, x_i adds ``steps[i]``, ``code >> xshift`` is the
-    x-degree and codes of one x-degree compare as the term order does.  The
-    slots hold while degrees stay below the slot base, which ``code`` and
-    ``DegreeSweep`` ``check``.  A packed polynomial is a ``{code:
+    """A ring's monomials as ints with d + p slots of SLOT_BITS + 1 bits, from
+    the top t1..tp, s_d, ..., s_1 with s_k = x1 + ... + xk.  Int order is the
+    term order (positions, then degrevlex), a product's code is the sum of
+    the codes, x_i adds ``steps[i]`` and ``xdeg`` reads the s_d slot.
+    ``exponents`` gives a code's exponent code, x_k in the k-th slot from the
+    bottom, as the difference of neighbouring slots; there the top bit of
+    each slot is a guard, so u divides v exactly when v - u sets no guard
+    bit (``divides``), and ``lcm`` is the slotwise maximum by the same
+    borrow.  All of this holds while degrees stay below the slot base
+    2**SLOT_BITS, which ``code`` and the callers ``check``; the sum of two
+    such codes carries into no slot.  A packed polynomial is a ``{code:
     coefficient}`` dict; an integral rational enters it as an int."""
 
     def __init__(self, ring: RingSpec):
         d, p, self.ring = ring.d, ring.p, ring
-        self.base = 1 << SLOT_BITS
-        self.mask, self.xshift = self.base - 1, SLOT_BITS * (d + p - 1)
-        sums = [1 << SLOT_BITS * k for k in range(d - 1)] + [1 << self.xshift]  # s_1..s_d
-        self.steps = [sum(sums[i:]) for i in range(d)]
-        self.weights = [1 << SLOT_BITS * (d + p - 2 - j) for j in range(p)] + self.steps
+        w = self.width = SLOT_BITS + 1
+        self.base, self.mask = 1 << SLOT_BITS, (1 << w) - 1
+        self.xshift, self.tshift = w * (d - 1), w * d  # the s_d slot, the position
+        self.xmask = (1 << self.tshift) - 1  # the x slots
+        self.ones = self.xmask // self.mask  # a one in each: x-code = e * ones & xmask
+        self.guards = self.ones << SLOT_BITS
+        self.xshifts = range(0, self.tshift, w)  # x1..xd in an exponent code
+        self.tshifts = range(w * (d + p - 1), self.xshift, -w)  # t1..tp
+        self.steps = [self.ones >> s << s for s in self.xshifts]
+        self.weights = [1 << s for s in self.tshifts] + self.steps
 
     def check(self, *degrees: int):
         if max(degrees) >= self.base:
@@ -310,16 +319,34 @@ class Packing:
         self.check(sum(m.texp), sum(m.xexp))
         return sum(e * w for e, w in zip(m.texp + m.xexp, self.weights))
 
+    def xdeg(self, code: int) -> int:
+        return code >> self.xshift & self.mask
+
+    def exponents(self, code: int) -> int:
+        return (code & self.xmask) - (code << self.width & self.xmask)
+
+    def divides(self, u: int, v: int) -> bool:
+        """Does the exponent code u divide v?"""
+        return not (v - u) & self.guards
+
+    def lcm(self, u: int, v: int) -> int:
+        """The lcm of two exponent codes: where u - v borrows from no guard
+        bit, u's slot is the larger."""
+        g = ((u | self.guards) - v) & self.guards
+        larger = g - (g >> SLOT_BITS)
+        return (u & larger) | (v & ~larger)
+
+    def monomial(self, code: int) -> Monomial:
+        e, mask = self.exponents(code), self.mask
+        return Monomial(tuple([code >> s & mask for s in self.tshifts]),
+                        tuple([e >> s & mask for s in self.xshifts]))
+
     def pack(self, f: Polynomial) -> dict:
         return {self.code(m): c.numerator if c.denominator == 1 else c for m, c in f.items()}
 
     def unpack(self, terms: dict) -> Polynomial:
-        d, out, coerce = self.ring.d, {}, self.ring.field.coerce
-        for code, c in terms.items():
-            low = [code >> b & self.mask for b in range(0, self.xshift, SLOT_BITS)]
-            s = [0] + low[:d - 1] + [code >> self.xshift]  # 0, s_1..s_d; low[d-1:] is tp..t1
-            out[Monomial(tuple(reversed(low[d - 1:])), tuple(map(sub, s[1:], s[:-1])))] = coerce(c)
-        return Polynomial._raw(self.ring, out)
+        coerce, monomial = self.ring.field.coerce, self.monomial
+        return Polynomial._raw(self.ring, {monomial(code): coerce(c) for code, c in terms.items()})
 
     def t_codes(self, deg: int) -> list:
         """The codes of the degree-deg t-monomials, lex descending."""

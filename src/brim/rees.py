@@ -145,9 +145,9 @@ class GradedSubmodule:
 def by_xdegree(gens, packing: Packing):
     """{x-degree: packed generators of that degree}, in the given order;
     None unless every generator is nonzero and x-homogeneous."""
-    groups, shift = {}, packing.xshift
+    groups, shift, mask = {}, packing.xshift, packing.mask
     for g in gens:
-        degs = {c >> shift for c in g}
+        degs = {c >> shift & mask for c in g}
         if len(degs) != 1:
             return None
         groups.setdefault(degs.pop(), []).append(g)

@@ -6,7 +6,11 @@ production code, which counts one column of the pure-power box at a time:
 and ``box_scan_colength`` tests every cell of the box against every minimal
 leading monomial.  The three cross-check each other on monomial inputs.
 ``spair`` forms S-polynomials for the Groebner checks by plain polynomial
-products, apart from the production division code.
+products, apart from the production division code.  ``reference_divide``
+and ``reference_buchberger`` are textbook division and Buchberger on
+``Monomial`` tuples: every same-position pair, no pair criterion, then
+minimalization and inter-reduction.  They are the reference for
+``brim.groebner``, which computes on packed monomial codes.
 
 ``dense_differential`` is the Koszul differential as a dense matrix, built
 with ``Monomial.mul`` on unpacked monomials: the reference for the sparse
@@ -153,6 +157,71 @@ def spair(f, g):
         return h * Polynomial.from_monomial(ring, shift, ring.field.invert(lc))
 
     return lift(f, lf, cf) - lift(g, lg, cg)
+
+
+def _leading(f):
+    """The leading monomial of f under the term order's key."""
+    return max((m for m, _ in f.items()), key=DEGREVLEX_X.key)
+
+
+def reference_divide(f, divisors):
+    """The remainder of f on full division by the monic divisors: while some
+    term of what is left has a monomial that a divisor's leading monomial
+    divides, the largest such term is cancelled by the first such divisor;
+    the other terms go to the remainder."""
+    ring, p = f.ring, f.ring.field.p
+    leads = [_leading(g) for g in divisors]
+    left, rem = dict(f.items()), {}
+    while left:
+        m = max(left, key=DEGREVLEX_X.key)
+        c = left.pop(m)
+        for g, lead in zip(divisors, leads):
+            if divides(lead, m):
+                shift = Monomial((0,) * ring.p, tuple(b - a for a, b in zip(lead.xexp, m.xexp)))
+                for gm, gc in g.items():
+                    if gm != lead:
+                        mm = gm.mul(shift)
+                        acc = left.get(mm, 0) - c * gc
+                        left[mm] = acc % p if p else acc
+                        if not left[mm]:
+                            del left[mm]
+                break
+        else:
+            rem[m] = c
+    return Polynomial(ring, rem)
+
+
+def reference_buchberger(gset):
+    """(elements, leading monomials) of the reduced Groebner basis of the
+    generator set, sorted by leading monomial: the monic generators, then
+    the remainder of every same-position S-pair of every two elements by
+    all elements so far, joined while nonzero; then the elements whose
+    leading monomial no other's divides (the first of equal ones), each
+    with its tail reduced by the others."""
+    ring = gset.ring
+    basis = [monic(g) for g in gset.gens]
+    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
+    while pairs:
+        i, j = pairs.pop(0)
+        if _leading(basis[i]).texp != _leading(basis[j]).texp:
+            continue
+        rem = reference_divide(spair(basis[i], basis[j]), basis)
+        if rem:
+            basis.append(monic(rem))
+            pairs += [(k, len(basis) - 1) for k in range(len(basis) - 1)]
+    leads = [_leading(g) for g in basis]
+    minimal = [
+        i for i, lead in enumerate(leads)
+        if not any(divides(other, lead) and (other != lead or k < i)
+                   for k, other in enumerate(leads) if k != i)
+    ]
+    reduced = []
+    for i in minimal:
+        lead = Polynomial.from_monomial(ring, leads[i], 1)
+        others = [basis[k] for k in minimal if k != i]
+        reduced.append((leads[i], lead + reference_divide(basis[i] - lead, others)))
+    reduced.sort(key=lambda pair: DEGREVLEX_X.key(pair[0]))
+    return [g for _, g in reduced], [lead for lead, _ in reduced]
 
 
 def monomial_module_colength(ring, tdeg, monomials):

@@ -2,6 +2,7 @@ import contextlib
 import random
 import re
 import signal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -25,14 +26,15 @@ from brim import (
 )
 from brim import groebner
 from brim.groebner import STANDARD_MONOMIAL_CAP, GroebnerBasis
-from brim.poly import DEGREVLEX_X, MonomialOrder, t_monomials
+from brim.poly import MonomialOrder, t_monomials
 from brim.ring import QQ, PrimeField
 
 from .oracles import (
     box_scan_colength,
     divides,
-    monic,
     monomial_module_colength,
+    reference_buchberger,
+    reference_divide,
     spair,
     submodule_eq,
 )
@@ -211,50 +213,7 @@ def test_colength_matches_linear_algebra_oracle():
         assert value == oracle, (gens, value, oracle)
 
 
-def _buchberger_no_criteria(gs):
-    """Reference Buchberger: all same-position pairs, no pair criteria, and
-    its own inter-reduction (each element against a basis of the others).
-
-    Reduced bases are canonical, so this must agree with the production
-    algorithm exactly.
-    """
-    G = [monic(g) for g in gs.gens]
-    if not G:
-        return buchberger(gs)
-    pairs = [(i, j) for i in range(len(G)) for j in range(i + 1, len(G))]
-    while pairs:
-        i, j = pairs.pop(0)
-        li = G[i].leading_term()[0]
-        lj = G[j].leading_term()[0]
-        if li.texp != lj.texp:
-            continue
-        basis = GroebnerBasis(gs.ring, gs.tdeg, G)
-        r = normal_form(spair(G[i], G[j]), basis)
-        if not r.is_zero():
-            G.append(monic(r))
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    lts = [g.leading_term()[0] for g in G]
-    minimal = [
-        g
-        for i, g in enumerate(G)
-        if not any(
-            j != i and divides(lts[j], lts[i]) and (lts[j] != lts[i] or j < i)
-            for j in range(len(G))
-        )
-    ]
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = GroebnerBasis(gs.ring, gs.tdeg, minimal[:i] + minimal[i + 1:])
-        lt = g.leading_term()[0]
-        tail = g - Polynomial.from_monomial(gs.ring, lt, 1)
-        reduced.append(Polynomial.from_monomial(gs.ring, lt, 1) + normal_form(tail, others))
-    reduced.sort(key=lambda g: DEGREVLEX_X.key(g.leading_term()[0]))
-    return reduced
-
-
 def _random_generators(rng, ring, tdeg, count):
-    from fractions import Fraction
-
     from brim.poly import compositions_desc
 
     gens = []
@@ -281,8 +240,75 @@ def test_buchberger_matches_criterion_free_reference():
             continue
         gs = GeneratorSet(ring, tdeg, tuple(gens))
         fast = buchberger(gs)
-        slow = _buchberger_no_criteria(gs)
+        slow, _ = reference_buchberger(gs)
         assert [str(g) for g in fast] == [str(g) for g in slow], (trial, gens)
+
+
+# ---------------------------------------------------------------------------
+# packed Buchberger and division against the textbook reference on tuples
+
+COEFFICIENTS = [1, -1, 2, -3, 4, Fraction(1, 2), Fraction(-5, 3)]
+
+
+@st.composite
+def generator_sets(draw):
+    """Two to four generators of one to three terms over R21, R22, R31 or
+    R12 and QQ, GF(32003) or GF(7), in the degree-1 slice or, with two
+    positions or more, the degree-2 slice; at least one generator is not a
+    monomial, so the packed Buchberger runs.  Exponents stay below 4, and
+    below 3 over R31, where the reference's pairs grow fastest."""
+    d, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 1), (1, 2)]))
+    field = draw(st.sampled_from([QQ, PrimeField(32003), PrimeField(7)]))
+    ring = RingSpec(d=d, p=p, field=field)
+    tdeg = draw(st.integers(1, 2)) if p > 1 else 1
+    positions = [tuple(pos) for pos in t_monomials(ring, tdeg)]
+    terms = st.lists(
+        st.tuples(
+            st.sampled_from(positions),
+            st.tuples(*[st.integers(0, 2 if d > 2 else 3)] * d),
+            st.sampled_from(COEFFICIENTS),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+    gens = [
+        Polynomial(ring, [(Monomial(pos, x), c) for pos, x, c in drawn])
+        for drawn in draw(st.lists(terms, min_size=2, max_size=4))
+    ]
+    assume(any(g.num_terms() > 1 for g in gens))
+    return GeneratorSet(ring, tdeg, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets())
+def test_buchberger_matches_the_textbook_reference(gs):
+    """Elements and leading monomials, in order: the reduced basis is unique,
+    so the Gebauer-Moeller criteria, the sugar queue and the packed codes
+    change nothing."""
+    basis = buchberger(gs)
+    elements, lts = reference_buchberger(gs)
+    assert basis.elements == tuple(elements)
+    assert basis.lts == tuple(lts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_sets(), st.data())
+def test_normal_form_matches_reference_division(gs, data):
+    """By the reduced basis the remainder is unique; by the monic generators,
+    which need not be a Groebner basis, both divisions take the first
+    divisor whose leading monomial divides the largest divisible term, so
+    the remainders agree there too."""
+    ring = gs.ring
+    positions = [tuple(pos) for pos in t_monomials(ring, gs.tdeg)]
+    term = st.tuples(
+        st.sampled_from(positions), st.tuples(*[st.integers(0, 4)] * ring.d),
+        st.sampled_from(COEFFICIENTS),
+    )
+    v = Polynomial(ring, [(Monomial(pos, x), c) for pos, x, c in data.draw(st.lists(term, max_size=6))])
+    basis = buchberger(gs)
+    assert normal_form(v, basis) == reference_divide(v, list(basis.elements))
+    divisors = GroebnerBasis(ring, gs.tdeg, gs.gens)
+    assert normal_form(v, divisors) == reference_divide(v, list(divisors.elements))
 
 
 def test_buchberger_deterministic_output():
@@ -437,6 +463,13 @@ def test_basis_with_a_wrong_leading_monomial_raises():
         basis = GroebnerBasis(R21, 1, [g], [Monomial((1,), (0, 1))])
         with pytest.raises(InternalError, match="does not sort below"):
             normal_form(parse_polynomial(R21, "x2*t1"), basis)
+        # x2*t2 is not the leading term of x1*t1 + x2*t2 either: dividing by it
+        # forms x1*t1 at the higher position, which no divisor there would
+        # ever reduce, so without the check the remainder would be -x1*t1
+        h = parse_polynomial(R22, "x1*t1 + x2*t2")
+        basis = GroebnerBasis(R22, 1, [h], [Monomial((0, 1), (0, 1))])
+        with pytest.raises(InternalError, match="does not sort below"):
+            normal_form(parse_polynomial(R22, "x2*t2"), basis)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +519,25 @@ def test_colength_matches_the_box_scan_and_inclusion_exclusion(module, cap):
         rep = colength(basis)
     assert (rep.finite, rep.value) == (finite, value)
     assert rep.value == expected
+
+
+def test_colength_limits_name_the_cap_and_the_size_reached(monkeypatch):
+    """x1^2 and x2^2 at both positions of R22 leave two boxes of 4 standard
+    monomials, counted one column of 2 at a time."""
+    monos = [Monomial(pos, xe) for pos in ((1, 0), (0, 1)) for xe in ((2, 0), (0, 2))]
+    basis = buchberger(
+        GeneratorSet(R22, 1, tuple(Polynomial.from_monomial(R22, m, 1) for m in monos))
+    )
+    monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_CAP", 3)
+    with pytest.raises(
+        ResourceLimit, match=r"^the pure-power box at t1 holds 4 monomials \(standard monomial cap 3\)$"
+    ):
+        colength(basis)
+    monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_CAP", 5)
+    with pytest.raises(ResourceLimit, match=r"^the standard monomial count reached 6 \(cap 5\)$"):
+        colength(basis)
+    monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_CAP", 8)
+    assert colength(basis).value == 8
 
 
 def test_colength_counts_without_a_term_order_key():

@@ -1119,3 +1119,47 @@ def test_parameter_module_table_has_the_closed_form():
         s = a + b
         assert value == (s + 1) * s * (s + 1) // 2, (a, b)
     assert tbl.values[(4, 4)] == 324
+
+
+def test_buchberger_path_limits_name_the_cell(monkeypatch):
+    """A cell of the non-homogeneous A names itself before the limit it hit,
+    as a graded cell does: A^3 is formed from A^2, whose Buchberger runs out
+    of pairs, and the t-degree 3 slice's pure-power box exceeds the standard
+    monomial cap."""
+    from brim import groebner
+
+    monkeypatch.setattr(groebner, "PAIR_CAP", 3)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^length cell n=\[3\], q=0, t-degree 3: Buchberger on the t-degree 2 slice: "
+        r"3 pairs processed from 9 input generators, basis reached \d+ elements \(pair cap 3\)$",
+    ):
+        length(LengthQuery((mk(R21, A_GENS),), (3,)))
+    monkeypatch.undo()
+    monkeypatch.setattr(groebner, "STANDARD_MONOMIAL_CAP", 10)
+    with pytest.raises(
+        ResourceLimit,
+        match=r"^length cell n=\[3\], q=0, t-degree 3: the pure-power box at t1\^3 holds 63 "
+        r"monomials \(standard monomial cap 10\)$",
+    ):
+        length(LengthQuery((mk(R21, A_GENS),), (3,)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF32003"])
+def test_slot_overflow_on_the_buchberger_path_names_the_cell(monkeypatch, field):
+    """With 3-bit slots (base 8) the cells of A take packed codes of
+    x-degree up to 7: n = 1, 2 count as they do with 16-bit slots, and from
+    n = 3 on an S-pair or a division reaches x-degree 8.  Each such cell is
+    a ResourceLimit naming the cell and the slot base, never a length."""
+    ring = RingSpec(d=2, p=1, field=field)
+    truth = [length(LengthQuery((mk(ring, A_GENS),), (n,))) for n in range(1, 5)]
+    assert truth == [5, 15, 30, 50]
+    monkeypatch.setattr(poly, "SLOT_BITS", 3)
+    a, ev = mk(ring, A_GENS), Evaluator()
+    assert [ev.length(LengthQuery((a,), (n,))) for n in (1, 2)] == truth[:2]
+    for n in (3, 4):
+        with pytest.raises(
+            ResourceLimit,
+            match=rf"^length cell n=\[{n}\], q=0, t-degree {n}: degree 8 reaches the slot base 8$",
+        ):
+            ev.length(LengthQuery((a,), (n,)))
