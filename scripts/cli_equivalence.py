@@ -9,8 +9,9 @@ Each command runs as ``python3 -m brim.cli ...`` once on this tree's
 ``src/`` and once on ``DIR/src``, each time in a fresh directory holding
 only the spec file, with the length-table cache on.  The set covers every
 subcommand and all seven check kinds over QQ, GF(32003) and GF(7), where
-coefficient products wrap often, with non-monomial modules, and user-error
-(exit 2) and limit (exit 3) cases.
+coefficient products wrap often, with non-monomial modules, rational and
+negative coefficients over QQ, and user-error (exit 2) and limit (exit 3)
+cases.
 
 A command differs when its stdout outside the ``runtime`` key, its stderr,
 its exit code or the names of the ``.brim-cache`` entries it wrote differ.
@@ -76,6 +77,21 @@ R32_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2) for i in 
 R32_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x3*t1+x2*t2", "c4": "x3*t2"}
 R23_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2, 3) for i in (1, 2)]}}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
+# rational and negative coefficients over QQ: a parameter module of mF, and E
+# rescaled; r1 is superficial for Pq, q1 lies in m*Eq and is not
+R22_RATIONAL_MODULES = {
+    "Pq": {
+        "tdeg": 1,
+        "gens": ["1/2*x1*t1 - 3/4*x2*t2", "-2/3*x2*t1 + x1*t2", "x1*t1 + 5/4*x2*t2 - x2*t1"],
+    },
+    "Eq": {
+        "tdeg": 1,
+        "gens": ["-1/2*x1^2*t1 + 3/4*x2^3*t1", "-x2*t1", "2/3*x1*t2 - x2^2*t2", "-5/3*x2^2*t2"],
+    },
+}
+R22_RATIONAL_ELEMENTS = {"r1": "1/2*x1*t1 - 3/4*x2*t2", "q1": "1/2*x1^2*t1 - 3/4*x1*x2*t2"}
+# x1^65536 does not fit a 16-bit slot
+R21_BIG_MODULES = {"big": {"tdeg": 1, "gens": ["x1^65536*t1", "x2*t1"]}}
 GF = {"GF": 32003}
 GF7 = {"GF": 7}
 
@@ -95,6 +111,8 @@ SPECS = {
     "r21-gf7": spec(GF7, 2, 1, R21_MODULES, R21_ELEMENTS),
     "r22-gf7": spec(GF7, 2, 2, R22_MODULES, R22_ELEMENTS),
     "r12-qq": spec("QQ", 1, 2, R12_MODULES),
+    "r22-qq-rational": spec("QQ", 2, 2, R22_RATIONAL_MODULES, R22_RATIONAL_ELEMENTS),
+    "r21-big": spec("QQ", 2, 1, R21_BIG_MODULES),
     "r32-gf": spec(GF, 3, 2, R32_MODULES, R32_ELEMENTS),
     "r23-gf": spec(GF, 2, 3, R23_MODULES),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
@@ -212,6 +230,12 @@ COMMANDS = [
     for prefix, argv in PER_FIELD
 ] + [
     ("r12-qq", "assoc -m E -d 1 -j 1"),
+    ("r22-qq-rational", "ebr -m Pq"),
+    ("r22-qq-rational", "ebr -m Eq"),
+    ("r22-qq-rational", "check superficial -x r1 -m Pq"),
+    ("r22-qq-rational", "check superficial -x q1 -m Eq"),
+    # a degree at the slot base (exit 3)
+    ("r21-big", "ebr -m big"),
     # parameter spans with D = 4, whose e_BR tables run to n = 8
     ("r32-gf", "check risler -m mF -d 4"),
     ("r32-gf", "check converse -x c1,c2,c3,c4 -m mF,mF,mF,mF"),

@@ -23,14 +23,14 @@ The product (coprimality) criterion is left out: it rests on f*g = g*f
 for ring elements, and two module elements at the same position with
 coprime leading monomials need not have an S-pair that reduces to zero.
 
-Division and Buchberger compute on packed polynomials (``poly.Packing``,
-after M. Monagan and R. Pearce, CASC 2007): each monomial is one int whose
-order is the term order, a product is a sum of codes, the position is the
-code's top slots, and divisibility and lcms are guard-bit operations on
-exponent codes.  ``Polynomial`` and ``Monomial`` appear only at the
-boundary: the generators are packed once, and the basis elements, their
-leading monomials and normal forms are unpacked.  A degree that reaches the
-slot base is a ``ResourceLimit``.
+Division and Buchberger compute on the packed terms that every
+``Polynomial`` holds (``poly.Packing``, after M. Monagan and R. Pearce, CASC
+2007): each monomial is one int whose order is the term order, a product is
+a sum of codes, the position is the code's top slots, and divisibility and
+lcms are guard-bit operations on exponent codes.  Nothing is converted: the
+generators' terms are read as they are, and basis elements and normal forms
+are polynomials on the terms computed.  A degree that reaches the slot base
+is a ``ResourceLimit``.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from math import prod
 from typing import Optional
 
 from .errors import InternalError, InvalidInput, ResourceLimit
-from .poly import Monomial, Packing, Polynomial, _add_terms, t_monomials
+from .poly import Monomial, Packing, Polynomial, _add_terms, packing, t_monomials
 from .ring import RingSpec
 
 STANDARD_MONOMIAL_CAP = 10**6
@@ -147,14 +147,6 @@ class _Reducer:
         pack.check(pack.xdeg(mm))
 
 
-def _polynomial(pack: Packing, terms: dict) -> Polynomial:
-    """The packed terms as a Polynomial, by ``Packing.monomial``.
-    ``Packing.unpack`` stays the graded layer's own conversion, so that its
-    calls count the product memo's unpackings."""
-    coerce, monomial = pack.ring.field.coerce, pack.monomial
-    return Polynomial._raw(pack.ring, {monomial(c): coerce(v) for c, v in terms.items()})
-
-
 def _monic(g: dict, field):
     """The leading code of the packed g, and g scaled to leading coefficient one."""
     lt = max(g)
@@ -168,43 +160,21 @@ def _monic(g: dict, field):
 class GroebnerBasis:
     """Reduced basis: inter-reduced, monic, leading terms pairwise indivisible.
 
-    ``lts`` holds each element's leading monomial, in element order.  A
-    caller that already holds them passes ``lts`` with monic elements; each
-    given lt must be a term of its element with coefficient one.  The
-    division engine holds the elements packed.
+    ``lts`` holds each element's leading code, in element order; the
+    division engine holds the elements' terms.
     """
 
     __slots__ = ("ring", "tdeg", "elements", "lts", "_reducer")
 
-    def __init__(self, ring, tdeg, elements, lts=None):
-        pack = Packing(ring)
-        if lts is None:
-            rows = [_monic(pack.pack(g), ring.field) for g in elements]
-        else:
-            if len(lts) != len(elements):
-                raise InternalError(f"{len(lts)} leading monomials for {len(elements)} elements")
-            one = ring.field.one
-            for g, lt in zip(elements, lts):
-                if g._terms.get(lt) != one:
-                    raise InternalError(
-                        f"leading monomial {lt} given for {g} is not a term with coefficient one"
-                    )
-            rows = [(pack.code(lt), pack.pack(g)) for g, lt in zip(elements, lts)]
-        self._fill(pack, tdeg, rows)
-
-    @classmethod
-    def _from_codes(cls, pack: Packing, tdeg: int, rows) -> "GroebnerBasis":
-        """The basis of monic packed elements given as (leading code, terms)."""
-        basis = object.__new__(cls)
-        basis._fill(pack, tdeg, rows)
-        return basis
-
-    def _fill(self, pack, tdeg, rows):
-        self.ring, self.tdeg = pack.ring, tdeg
-        self.elements = tuple(_polynomial(pack, g) for _, g in rows)
-        self.lts = tuple(pack.monomial(lt) for lt, _ in rows)
+    def __init__(self, ring, tdeg, elements):
+        pack = packing(ring)
+        rows = [(f, *_monic(f._terms, ring.field)) for f in elements]
+        self.ring, self.tdeg = ring, tdeg
+        # an element already monic is kept as it is
+        self.elements = tuple(f if g is f._terms else Polynomial._raw(pack, g) for f, _, g in rows)
+        self.lts = tuple(lt for _, lt, _ in rows)
         self._reducer = _Reducer(pack)
-        for lt, g in rows:
+        for _, lt, g in rows:
             self._reducer.add(g, lt)
 
     def __iter__(self):
@@ -222,8 +192,7 @@ def normal_form(v: Polynomial, basis: GroebnerBasis) -> Polynomial:
         raise InvalidInput(
             f"normal form requires t-degree {basis.tdeg}, got {v.tdeg_if_homogeneous()}"
         )
-    pack = basis._reducer.pack
-    return _polynomial(pack, basis._reducer.reduce(pack.pack(v)))
+    return Polynomial._raw(v.pack, basis._reducer.reduce(dict(v._terms)))
 
 
 def contains(basis: GroebnerBasis, v: Polynomial) -> bool:
@@ -232,15 +201,15 @@ def contains(basis: GroebnerBasis, v: Polynomial) -> bool:
 
 def _minimalize_monomials(ring, tdeg, gens):
     """Reduced basis for monomial generators: drop dominated monomials."""
-    pack, one = Packing(ring), ring.field.one
+    pack, one = packing(ring), ring.field.one
     kept = {}  # position -> kept exponent codes
-    rows = []
-    for lt in sorted({pack.code(m) for g in gens for m, _ in g.items()}):  # divisors first
+    elements = []
+    for lt in sorted({c for g in gens for c in g._terms}):  # divisors first
         e, here = pack.exponents(lt), kept.setdefault(lt >> pack.tshift, [])
         if not any(pack.divides(k, e) for k in here):
             here.append(e)
-            rows.append((lt, {lt: one}))
-    return GroebnerBasis._from_codes(pack, tdeg, rows)
+            elements.append(Polynomial._raw(pack, {lt: one}))
+    return GroebnerBasis(ring, tdeg, elements)
 
 
 def buchberger(gset: GeneratorSet) -> GroebnerBasis:
@@ -252,16 +221,16 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     joins it only if the remainder is nonzero.  Pairs with distinct leading
     positions are never formed, and ``PAIR_CAP`` counts S-pairs only.  The
     elements kept are the Gebauer-Moeller active set, tail-reduced.  Every
-    polynomial is packed; lcms and divisibility are on exponent codes, and
+    term is a code; lcms and divisibility are on exponent codes, and
     a pair whose sugar reaches the slot base is a ``ResourceLimit``.
     """
     ring = gset.ring
     if all(g.num_terms() == 1 for g in gset.gens):
         return _minimalize_monomials(ring, gset.tdeg, gset.gens)
 
-    pack, field = Packing(ring), ring.field
+    pack, field = packing(ring), ring.field
     xdeg, divides, lcm_of, ones = pack.xdeg, pack.divides, pack.lcm, pack.ones
-    gens = [pack.pack(g) for g in gset.gens]
+    gens = [g._terms for g in gset.gens]
     reducer = _Reducer(pack)
     G = []
     lts = []  # leading codes
@@ -341,11 +310,12 @@ def buchberger(gset: GeneratorSet) -> GroebnerBasis:
     for i in keep:
         tails.add(G[i], lts[i])
     one = field.one
-    rows = []
+    elements = []
     for i in keep:
         lt = lts[i]
-        rows.append((lt, {lt: one, **tails.reduce({c: v for c, v in G[i].items() if c != lt})}))
-    return GroebnerBasis._from_codes(pack, gset.tdeg, rows)
+        tail = tails.reduce({c: v for c, v in G[i].items() if c != lt})
+        elements.append(Polynomial._raw(pack, {lt: one, **tail}))
+    return GroebnerBasis(ring, gset.tdeg, elements)
 
 
 def _spair(pack: Packing, f: dict, g: dict, lf: int, lg: int, lcm: int) -> dict:
@@ -383,7 +353,7 @@ def colength(basis: GroebnerBasis) -> ColengthReport:
     d = ring.d
     positions = t_monomials(ring, basis.tdeg)
     lead = {}
-    for lt in basis.lts:
+    for lt in map(packing(ring).monomial, basis.lts):
         lead.setdefault(lt.texp, []).append(lt.xexp)
 
     per_pos = []

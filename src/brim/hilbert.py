@@ -13,12 +13,13 @@ extraction uses these settings.
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
 and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
-N built degree by degree (``rees.DegreeSweep``) on packed monomials
-(``poly.Packing``), where products and t-shifts add codes.  The sweep that
-picks a product's minimal generators out of the candidate products builds
-N for q = 0 already, so a q = 0 cell without quotient elements that forms a
-product of two or more factors sums its codimensions on that one sweep;
-other graded cells sweep the product's minimal generators afresh.
+N built degree by degree (``rees.DegreeSweep``) on the packed terms of its
+generators (``poly.Packing``), where products and t-shifts add codes.  The
+sweep that picks a product's minimal generators out of the candidate
+products builds N for q = 0 already, so a q = 0 cell without quotient
+elements that forms a product of two or more factors sums its codimensions
+on that one sweep; other graded cells sweep the product's minimal
+generators afresh.
 Otherwise the cell's submodule is presented by generators and its colength
 is read off its reduced Groebner basis.  On either path every factor with a
 positive exponent passes the primarity gate first.
@@ -41,7 +42,7 @@ from .errors import (
     WindowTooSmall,
 )
 from .groebner import STANDARD_MONOMIAL_CAP
-from .poly import Packing, Polynomial, count_bidegree, t_shifts
+from .poly import Polynomial, count_bidegree, packing, t_shifts
 from .rees import (
     PRODUCT_GENERATOR_CAP,
     DegreeSweep,
@@ -152,8 +153,7 @@ class Evaluator:
     number of minimal generators of the modules before it) is the digit
     LABEL_BASE**(o + j), and a product's label is the sum of its factors'.
     The lowered key's modules are a prefix of the key's, so a label means the
-    same in both.  The memo keeps the generators packed (``poly.Packing``),
-    and unpacked too once ``minimal_product`` has asked for them.
+    same in both.
     """
 
     def __init__(self):
@@ -194,30 +194,22 @@ class Evaluator:
         return chain
 
     def minimal_product(self, modules, exponents) -> tuple:
-        """``_minimal_codes`` with the generators unpacked.  The memo entry
-        keeps them, so each product is unpacked once."""
-        gens, sweep = self._minimal_codes(modules, exponents)
-        # the memo does not hold the unit, which gets an entry of its own
-        entry = self._minimal_products.get(self._key(modules, exponents)) or [gens, None, None]
-        if entry[2] is None:
-            entry[2] = tuple(map(Packing(modules[0].ring).unpack, gens))
-        return entry[2], sweep
-
-    def _minimal_codes(self, modules, exponents) -> tuple:
-        """(packed minimal generators, sweep) of E1^n1 ... Ek^nk: the graded
+        """(minimal generators, sweep) of E1^n1 ... Ek^nk: the graded
         Nakayama subset of the lowered product's minimal generators times
         those of its module, and the DegreeSweep that picked them when this
         call formed a product of two or more factors, else None (the memo
         keeps no sweep).  The empty product is the unit.
 
         The candidates f*g are taken in the order f in the lowered product,
-        g in the module, and f*g is formed only for a label not seen before:
-        a candidate with a seen label equals the earlier one, which the sweep
-        would reduce to zero, so skipping it changes neither the kept
-        generators nor the sweep's pieces."""
-        key, pack = self._key(modules, exponents), Packing(modules[0].ring)
+        g in the module, and f*g is formed, by ``Packing.mul`` on their
+        terms, only for a label not seen before: a candidate with a seen
+        label equals the earlier one, which the sweep would reduce to zero,
+        so skipping it changes neither the kept generators nor the sweep's
+        pieces."""
+        key, ring = self._key(modules, exponents), modules[0].ring
         if not key[1]:
-            return [{0: pack.ring.field.one}], None
+            return (Polynomial.constant(ring, 1),), None
+        pack = packing(ring)
         memo = self._minimal_products
         chain = self._unformed(memo, key)
         for (_, exponents), below in chain:
@@ -227,11 +219,11 @@ class Evaluator:
                 )
         sweep = None
         for (modules, exponents), below in reversed(chain):
-            gens = list(map(pack.pack, modules[-1].minimal_gens))
+            gens = modules[-1].minimal_gens
             offset = sum(len(m.minimal_gens) for m in modules[:-1])
             labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
             if below:
-                prev, prev_labels, _ = memo[below]
+                prev, prev_labels = memo[below]
                 if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
                     raise ResourceLimit(
                         f"product n={list(exponents)} would form "
@@ -239,15 +231,18 @@ class Evaluator:
                     )
                 tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
                 formed = {}  # label -> candidate, in the order first seen
+                raw, mul = Polynomial._raw, pack.mul
+                factors = [(g._terms, step) for g, step in zip(gens, steps)]
                 for f, label in zip(prev, prev_labels):
-                    for g, step in zip(gens, steps):
+                    terms = f._terms
+                    for g, step in factors:
                         if (lab := label + step) not in formed:
-                            formed[lab] = pack.mul(f, g)
-                gens, sweep = minimal_sweep(pack.ring, tdeg, list(formed.values()))
+                            formed[lab] = raw(pack, mul(terms, g))
+                gens, sweep = minimal_sweep(ring, tdeg, list(formed.values()))
                 # the kept generators are candidate objects: their ids find their labels
                 label_of = {id(c): label for label, c in formed.items()}
                 labels = [label_of[id(g)] for g in gens]
-            memo[modules, exponents] = [gens, labels, None]  # unpacked on demand
+            memo[modules, exponents] = gens, labels
         return memo[key][0], sweep
 
     def generators(self, modules, exponents) -> tuple:
@@ -348,20 +343,17 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     ring = query.modules[0].ring
     amb = query.ambient_tdeg()
     cell = _cell_name(query)
-    pack = Packing(ring)
     factors = [(m, n) for m, n in zip(query.modules, query.exponents) if n >= 1]
     # m^(N_i) F^(e_i) <= E_i, so m^(sum n_i N_i) kills the cell's quotient
     killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
-    products, sweep = evaluator._minimal_codes(query.modules, query.exponents)
+    products, sweep = evaluator.minimal_product(query.modules, query.exponents)
     if sweep is not None and not query.qdeg and not query.quotient_elems:
         # the sweep that picked the products spans N already
-        top = max(pack.xdeg(min(g)) for g in products)  # each is x-homogeneous
+        top = max(g.pack.xdeg(min(g._terms)) for g in products)  # each is x-homogeneous
     else:
-        shifts = pack.t_codes(query.qdeg)
-        lifts = [(g, shifts) for g in products]
-        lifts += [(pack.pack(elem), pack.t_codes(deg)) for elem, deg in _quotient_lifts(query)]
-        gens = [{c + s: v for c, v in g.items()} for g, codes in lifts for s in codes]
-        sweep = DegreeSweep(ring, amb, by_xdegree(gens, pack))
+        gens = t_shifts(ring, products, query.qdeg)
+        gens += [s for elem, deg in _quotient_lifts(query) for s in t_shifts(ring, [elem], deg)]
+        sweep = DegreeSweep(ring, amb, by_xdegree(gens, packing(ring)))
         top = sweep.top
     bound = max(top, killed)
     total = sum(count_bidegree(ring, amb, delta) for delta in range(sweep.start))

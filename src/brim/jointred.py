@@ -146,7 +146,7 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
     finite, with at most ``WITNESS_QUOTIENT_CAP`` standard monomials each.
     ``verify_superficial`` calls it on failing cells only, which have
     l(A/V) > 0: were V the whole slice, U = V and xU <= W would make both
-    counts 0.  The columns are the normal forms' monomials, and their order
+    counts 0.  The columns are the normal forms' monomial codes, and their order
     does not change the witness: the preimages that enlarged the image span
     have independent images, so the kernel vector is the new preimage minus
     the one combination of them whose images give its image.
@@ -163,9 +163,10 @@ def _injective_on_quotient(x, u_sub, v_sub, w_sub):
         if rep.is_zero():
             continue
         image = normal_form(x * rep, w_sub.basis)
-        status, kernel = span.add(dict(image.items()), dict(rep.items()))
+        status, kernel = span.add(image._terms, rep._terms)
         if status == "kernel":
-            return Polynomial(ring, kernel)
+            coerce = ring.field.coerce
+            return Polynomial._raw(rep.pack, {c: coerce(v) for c, v in kernel.items()})
         if status == "new":
             for shift in xshifts:
                 queue.append(normal_form(rep.mul_term(shift, 1), v_sub.basis))

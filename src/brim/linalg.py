@@ -2,7 +2,7 @@
 
 Vectors are sparse ``{column: int}`` dicts, for both fields, and a column
 is any totally ordered key: ``koszul`` numbers its columns, and the
-superficial witness keys them by monomials.  Over GF(p) the
+superficial witness keys them by monomial codes.  Over GF(p) the
 ints are residues in [0, p).  Over QQ they are integers: a vector of
 rationals enters once, times the lcm of its denominators
 (``Echelon.integral``), and no fraction is formed inside the elimination.

@@ -5,12 +5,23 @@ position over term: t-exponents compare lexicographically first (positions),
 then degrevlex on the x-block.  It is a multiplicative total order.  Every
 computation stays inside one t-degree slice, where any position-over-term
 order with degrevlex on x agrees with it, so no other order is offered.
+
+A polynomial holds its terms as ``{code: coefficient}``, each monomial packed
+into one int by its ring's ``Packing`` (M. Monagan and R. Pearce, CASC 2007):
+int order is the term order, and a product or a t-shift adds codes.
+``Monomial`` tuples are the decoded view at the boundary: the constructor
+encodes them, ``items``, ``terms`` and ``leading_term`` decode, and parsing
+and formatting go through them.  Every product, ``mul_term`` and
+``t_shifts`` checks that its degree stays below the slot base, so no code
+carries into a neighbouring slot; one that reaches it is a ``ResourceLimit``.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache, reduce
 from math import comb
+from operator import mul, or_
 from typing import NamedTuple
 
 from .errors import InvalidInput, ResourceLimit, Undefined
@@ -18,26 +29,10 @@ from .ring import RingSpec
 
 
 class Monomial(NamedTuple):
+    """A monomial decoded: its t- and x-exponent tuples."""
+
     texp: tuple
     xexp: tuple
-
-    @property
-    def tdeg(self) -> int:
-        return sum(self.texp)
-
-    @property
-    def xdeg(self) -> int:
-        return sum(self.xexp)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(
-            tuple(a + b for a, b in zip(self.texp, other.texp)),
-            tuple(a + b for a, b in zip(self.xexp, other.xexp)),
-        )
-
-
-def one_monomial(ring: RingSpec) -> Monomial:
-    return Monomial((0,) * ring.p, (0,) * ring.d)
 
 
 def _degrevlex_key(xexp: tuple) -> tuple:
@@ -56,8 +51,120 @@ class MonomialOrder:
 DEGREVLEX_X = MonomialOrder()
 
 
+# ---------------------------------------------------------------------------
+# packed monomials (M. Monagan and R. Pearce, CASC 2007): one int a monomial
+
+SLOT_BITS = 16
+
+
+class Packing:
+    """A ring's monomials as ints with d + p + 1 slots of bits + 1 bits,
+    from the top t1..tp, T, s_d, ..., s_1 with T = t1 + ... + tp and s_k =
+    x1 + ... + xk.  Int order is the term order (positions, then degrevlex;
+    T follows from the slots above it, so it never decides), a product's
+    code is the sum of the codes, x_i adds ``steps[i]``, and ``tdeg`` and
+    ``xdeg`` read the T and s_d slots.  ``exponents`` gives a code's
+    exponent code, x_k in the k-th slot from the bottom, as the difference
+    of neighbouring slots; there the top bit of each slot is a guard, so u
+    divides v exactly when v - u sets no guard bit (``divides``), and
+    ``lcm`` is the slotwise maximum by the same borrow.  All of this holds
+    while degrees stay below the slot base 2**bits: then no slot of a sum of
+    two codes carries, and a degree that reaches the base sets the guard bit
+    of its slot, which ``code``, ``mul`` and ``check_codes`` refuse.  A
+    packed polynomial is a ``{code: coefficient}`` dict."""
+
+    def __init__(self, ring: RingSpec, bits: int):
+        d, p, self.ring = ring.d, ring.p, ring
+        w = self.width = bits + 1
+        self.bits, self.base, self.mask = bits, 1 << bits, (1 << w) - 1
+        self.xshift, self.dshift = w * (d - 1), w * d  # the s_d and T slots
+        self.tshift = w * (d + 1)  # the position
+        self.xmask = (1 << self.dshift) - 1  # the x slots
+        self.ones = self.xmask // self.mask  # a one in each: x-code = e * ones & xmask
+        self.guards = self.ones << bits
+        self.over = (1 << self.xshift | 1 << self.dshift) << bits  # the s_d and T guards
+        self.xshifts = range(0, self.dshift, w)  # x1..xd in an exponent code
+        self.tshifts = range(w * (d + p), self.dshift, -w)  # t1..tp
+        self.steps = [self.ones >> s << s for s in self.xshifts]
+        self.weights = [1 << s | 1 << self.dshift for s in self.tshifts] + self.steps
+
+    def check(self, *degrees: int):
+        if max(degrees) >= self.base:
+            raise ResourceLimit(f"degree {max(degrees)} reaches the slot base {self.base}")
+
+    def check_codes(self, codes):
+        """``check`` the largest t- and x-degree of codes that are sums of
+        valid codes, once the guard bits show that one reaches the base."""
+        if reduce(or_, codes, 0) & self.over:
+            self.check(max(map(self.tdeg, codes)), max(map(self.xdeg, codes)))
+
+    def code(self, m: Monomial) -> int:
+        """m's code: ``InvalidInput`` unless m is a monomial of the ring
+        with no negative exponent, ``ResourceLimit`` at a degree that
+        reaches the slot base."""
+        exps = m.texp + m.xexp
+        if len(m.texp) != self.ring.p or len(m.xexp) != self.ring.d:
+            raise InvalidInput("monomial does not match ring dimensions")
+        if min(exps) < 0:
+            raise InvalidInput(f"monomial {m} has a negative exponent")
+        self.check(sum(m.texp), sum(m.xexp))
+        return sum(map(mul, exps, self.weights))
+
+    def xdeg(self, code: int) -> int:
+        return code >> self.xshift & self.mask
+
+    def tdeg(self, code: int) -> int:
+        return code >> self.dshift & self.mask
+
+    def exponents(self, code: int) -> int:
+        return (code & self.xmask) - (code << self.width & self.xmask)
+
+    def divides(self, u: int, v: int) -> bool:
+        """Does the exponent code u divide v?"""
+        return not (v - u) & self.guards
+
+    def lcm(self, u: int, v: int) -> int:
+        """The lcm of two exponent codes: where u - v borrows from no guard
+        bit, u's slot is the larger."""
+        g = ((u | self.guards) - v) & self.guards
+        larger = g - (g >> self.bits)
+        return (u & larger) | (v & ~larger)
+
+    def monomial(self, code: int) -> Monomial:
+        e, mask = self.exponents(code), self.mask
+        return Monomial(tuple([code >> s & mask for s in self.tshifts]),
+                        tuple([e >> s & mask for s in self.xshifts]))
+
+    def t_codes(self, deg: int) -> list:
+        """The codes of the degree-deg t-monomials, lex descending."""
+        return [self.code(Monomial(t, (0,) * self.ring.d)) for t in t_monomials(self.ring, deg)]
+
+    def mul(self, f: dict, g: dict) -> dict:
+        """The product of two packed polynomials; ``ResourceLimit`` when its
+        degree reaches the slot base (k[x, t] is a domain, so that degree is
+        the largest of any code formed)."""
+        res, p, formed = {}, self.ring.field.p, 0
+        for a, c in f.items():
+            for b, e in g.items():
+                k = a + b
+                formed |= k
+                res[k] = res[k] + c * e if k in res else c * e
+        if formed & self.over:
+            self.check_codes(res)
+        return {k: r for k, v in res.items() if (r := v % p if p else v)}
+
+
+def packing(ring: RingSpec) -> Packing:
+    """The ring's one Packing at the current SLOT_BITS, made on first use
+    and kept for the process; equal rings share it."""
+    return _packing(ring, SLOT_BITS)
+
+
+_packing = cache(Packing)
+
+
 def _add_terms(res: dict, terms, p: int) -> dict:
-    """Add the nonzero (monomial, coefficient) terms into res, reducing each
+    """Add the nonzero (code, coefficient) terms into res, reducing each
     sum mod p when p is nonzero and dropping the sums that vanish."""
     for m, c in terms:
         acc = res.get(m)
@@ -77,43 +184,41 @@ def _add_terms(res: dict, terms, p: int) -> dict:
 class Polynomial:
     """Immutable sparse polynomial; no zero coefficients, no duplicate monomials.
 
-    Coefficients are combined with Python operators and, over GF(p), reduced
-    mod the field's characteristic p, so they stay residues in [0, p); over
-    QQ (p = 0) they are fractions."""
+    The terms are ``{code: coefficient}`` in the layout of ``pack``, the
+    ring's ``Packing``.  Coefficients are combined with Python operators and,
+    over GF(p), reduced mod the field's characteristic p, so they stay
+    residues in [0, p); over QQ (p = 0) they are rationals, and one enters
+    as an int when it is integral (``Rationals.coerce``)."""
 
-    __slots__ = ("ring", "_terms", "_hash")
+    __slots__ = ("ring", "pack", "_terms", "_hash")
 
     def __init__(self, ring: RingSpec, terms=None):
-        self.ring = ring
-        fld = ring.field
+        """terms: a ``{Monomial: coefficient}`` dict or (Monomial,
+        coefficient) pairs; a repeated monomial is summed."""
+        self.ring, self.pack = ring, packing(ring)
+        code, coerce = self.pack.code, ring.field.coerce
         if isinstance(terms, dict):
             terms = terms.items()
-        coerced = []
-        for m, c in terms or ():
-            if len(m.texp) != ring.p or len(m.xexp) != ring.d:
-                raise InvalidInput("monomial does not match ring dimensions")
-            c = fld.coerce(c)
-            if c:
-                coerced.append((m, c))
-        self._terms = _add_terms({}, coerced, fld.p)
+        coded = [(code(m), coerce(c)) for m, c in terms or ()]
+        self._terms = _add_terms({}, [(m, c) for m, c in coded if c], ring.field.p)
         self._hash = None
 
     @classmethod
-    def _raw(cls, ring: RingSpec, terms: dict) -> "Polynomial":
-        # internal: terms already normalized (no zeros, coerced)
+    def _raw(cls, pack: Packing, terms: dict) -> "Polynomial":
+        # internal: packed terms already normalized (no zeros, coerced)
         p = object.__new__(cls)
-        p.ring = ring
+        p.ring, p.pack = pack.ring, pack
         p._terms = terms
         p._hash = None
         return p
 
     @classmethod
     def zero(cls, ring: RingSpec) -> "Polynomial":
-        return cls._raw(ring, {})
+        return cls._raw(packing(ring), {})
 
     @classmethod
     def constant(cls, ring: RingSpec, c) -> "Polynomial":
-        return cls(ring, {one_monomial(ring): c})
+        return cls(ring, {Monomial((0,) * ring.p, (0,) * ring.d): c})
 
     @classmethod
     def from_monomial(cls, ring: RingSpec, m: Monomial, c=1) -> "Polynomial":
@@ -129,28 +234,29 @@ class Polynomial:
         return len(self._terms)
 
     def terms(self):
-        """Term list sorted descending under the term order."""
-        return tuple(
-            sorted(self._terms.items(), key=lambda mc: DEGREVLEX_X.key(mc[0]), reverse=True)
-        )
+        """(Monomial, coefficient) pairs sorted descending under the term order."""
+        monomial, terms = self.pack.monomial, self._terms
+        return tuple((monomial(c), terms[c]) for c in sorted(terms, reverse=True))
 
     def items(self):
-        return self._terms.items()
+        """(Monomial, coefficient) pairs, decoded, in storage order."""
+        monomial = self.pack.monomial
+        return [(monomial(c), v) for c, v in self._terms.items()]
 
     def leading_term(self):
         if not self._terms:
             raise Undefined("leading term of the zero polynomial")
-        m = max(self._terms, key=DEGREVLEX_X.key)
-        return m, self._terms[m]
+        c = max(self._terms)
+        return self.pack.monomial(c), self._terms[c]
 
     def _check_same_ring(self, other: "Polynomial"):
-        if self.ring != other.ring:
+        if self.pack is not other.pack:
             raise InvalidInput("operands live in different rings")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
         res = _add_terms(dict(self._terms), other._terms.items(), self.ring.field.p)
-        return Polynomial._raw(self.ring, res)
+        return Polynomial._raw(self.pack, res)
 
     def __neg__(self) -> "Polynomial":
         return self.scale(-1)
@@ -159,46 +265,25 @@ class Polynomial:
         return self + -other
 
     def scale(self, c) -> "Polynomial":
-        return self.mul_term(one_monomial(self.ring), c)
+        return self._times(0, c)
 
     def mul_term(self, m: Monomial, c) -> "Polynomial":
-        fld = self.ring.field
-        c = fld.coerce(c)
-        if not c:
-            return Polynomial.zero(self.ring)
-        p = fld.p
-        if p:
-            return Polynomial._raw(
-                self.ring, {mm.mul(m): v * c % p for mm, v in self._terms.items()}
-            )
-        return Polynomial._raw(self.ring, {mm.mul(m): v * c for mm, v in self._terms.items()})
+        return self._times(self.pack.code(m), c)
+
+    def _times(self, code: int, c) -> "Polynomial":
+        c = self.ring.field.coerce(c)
+        return Polynomial._raw(self.pack, self.pack.mul(self._terms, {code: c}) if c else {})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_same_ring(other)
-        p = self.ring.field.p
-        res = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                acc = res.get(m)
-                if acc is None:
-                    res[m] = c1 * c2 % p if p else c1 * c2
-                else:
-                    acc += c1 * c2
-                    if p:
-                        acc %= p
-                    if acc:
-                        res[m] = acc
-                    else:
-                        del res[m]
-        return Polynomial._raw(self.ring, res)
+        return Polynomial._raw(self.pack, self.pack.mul(self._terms, other._terms))
 
     def bidegree(self):
         """Per-block degree (xdeg, tdeg); the string "mixed" marks disagreement."""
         if not self._terms:
             raise Undefined("bidegree of the zero polynomial")
-        xdegs = {m.xdeg for m in self._terms}
-        tdegs = {m.tdeg for m in self._terms}
+        xdegs = set(map(self.pack.xdeg, self._terms))
+        tdegs = set(map(self.pack.tdeg, self._terms))
         xd = xdegs.pop() if len(xdegs) == 1 else "mixed"
         td = tdegs.pop() if len(tdegs) == 1 else "mixed"
         return (xd, td)
@@ -207,7 +292,7 @@ class Polynomial:
         """The common t-degree of all terms, or None (zero polynomial: None)."""
         if not self._terms:
             return None
-        tdegs = {m.tdeg for m in self._terms}
+        tdegs = set(map(self.pack.tdeg, self._terms))
         return tdegs.pop() if len(tdegs) == 1 else None
 
     def is_bihomogeneous(self) -> bool:
@@ -219,7 +304,7 @@ class Polynomial:
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)
-            and self.ring == other.ring
+            and self.pack is other.pack
             and self._terms == other._terms
         )
 
@@ -259,10 +344,16 @@ def t_monomials(ring: RingSpec, deg: int):
 def t_shifts(ring: RingSpec, polys, deg: int) -> list:
     """Every g * mu, for g in polys (outer loop) and mu over the degree-deg
     t-monomials lex descending; deg = 0 gives copies of the inputs.  The
-    coefficients are g's own: only the t-exponents move."""
-    shifts = [Monomial(tuple(pos), (0,) * ring.d) for pos in t_monomials(ring, deg)]
-    return [Polynomial._raw(ring, {m.mul(mu): c for m, c in g.items()})
-            for g in polys for mu in shifts]
+    coefficients are g's own: only the codes move, by mu's code."""
+    pack = packing(ring)
+    shifts = pack.t_codes(deg)
+    out = []
+    for g in polys:
+        for s in shifts:
+            terms = {c + s: v for c, v in g._terms.items()}
+            pack.check_codes(terms)
+            out.append(Polynomial._raw(pack, terms))
+    return out
 
 
 def count_monomials(nvars: int, deg: int) -> int:
@@ -276,90 +367,6 @@ def count_bidegree(ring: RingSpec, tdeg: int, xdeg: int) -> int:
     if tdeg < 0 or xdeg < 0:
         return 0
     return count_monomials(ring.p, tdeg) * count_monomials(ring.d, xdeg)
-
-
-# ---------------------------------------------------------------------------
-# packed monomials (M. Monagan and R. Pearce, CASC 2007): one int a monomial
-
-SLOT_BITS = 16
-
-
-class Packing:
-    """A ring's monomials as ints with d + p slots of SLOT_BITS + 1 bits, from
-    the top t1..tp, s_d, ..., s_1 with s_k = x1 + ... + xk.  Int order is the
-    term order (positions, then degrevlex), a product's code is the sum of
-    the codes, x_i adds ``steps[i]`` and ``xdeg`` reads the s_d slot.
-    ``exponents`` gives a code's exponent code, x_k in the k-th slot from the
-    bottom, as the difference of neighbouring slots; there the top bit of
-    each slot is a guard, so u divides v exactly when v - u sets no guard
-    bit (``divides``), and ``lcm`` is the slotwise maximum by the same
-    borrow.  All of this holds while degrees stay below the slot base
-    2**SLOT_BITS, which ``code`` and the callers ``check``; the sum of two
-    such codes carries into no slot.  A packed polynomial is a ``{code:
-    coefficient}`` dict; an integral rational enters it as an int."""
-
-    def __init__(self, ring: RingSpec):
-        d, p, self.ring = ring.d, ring.p, ring
-        w = self.width = SLOT_BITS + 1
-        self.base, self.mask = 1 << SLOT_BITS, (1 << w) - 1
-        self.xshift, self.tshift = w * (d - 1), w * d  # the s_d slot, the position
-        self.xmask = (1 << self.tshift) - 1  # the x slots
-        self.ones = self.xmask // self.mask  # a one in each: x-code = e * ones & xmask
-        self.guards = self.ones << SLOT_BITS
-        self.xshifts = range(0, self.tshift, w)  # x1..xd in an exponent code
-        self.tshifts = range(w * (d + p - 1), self.xshift, -w)  # t1..tp
-        self.steps = [self.ones >> s << s for s in self.xshifts]
-        self.weights = [1 << s for s in self.tshifts] + self.steps
-
-    def check(self, *degrees: int):
-        if max(degrees) >= self.base:
-            raise ResourceLimit(f"degree {max(degrees)} reaches the slot base {self.base}")
-
-    def code(self, m: Monomial) -> int:
-        self.check(sum(m.texp), sum(m.xexp))
-        return sum(e * w for e, w in zip(m.texp + m.xexp, self.weights))
-
-    def xdeg(self, code: int) -> int:
-        return code >> self.xshift & self.mask
-
-    def exponents(self, code: int) -> int:
-        return (code & self.xmask) - (code << self.width & self.xmask)
-
-    def divides(self, u: int, v: int) -> bool:
-        """Does the exponent code u divide v?"""
-        return not (v - u) & self.guards
-
-    def lcm(self, u: int, v: int) -> int:
-        """The lcm of two exponent codes: where u - v borrows from no guard
-        bit, u's slot is the larger."""
-        g = ((u | self.guards) - v) & self.guards
-        larger = g - (g >> SLOT_BITS)
-        return (u & larger) | (v & ~larger)
-
-    def monomial(self, code: int) -> Monomial:
-        e, mask = self.exponents(code), self.mask
-        return Monomial(tuple([code >> s & mask for s in self.tshifts]),
-                        tuple([e >> s & mask for s in self.xshifts]))
-
-    def pack(self, f: Polynomial) -> dict:
-        return {self.code(m): c.numerator if c.denominator == 1 else c for m, c in f.items()}
-
-    def unpack(self, terms: dict) -> Polynomial:
-        coerce, monomial = self.ring.field.coerce, self.monomial
-        return Polynomial._raw(self.ring, {monomial(code): coerce(c) for code, c in terms.items()})
-
-    def t_codes(self, deg: int) -> list:
-        """The codes of the degree-deg t-monomials, lex descending."""
-        return [self.code(Monomial(t, (0,) * self.ring.d)) for t in t_monomials(self.ring, deg)]
-
-    def mul(self, f: dict, g: dict) -> dict:
-        """The product of two packed polynomials, with no degree check."""
-        res, p = {}, self.ring.field.p
-        for a, c in f.items():
-            for b, e in g.items():
-                k = a + b
-                res[k] = res[k] + c * e if k in res else c * e
-        return {k: r for k, v in res.items() if (r := v % p if p else v)}
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ with lengths over the local ring at the origin exactly when the quotient is
 supported there, which is what mprimary_check certifies.
 
 When the reduced basis is x-homogeneous the submodule is graded by x-degree,
-and ``DegreeSweep`` builds its degree pieces on packed polynomials
-(``poly.Packing``), unpacked only where a caller takes them, by linear
-algebra or, when every generator is a monomial, as sets of codes;
-graded Nakayama then picks the minimal generators out of the reduced basis
-(``minimal_sweep``, which hands back the sweep for its pieces).
+and ``DegreeSweep`` builds its degree pieces on the packed terms of the
+generators (``poly.Packing``), by linear algebra or, when every generator
+is a monomial, as sets of codes; graded Nakayama then picks the minimal
+generators out of the reduced basis (``minimal_sweep``, which hands back the
+sweep for its pieces).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .poly import (
     Packing,
     Polynomial,
     count_bidegree,
+    packing,
     parse_polynomial,
     t_monomials,
 )
@@ -108,9 +109,7 @@ class GradedSubmodule:
     def minimal_gens(self):
         """The reduced basis elements that graded Nakayama keeps, a minimal
         generating set; None when the basis is not x-homogeneous."""
-        pack = Packing(self.ring)
-        kept = minimal_sweep(self.ring, self.tdeg, list(map(pack.pack, self.basis.elements)))[0]
-        return None if kept is None else tuple(map(pack.unpack, kept))
+        return minimal_sweep(self.ring, self.tdeg, self.basis.elements)[0]
 
     def colength_report(self):
         if self._colength is None:
@@ -142,12 +141,12 @@ class GradedSubmodule:
         return f"<submodule tdeg={self.tdeg} gens={len(self.spec.gens)}>"
 
 
-def by_xdegree(gens, packing: Packing):
-    """{x-degree: packed generators of that degree}, in the given order;
-    None unless every generator is nonzero and x-homogeneous."""
-    groups, shift, mask = {}, packing.xshift, packing.mask
+def by_xdegree(gens, pack: Packing):
+    """{x-degree: generators of that degree}, in the given order; None
+    unless every generator is nonzero and x-homogeneous."""
+    groups, shift, mask = {}, pack.xshift, pack.mask
     for g in gens:
-        degs = {c >> shift & mask for c in g}
+        degs = {c >> shift & mask for c in g._terms}
         if len(degs) != 1:
             return None
         groups.setdefault(degs.pop(), []).append(g)
@@ -159,13 +158,13 @@ class DegreeSweep:
     slice generated by x-homogeneous generators, built upward one degree at
     a time.
 
-    ``groups`` maps x-degrees to packed generators (see ``by_xdegree``);
+    ``groups`` maps x-degrees to generators (see ``by_xdegree``);
     ``start`` and ``top`` are its lowest and highest degree.  The sweep
     consumes it, letting go of each degree's generators once they are swept.
     ``advance()`` moves from delta-1 to delta: N_delta = x_1 N_(delta-1) +
     ... + x_d N_(delta-1) + span(generators of degree delta), with
-    N_(start-1) = 0.  The columns are the negated packed codes of the
-    bidegree (tdeg, delta) monomials (``poly.Packing``), so a row's pivot is
+    N_(start-1) = 0.  The columns are the negated codes of the bidegree
+    (tdeg, delta) monomials (``poly.Packing``), so a row's pivot is
     its leading monomial and x_i times a row subtracts x_i's step from each
     column; ``count`` is their number and ``rank`` is dim N_delta.
     ``pieces()`` yields both degree by degree from ``start``, the degrees
@@ -185,9 +184,8 @@ class DegreeSweep:
         self._groups = groups
         self.start, self.top = min(groups), max(groups)
         self.delta = self.start - 1
-        self._packing = Packing(ring)
-        self._packing.check(tdeg)
-        self.monomial = all(len(g) == 1 for gens in groups.values() for g in gens)
+        self._packing = packing(ring)
+        self.monomial = all(len(g._terms) == 1 for gens in groups.values() for g in gens)
         self._span = set() if self.monomial else {}  # its columns, or echelon rows by pivot
         self._swept = []  # (count, rank) of every degree swept, from start
 
@@ -207,7 +205,7 @@ class DegreeSweep:
         if self.monomial:
             span = {c - step for c in self._span for step in self._packing.steps}
             for g in fresh:
-                (code,) = g
+                (code,) = g._terms
                 if -code not in span:
                     span.add(-code)
                     kept.append(g)
@@ -218,7 +216,7 @@ class DegreeSweep:
                 for row in self._span.values()
                 for step in self._packing.steps
             )
-            fresh = ((g, {-c: v for c, v in g.items()}) for g in fresh)
+            fresh = ((g, {-c: v for c, v in g._terms.items()}) for g in fresh)
             for g, vec in chain(shifted, fresh):
                 if len(echelon.rows) == full:
                     break
@@ -244,13 +242,13 @@ class DegreeSweep:
 
 
 def minimal_sweep(ring: RingSpec, tdeg: int, gens):
-    """(minimal generators, the DegreeSweep that picked them) of packed
-    gens: those outside m times the submodule they generate, taken degree by
+    """(minimal generators, the DegreeSweep that picked them) of gens:
+    those outside m times the submodule they generate, taken degree by
     degree in the given order, a minimal generating set by graded Nakayama.
     The sweep stops at the top degree of gens or at the first full piece,
     above which every generator is redundant.  (None, None) unless every
     generator is x-homogeneous; ((), None) for no generators."""
-    groups = by_xdegree(gens, Packing(ring))
+    groups = by_xdegree(gens, packing(ring))
     if not groups:
         return (None if groups is None else ()), None
     sweep = DegreeSweep(ring, tdeg, groups)

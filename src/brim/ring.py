@@ -29,14 +29,17 @@ def _is_prime(n: int) -> bool:
 
 
 class Rationals:
-    """Exact rational field; elements are fractions.Fraction in lowest terms."""
+    """Exact rational field; an element enters as an int when it is integral
+    and as a fractions.Fraction in lowest terms otherwise.  Equality, hashing
+    and str agree between the two, so arithmetic may mix them."""
 
     name = "QQ"
     p = 0
-    one = Fraction(1)
+    one = 1
 
     def coerce(self, v):
-        return Fraction(v)
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     @staticmethod
     def invert(a):

@@ -13,15 +13,16 @@ minimalization and inter-reduction.  They are the reference for
 ``brim.groebner``, which computes on packed monomial codes.
 
 ``dense_differential`` is the Koszul differential as a dense matrix, built
-with ``Monomial.mul`` on unpacked monomials: the reference for the sparse
-rows of packed monomials that ``brim.koszul`` builds.
+with ``monomial_product`` on ``Monomial`` tuples: the reference for the
+sparse rows of packed monomials that ``brim.koszul`` builds.
 
 ``echelon_sweep`` runs the rows of a graded degree sweep through
 ``linalg.Echelon`` with no shortcut: the reference for the monomial mode of
 ``brim.rees.DegreeSweep``, which keeps its pieces as sets of codes.
 
-``embed_w``, ``submodule_eq``, ``order_compare``, ``monic`` and ``divides``
-are helpers only the tests need, written on the package's public API.
+``embed_w``, ``submodule_eq``, ``order_compare``, ``monic``, ``divides`` and
+``monomial_product`` are helpers only the tests need, written on the
+package's public API and on exponent tuples.
 """
 
 import itertools
@@ -82,6 +83,14 @@ def divides(u, v):
     )
 
 
+def monomial_product(u, v):
+    """The product of two monomials: exponents added block by block."""
+    return Monomial(
+        tuple(a + b for a, b in zip(u.texp, v.texp)),
+        tuple(a + b for a, b in zip(u.xexp, v.xexp)),
+    )
+
+
 def monomial_staircase_count(d, minimal_exps):
     """Standard monomials of a monomial ideal in d variables given minimal
     generators; None when infinite (some variable has no pure power)."""
@@ -110,11 +119,11 @@ def monomial_staircase_count(d, minimal_exps):
 
 def box_scan_colength(basis, cap):
     """(finite, value) of a Groebner basis's slice, by testing every cell of
-    each position's pure-power box.  ``ResourceLimit`` when a box or the
+    each position's pure-power box against its elements' leading monomials.  ``ResourceLimit`` when a box or the
     count exceeds ``cap``."""
     d = basis.ring.d
     lead = {}
-    for lt in basis.lts:
+    for lt, _ in (g.leading_term() for g in basis.elements):
         lead.setdefault(lt.texp, []).append(lt.xexp)
     per_pos = []
     for pos in t_monomials(basis.ring, basis.tdeg):
@@ -180,7 +189,7 @@ def reference_divide(f, divisors):
                 shift = Monomial((0,) * ring.p, tuple(b - a for a, b in zip(lead.xexp, m.xexp)))
                 for gm, gc in g.items():
                     if gm != lead:
-                        mm = gm.mul(shift)
+                        mm = monomial_product(gm, shift)
                         acc = left.get(mm, 0) - c * gc
                         left[mm] = acc % p if p else acc
                         if not left[mm]:
@@ -272,7 +281,7 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
                 row = [0] * len(cols)
                 nonzero = False
                 for m, c in g.items():
-                    mm = m.mul(shift)
+                    mm = monomial_product(m, shift)
                     if sum(mm.xexp) < bound:
                         row[index[mm]] += c
                         nonzero = True
@@ -300,7 +309,7 @@ def dense_differential(spec, n, t, delta):
             rest = subset[:pos] + subset[pos + 1 :]
             sign = 1 if pos % 2 == 0 else -1
             for am, ac in spec.elems[elem_idx].items():
-                target = (rest, am.mul(u))
+                target = (rest, monomial_product(am, u))
                 r = tgt_index[target]
                 rows[r][col] += sign * ac
                 if p:

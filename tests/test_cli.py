@@ -401,3 +401,16 @@ def test_malformed_arguments_exit_2(specfile, tmp_path, argv, message):
     proc = brim(*args, cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+def test_a_degree_at_the_slot_base_exit_3(tmp_path):
+    """x1^65536 does not fit a 16-bit slot: a limit, never a wrapped code."""
+    spec = {
+        "ring": {"field": "QQ", "d": 2, "p": 1},
+        "modules": {"big": {"tdeg": 1, "gens": ["x1^65536*t1", "x2*t1"]}},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "big", cwd=tmp_path)
+    assert proc.returncode == 3, (proc.stdout, proc.stderr)
+    assert "degree 65536 reaches the slot base 65536" in proc.stderr

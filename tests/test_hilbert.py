@@ -650,12 +650,12 @@ def test_graded_path_matches_buchberger_on_packed_products(query):
 def test_packed_products_drop_the_terms_that_vanish_mod_p():
     """Over GF(7), f = x1^2 + x1x2 + 3x2^2 squares to x1^4 + 2x1^3x2 +
     6x1x2^3 + 2x2^4: the x1^2x2^2 coefficient 2*3 + 1 = 7 vanishes, and the
-    packed product must drop it as ``Polynomial.__mul__`` does."""
+    packed product must drop it."""
     ring = RingSpec(d=2, p=1, field=GF7)
     e = mk(ring, ["x1^2*t1 + x1*x2*t1 + 3*x2^2*t1", "x2^3*t1"])
     f = e.minimal_gens[0]
-    pack = Packing(ring)
-    assert pack.unpack(pack.mul(pack.pack(f), pack.pack(f))) == f * f
+    square = parse_polynomial(ring, "x1^4*t1^2 + 2*x1^3*x2*t1^2 + 6*x1*x2^3*t1^2 + 2*x2^4*t1^2")
+    assert f * f == square and (f * f).num_terms() == 4
     for n, q in [(1, 0), (2, 0), (2, 1), (3, 0)]:
         graded, reference = _both_paths(LengthQuery((e,), (n,), q))
         assert graded == reference, (n, q)
@@ -753,7 +753,6 @@ def test_monomial_sweep_keeps_what_elimination_keeps(data):
     d, p = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
     ring = RingSpec(d=d, p=p, field=data.draw(st.sampled_from([QQ, GF7])))
     tdeg = data.draw(st.integers(1, 2))
-    pack = Packing(ring)
     monos = [
         Monomial(t, xe) for t in t_monomials(ring, tdeg) for a in (1, 2, 3)
         for xe in compositions_desc(a, d)
@@ -762,16 +761,17 @@ def test_monomial_sweep_keeps_what_elimination_keeps(data):
     picked += data.draw(st.lists(st.sampled_from(picked), min_size=1, max_size=4))
     scales = st.sampled_from(SCALES + [1, Fraction(2, 3)])
     gens = [
-        pack.pack(Polynomial(ring, {mono: data.draw(scales)}))
+        Polynomial(ring, {mono: data.draw(scales)})
         for mono in data.draw(st.permutations(picked))
     ]
-    groups = rees.by_xdegree(gens, pack)
+    groups = rees.by_xdegree(gens, gens[0].pack)
     sweep = rees.DegreeSweep(ring, tdeg, {a: list(g) for a, g in groups.items()})
     assert sweep.monomial
     swept = []
     while sweep.delta < sweep.top:
-        swept.append((list(map(id, sweep.advance())), sweep.rank))
-    reference = echelon_sweep(ring.field, pack.steps, groups)
+        swept.append(([id(g._terms) for g in sweep.advance()], sweep.rank))
+    terms = {a: [g._terms for g in gs] for a, gs in groups.items()}
+    reference = echelon_sweep(ring.field, gens[0].pack.steps, terms)
     assert swept == [(list(map(id, kept)), rank) for kept, rank in reference]
 
 
@@ -891,18 +891,16 @@ def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
 
 def test_graded_product_forms_each_candidate_once(monkeypatch):
     """A fresh Evaluator forms mF^4 on R22 with one product per multiset of
-    mF's generators, 64 packed products (``Packing.mul``), where every pair
-    of the chain's minimal generators is 116.  Its generators, in order, are
-    those the sweep over every pair of ``Polynomial`` products keeps, and
-    its length is l(F^4 / (mF)^4)."""
+    mF's generators, 64 calls of the one polynomial product (``Packing.mul``),
+    where every pair of the chain's minimal generators is 116.  Its
+    generators, in order, are those the sweep over every pair of products
+    keeps, and its length is l(F^4 / (mF)^4)."""
     mf = mk(R22, MF22_GENS)
-    pack = Packing(R22)
     every = mf.minimal_gens
     for n in range(2, 5):
         candidates = [f * g for f in every for g in mf.minimal_gens]
-        packed = list(map(pack.pack, candidates))
-        kept = {id(g) for g in rees.minimal_sweep(R22, n, packed)[0]}
-        every = [f for f, g in zip(candidates, packed) if id(g) in kept]
+        kept = {id(g) for g in rees.minimal_sweep(R22, n, candidates)[0]}
+        every = [f for f in candidates if id(f) in kept]
     calls = []
     mul = Packing.mul
 

@@ -216,23 +216,23 @@ def test_is_joint_reduction_positive(m):
 
 
 def test_is_joint_reduction_repeated_element_fails(m, monkeypatch):
-    """Both sides of each n ask for m^(2n-1), and it is unpacked once: the
-    2 + 4 + 6 generators of m, m^3 and m^5."""
-    from brim.poly import Packing
+    """Both sides of each n ask for m^(2n-1), and the product memo forms it
+    once: one sweep each picks the minimal generators of m^2, m^3, m^4 and
+    m^5, named by their t-degree."""
+    from brim import hilbert
 
-    m.minimal_gens  # unpacked on its own, outside the product memo
     calls = []
-    unpack = Packing.unpack
+    sweep = hilbert.minimal_sweep
 
-    def counting(self, terms):
-        calls.append(None)
-        return unpack(self, terms)
+    def counting(ring, tdeg, gens):
+        calls.append(tdeg)
+        return sweep(ring, tdeg, gens)
 
-    monkeypatch.setattr(Packing, "unpack", counting)
+    monkeypatch.setattr(hilbert, "minimal_sweep", counting)
     dec = is_joint_reduction([P("x1*t1"), P("x1*t1")], [m, m], n_max=3)
     assert dec.verdict is Verdict.INCONCLUSIVE
     assert "x2^" in dec.counterexample
-    assert len(calls) == 2 + 4 + 6
+    assert calls == [2, 3, 4, 5]
 
 
 def test_is_joint_reduction_membership_gate(m, m2):
@@ -311,7 +311,6 @@ def test_deciders_reject_a_window_without_exponents(m, m2, n_max, monkeypatch):
 
     monkeypatch.setattr(Evaluator, "product_of_powers", formed)
     monkeypatch.setattr(Evaluator, "minimal_product", formed)
-    monkeypatch.setattr(Evaluator, "_minimal_codes", formed)
     u = mk(R21, ["x1^2*t1", "x2^2*t1"])
     xs = [P("x1*t1"), P("x2*t1")]
     for decide in [

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from brim import (
     DEGREVLEX_X,
+    QQ,
     InvalidInput,
     Monomial,
     Polynomial,
     PrimeField,
+    ResourceLimit,
     RingSpec,
     Undefined,
     format_polynomial,
@@ -20,7 +22,7 @@ from brim import (
 from brim.groebner import GroebnerBasis, normal_form
 from brim.poly import compositions_desc, t_shifts
 
-from .oracles import order_compare
+from .oracles import monomial_product, order_compare
 
 R21 = RingSpec(d=2, p=1)
 R22 = RingSpec(d=2, p=2)
@@ -113,7 +115,7 @@ def test_ring_axioms(a, b, c):
 @settings(max_examples=200, deadline=None)
 @given(monomials(), monomials(), monomials())
 def test_order_multiplicative(u, v, w):
-    assert order_compare(u, v) == order_compare(u.mul(w), v.mul(w))
+    assert order_compare(u, v) == order_compare(monomial_product(u, w), monomial_product(v, w))
 
 
 def _reference_compare(u, v):
@@ -171,6 +173,78 @@ def test_parse_print_roundtrip(f):
 def test_roundtrip_fixtures(text):
     f = P(text)
     assert parse_polynomial(R22, format_polynomial(f)) == f
+
+
+@st.composite
+def ring_polynomials(draw):
+    """A polynomial over R21, R22, R32 or R13, over QQ or GF(7), from up to
+    six distinct monomials with exponents below 5 and integral, rational or
+    negative coefficients (denominators invertible mod 7); with the
+    {Monomial: coefficient} dict it was built from."""
+    d, p = draw(st.sampled_from([(2, 1), (2, 2), (3, 2), (1, 3)]))
+    ring = RingSpec(d=d, p=p, field=draw(st.sampled_from([QQ, PrimeField(7)])))
+    mono = st.builds(Monomial, st.tuples(*[exps] * p), st.tuples(*[exps] * d))
+    coeff = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    terms = draw(st.dictionaries(mono, coeff, max_size=6))
+    return Polynomial(ring, terms), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(ring_polynomials())
+def test_terms_follow_the_tuple_order_and_the_text_round_trips(drawn):
+    """Packed terms decode to the monomials they were built from;
+    ``terms()`` lists them descending and ``leading_term()`` is the first,
+    both by the tuple order of ``oracles.order_compare``; printing and
+    parsing give the polynomial back."""
+    f, terms = drawn
+    field = f.ring.field
+    assert dict(f.items()) == {m: field.coerce(c) for m, c in terms.items() if field.coerce(c)}
+    listed = [m for m, _ in f.terms()]
+    assert all(order_compare(a, b) == 1 for a, b in zip(listed, listed[1:]))
+    assert sorted(listed, key=DEGREVLEX_X.key, reverse=True) == listed
+    assert dict(f.terms()) == dict(f.items())
+    if f:
+        assert f.leading_term() == f.terms()[0]
+    assert parse_polynomial(f.ring, str(f)) == f
+
+
+def test_rational_and_negative_coefficients_round_trip():
+    """A QQ coefficient is an int when integral and a Fraction otherwise;
+    either prints and parses back to itself."""
+    f = parse_polynomial(R22, "1/2*x1*t1 - 3/4*x2*t2 + 6/3*x1^2*t2 - 5")
+    assert str(f) == "1/2*x1*t1 + 2*x1^2*t2 - 3/4*x2*t2 - 5"
+    assert parse_polynomial(R22, str(f)) == f
+    assert [type(c) for _, c in f.terms()] == [Fraction, int, Fraction, int]
+
+
+def test_a_negative_exponent_is_invalid_input():
+    """A negative exponent would borrow from its neighbour's slot, so the
+    constructor and ``mul_term`` refuse it."""
+    with pytest.raises(InvalidInput, match="negative exponent"):
+        Polynomial(R21, {Monomial((-1,), (0, 2)): 3})
+    with pytest.raises(InvalidInput, match="negative exponent"):
+        Polynomial(R22, [(Monomial((0, 1), (2, -1)), 1)])
+    with pytest.raises(InvalidInput, match="negative exponent"):
+        P("x1*x2*t1").mul_term(Monomial((0, 0), (0, -1)), 1)
+
+
+def test_a_degree_at_the_slot_base_is_a_limit():
+    """Products, ``mul_term`` and ``t_shifts`` check the degree they form
+    against the 16-bit slot base, for x and for t, and never carry into the
+    next slot; one below the base is exact."""
+    big = P("x1^40000*t1", R21)
+    with pytest.raises(ResourceLimit, match=r"^degree 70000 reaches the slot base 65536$"):
+        big * P("x1^30000*t1", R21)
+    assert str(big * P("x1^25535*t1", R21)) == "x1^65535*t1^2"
+    with pytest.raises(ResourceLimit, match=r"^degree 70000 reaches the slot base 65536$"):
+        P("x1*t1^40000") * P("x2*t2^30000")
+    with pytest.raises(ResourceLimit, match=r"^degree 65536 reaches the slot base 65536$"):
+        P("x2^65535*t2").mul_term(Monomial((0, 0), (1, 0)), 2)
+    with pytest.raises(ResourceLimit, match=r"^degree 65536 reaches the slot base 65536$"):
+        t_shifts(R22, [P("x1*t1^65000")], 536)
+    assert t_shifts(R22, [P("x1*t1^65000")], 535)[0] == P("x1*t1^65535")
+    with pytest.raises(ResourceLimit, match=r"^degree 65536 reaches the slot base 65536$"):
+        P("x1^65536")
 
 
 def test_parse_rejects_garbage():
