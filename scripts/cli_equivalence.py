@@ -10,8 +10,8 @@ Each command runs as ``python3 -m brim.cli ...`` once on this tree's
 only the spec file, with the length-table cache on.  The set covers every
 subcommand and all seven check kinds over QQ, GF(32003) and GF(7), where
 coefficient products wrap often, with non-monomial modules, rational and
-negative coefficients over QQ, and user-error (exit 2) and limit (exit 3)
-cases.
+negative coefficients over QQ, Koszul slices over R32 whose t- and
+x-degrees both vary, and user-error (exit 2) and limit (exit 3) cases.
 
 A command differs when its stdout outside the ``runtime`` key, its stderr,
 its exit code or the names of the ``.brim-cache`` entries it wrote differ.
@@ -75,6 +75,8 @@ R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
 # D = d+p-1 = 4: mF, and a parameter span c1..c4 of it over R32
 R32_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2) for i in (1, 2, 3)]}}
 R32_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x3*t1+x2*t2", "c4": "x3*t2"}
+# the same parameter elements with a rational coefficient, for gmult over QQ
+R32_RATIONAL_ELEMENTS = dict(R32_ELEMENTS, c2="x2*t1 - 3/2*x1*t2")
 R23_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2, 3) for i in (1, 2)]}}
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
 # rational and negative coefficients over QQ: a parameter module of mF, and E
@@ -114,6 +116,8 @@ SPECS = {
     "r22-qq-rational": spec("QQ", 2, 2, R22_RATIONAL_MODULES, R22_RATIONAL_ELEMENTS),
     "r21-big": spec("QQ", 2, 1, R21_BIG_MODULES),
     "r32-gf": spec(GF, 3, 2, R32_MODULES, R32_ELEMENTS),
+    "r32-gf7": spec(GF7, 3, 2, R32_MODULES, R32_ELEMENTS),
+    "r32-qq-rational": spec("QQ", 3, 2, R32_MODULES, R32_RATIONAL_ELEMENTS),
     "r23-gf": spec(GF, 2, 3, R23_MODULES),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
     "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
@@ -240,6 +244,11 @@ COMMANDS = [
     ("r32-gf", "check risler -m mF -d 4"),
     ("r32-gf", "check converse -x c1,c2,c3,c4 -m mF,mF,mF,mF"),
     ("r23-gf", "check risler -m mF -d 4"),
+    # Koszul slices whose t- and x-degrees both vary: t = 13 by default and
+    # t = 6, with homology at x-degree 1
+    ("r32-qq-rational", "gmult -e c1,c2,c3,c4"),
+    ("r32-gf7", "gmult -e c1,c2,c3,c4"),
+    ("r32-gf7", "gmult -e c1,c2,c3,c4 -t 6"),
     ("r21-qq", "check rees -u U"),
     ("r21-qq", "check superficial -m m"),
     # each decider's contract errors: an element of the wrong t-degree,

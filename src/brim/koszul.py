@@ -2,29 +2,24 @@
 
 The Koszul complex on elements a1..am splits into finite-dimensional slices
 by t-degree and x-degree because every a_i is bihomogeneous; homology
-dimensions per slice are ranks of sparse rows over packed monomials.  The
-degree-t g-multiplicity is the alternating sum of homology dimensions.  A
-rank above the smaller side of its matrix, or a negative homology dimension,
-raises InternalError.
+dimensions per slice are ranks of sparse rows whose basis monomials are
+codes of the ring's one ``poly.Packing``, the codes every ``Polynomial``
+holds, so an element's terms enter the rows as they are.  The degree-t
+g-multiplicity is the alternating sum of homology dimensions.  A rank above
+the smaller side of its matrix, or a negative homology dimension, raises
+InternalError.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
 from typing import Optional
 
 from .errors import InternalError, InvalidInput, NoStabilization, NotMultiplicitySystem
 from .groebner import GeneratorSet, buchberger, colength
 from .linalg import rank as matrix_rank
-from .poly import (
-    DEGREVLEX_X,
-    Monomial,
-    compositions_desc,
-    count_bidegree,
-    t_shifts,
-)
+from .poly import count_bidegree, packing, t_shifts
 
 DELTA_CAP = 40
 STAB_WIDTH = 3
@@ -79,41 +74,32 @@ def chain_dim(spec: KoszulSpec, i: int, t: int, delta: int) -> int:
 
 
 def _slice_basis(spec: KoszulSpec, n: int, t: int, delta: int):
-    """Basis of the slice: pairs (subset, monomial), deterministically ordered.
-    Subsets of one bidegree share one list of monomials."""
-    ring = spec.ring
-    basis, monos = [], {}
+    """Basis of the slice: pairs (subset, code), the code a monomial of the
+    ring's ``Packing``, deterministically ordered.  Subsets of one bidegree
+    share one list of codes, descending in the term order."""
+    pack = packing(spec.ring)
+    basis, codes = [], {}
     for subset in itertools.combinations(range(spec.m), n):
         kt = t - sum(spec.tdegs[s] for s in subset)
         kx = delta - sum(spec.xdegs[s] for s in subset)
         if kt < 0 or kx < 0:
             continue
-        if (kt, kx) not in monos:
-            monos[kt, kx] = [
-                Monomial(te, xe)
-                for te in compositions_desc(kt, ring.p)
-                for xe in compositions_desc(kx, ring.d)
-            ]
-            monos[kt, kx].sort(key=DEGREVLEX_X.key, reverse=True)
-        basis.extend((subset, mo) for mo in monos[kt, kx])
+        if (kt, kx) not in codes:
+            xs = pack.x_codes(kx)
+            codes[kt, kx] = [s + x for s in pack.t_codes(kt) for x in xs]
+        basis.extend((subset, c) for c in codes[kt, kx])
     return basis
 
 
 def _differentials(spec: KoszulSpec, t: int, delta: int):
     """Sparse rows of d_1..d_m on the (t, delta) slice, one {source column:
-    coefficient} dict per target basis element, with the column count.  Slice
-    exponents are at most max(t, delta), so base max(t, delta) + 1 packs each
-    monomial into one int with no carry: a product's code is the codes' sum."""
-    weights = [(max(t, delta) + 1) ** j for j in range(spec.ring.p + spec.ring.d)]
-
-    def code(mo):
-        return sum(map(mul, weights, mo.texp + mo.xexp))
-
-    # the packed terms of each element and of its negative
-    terms = [[[(code(m), c) for m, c in f.items()] for f in (a, -a)] for a in spec.elems]
-    bases = [
-        [(s, code(mo)) for s, mo in _slice_basis(spec, i, t, delta)] for i in range(spec.m + 1)
-    ]
+    coefficient} dict per target basis element, with the column count.  The
+    bases and the elements' terms are codes of one ``Packing``, so a
+    product's code is the sum of the codes; its bidegree (t, delta) is below
+    the slot base, which the gate's t-shifts have checked for t."""
+    # the terms of each element and of its negative, as they are held
+    terms = [[f._terms.items() for f in (a, -a)] for a in spec.elems]
+    bases = [_slice_basis(spec, i, t, delta) for i in range(spec.m + 1)]
     out = []
     for src, tgt in zip(bases[1:], bases):
         rows = [{} for _ in tgt] if src else []
@@ -121,8 +107,8 @@ def _differentials(spec: KoszulSpec, t: int, delta: int):
         for col, (subset, u) in enumerate(src):
             for pos, elem_idx in enumerate(subset):
                 rest = subset[:pos] + subset[pos + 1 :]
-                for packed, c in terms[elem_idx][pos % 2]:  # the negative at odd positions
-                    rows[tgt_index[rest, packed + u]][col] = c
+                for code, c in terms[elem_idx][pos % 2]:  # the negative at odd positions
+                    rows[tgt_index[rest, code + u]][col] = c
         out.append((rows, len(src)))
     return out
 

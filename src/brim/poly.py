@@ -139,6 +139,12 @@ class Packing:
         """The codes of the degree-deg t-monomials, lex descending."""
         return [self.code(Monomial(t, (0,) * self.ring.d)) for t in t_monomials(self.ring, deg)]
 
+    def x_codes(self, deg: int) -> list:
+        """The codes of the degree-deg x-monomials, descending."""
+        zero = (0,) * self.ring.p
+        codes = [self.code(Monomial(zero, x)) for x in compositions_desc(deg, self.ring.d)]
+        return sorted(codes, reverse=True)
+
     def mul(self, f: dict, g: dict) -> dict:
         """The product of two packed polynomials; ``ResourceLimit`` when its
         degree reaches the slot base (k[x, t] is a domain, so that degree is

@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import chain, count
 
 from .errors import InfiniteColength, InvalidInput, ResourceLimit, SupportOffOrigin
-from .groebner import GeneratorSet, GroebnerBasis, buchberger, colength, contains
+from .groebner import GeneratorSet, GroebnerBasis, buchberger, colength, contains, normal_form
 from .linalg import Echelon
 from .poly import (
     Monomial,
@@ -274,38 +274,31 @@ def product(a: GradedSubmodule, b: GradedSubmodule) -> GradedSubmodule:
 def mprimary_check(e: GradedSubmodule) -> PrimarityCertificate:
     """Certify that the slice quotient has finite length and is supported at
     the origin: colength finite and x_i^N * mu in E for every variable and
-    every position, N = colength.  The certified exponent is minimized."""
+    every position, N = colength.  Since x_i E <= E, the normal form of
+    x_i^n * mu is reached by the walk v <- NF(x_i * v) from mu, and the
+    first n at which it vanishes is that pair's least exponent; so no
+    monomial of degree N is formed, and the certified exponent is the
+    largest of the least ones."""
     report = e.colength_report()
     if not report.finite:
         raise InfiniteColength("quotient by the submodule has infinite length")
     ell = report.value
-    ring = e.ring
-    positions = t_monomials(ring, e.tdeg)
-
-    def pure_powers_contained(n: int) -> Polynomial | None:
-        """First missing x_i^n * mu, or None when all are contained."""
-        for i in range(ring.d):
-            xexp = tuple(n if j == i else 0 for j in range(ring.d))
-            for pos in positions:
-                mono = Polynomial.from_monomial(ring, Monomial(tuple(pos), xexp), 1)
-                if not e.contains(mono):
-                    return mono
-        return None
-
-    witness = pure_powers_contained(ell)
-    if witness is not None:
-        raise SupportOffOrigin(
-            f"colength {ell} is finite but {witness} is outside the submodule"
-        )
-    # minimal pure-power exponent, by binary search (the property is upward closed)
-    lo, hi = 0, ell
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pure_powers_contained(mid) is None:
-            hi = mid
-        else:
-            lo = mid + 1
-    n_pure = lo
+    ring, basis = e.ring, e.basis
+    zero_t, zero_x = (0,) * ring.p, (0,) * ring.d
+    n_pure = 0
+    for i in range(ring.d):
+        x_i = Polynomial.from_monomial(ring, Monomial(zero_t, zero_x[:i] + (1,) + zero_x[i + 1 :]))
+        for pos in t_monomials(ring, e.tdeg):
+            v, n = normal_form(Polynomial.from_monomial(ring, Monomial(pos, zero_x)), basis), 0
+            while v and n < ell:
+                v, n = normal_form(x_i * v, basis), n + 1
+            if v:
+                xexp = zero_x[:i] + (ell,) + zero_x[i + 1 :]
+                witness = Polynomial.from_monomial(ring, Monomial(pos, xexp))
+                raise SupportOffOrigin(
+                    f"colength {ell} is finite but {witness} is outside the submodule"
+                )
+            n_pure = max(n_pure, n)
     # m^ell kills the quotient (strict chain); pure powers give d*(n-1)+1
     nak = min(ell, ring.d * (n_pure - 1) + 1) if n_pure > 0 else 0
     return PrimarityCertificate(colength=ell, nakayama_exponent=nak)

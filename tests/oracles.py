@@ -13,8 +13,9 @@ minimalization and inter-reduction.  They are the reference for
 ``brim.groebner``, which computes on packed monomial codes.
 
 ``dense_differential`` is the Koszul differential as a dense matrix, built
-with ``monomial_product`` on ``Monomial`` tuples: the reference for the
-sparse rows of packed monomials that ``brim.koszul`` builds.
+with ``monomial_product`` on the decoded ``Monomial`` tuples of the slice
+bases: the reference for the sparse rows that ``brim.koszul`` builds by
+adding monomial codes.
 
 ``echelon_sweep`` runs the rows of a graded degree sweep through
 ``linalg.Echelon`` with no shortcut: the reference for the monomial mode of
@@ -30,7 +31,7 @@ from math import comb
 
 from brim import InvalidInput, ResourceLimit, buchberger, contains, parse_polynomial
 from brim.linalg import Echelon
-from brim.poly import DEGREVLEX_X, Monomial, Polynomial, t_monomials
+from brim.poly import DEGREVLEX_X, Monomial, Polynomial, packing, t_monomials
 
 
 def embed_w(ring, h):
@@ -294,11 +295,13 @@ def linear_algebra_colength(ring, tdeg, gens, bound):
 def dense_differential(spec, n, t, delta):
     """Dense matrix of d_n on the (t, delta) Koszul slice, rows = target
     basis, columns = source basis, both in ``_slice_basis`` order; returns
-    (rows, source size, target size), rows = [] when either basis is empty."""
+    (rows, source size, target size), rows = [] when either basis is empty.
+    The basis codes are decoded, and products formed on the tuples."""
     from brim.koszul import _slice_basis
 
-    src = _slice_basis(spec, n, t, delta)
-    tgt = _slice_basis(spec, n - 1, t, delta)
+    monomial = packing(spec.ring).monomial
+    src = [(s, monomial(c)) for s, c in _slice_basis(spec, n, t, delta)]
+    tgt = [(s, monomial(c)) for s, c in _slice_basis(spec, n - 1, t, delta)]
     if not src or not tgt:
         return [], len(src), len(tgt)
     tgt_index = {key: r for r, key in enumerate(tgt)}

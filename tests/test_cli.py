@@ -414,3 +414,18 @@ def test_a_degree_at_the_slot_base_exit_3(tmp_path):
     proc = brim("ebr", str(path), "-m", "big", cwd=tmp_path)
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert "degree 65536 reaches the slot base 65536" in proc.stderr
+
+
+def test_a_high_colength_module_of_small_degree_passes_the_gate(tmp_path):
+    """m^400 over R21 has colength 80200, above the slot base 65536, and
+    generators of degree 400: the primarity gate needs no monomial of degree
+    80200, so its length is an answer, not a limit."""
+    gens = [f"x1^{400 - k}*x2^{k}*t1" for k in range(401)]
+    spec = {
+        "ring": {"field": {"GF": 32003}, "d": 2, "p": 1},
+        "modules": {"M": {"tdeg": 1, "gens": gens}},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("length", str(path), "-m", "M", "-n", "1", cwd=tmp_path)
+    assert payload(proc)["length"] == 80200

@@ -14,6 +14,7 @@ from brim import (
     parse_polynomial,
 )
 from brim.koszul import _differentials, _slice_basis, default_t
+from brim.poly import DEGREVLEX_X, Monomial, compositions_desc, packing
 from brim.ring import QQ, PrimeField
 
 from .oracles import dense_differential
@@ -25,7 +26,7 @@ GF = PrimeField(32003)
 # (d, p, elements, t): the three Koszul specs of the benchmark's deciders
 # workload; (x1^2 t1, x2^3 t1) at t = 2, whose sweep runs to x-degrees above
 # t; and two specs at their default t, above every x-degree their sweeps
-# reach.  So packed x- and t-exponents both reach the top digit, max(t, delta).
+# reach.  So the swept slices have t > delta and delta >= t.
 SWEPT_SPECS = [
     (3, 2, ["x1*t1", "x2*t1+x1*t2", "x3*t1+x2*t2", "x3*t2"], None),
     (
@@ -137,8 +138,8 @@ def swept_slices():
 
 def test_sparse_rows_match_the_dense_reference():
     """Every sparse differential the sweep ranks equals, entry for entry, the
-    dense matrix built by Monomial.mul on unpacked monomials, and stores no
-    zero value."""
+    dense matrix built by ``monomial_product`` on decoded monomials, and
+    stores no zero value."""
     shapes = set()
     for spec, t, delta, diffs in swept_slices():
         assert len(diffs) == spec.m
@@ -227,6 +228,35 @@ def test_slice_basis_sizes_match_chain_dim():
     for i in range(0, 3):
         for delta in range(0, 5):
             assert len(_slice_basis(spec, i, t, delta)) == chain_dim(spec, i, t, delta)
+
+
+def test_slice_basis_codes_decode_to_the_monomials_of_each_bidegree():
+    """Each subset's codes in a slice basis decode to the monomials of its
+    bidegree (t - kt, delta - kx), in descending term order: the reference
+    lists them from exponent tuples and sorts them by ``DEGREVLEX_X``."""
+    listed = 0
+    for d, p, texts, t in SWEPT_SPECS:
+        ring = RingSpec(d=d, p=p)
+        spec = K(ring, texts)
+        t = default_t(spec) if t is None else t
+        monomial = packing(ring).monomial
+        for n in range(spec.m + 1):
+            for delta in range(6):
+                decoded = {}
+                for subset, code in _slice_basis(spec, n, t, delta):
+                    decoded.setdefault(subset, []).append(monomial(code))
+                for subset in combinations(range(spec.m), n):
+                    kt = t - sum(spec.tdegs[s] for s in subset)
+                    kx = delta - sum(spec.xdegs[s] for s in subset)
+                    reference = [
+                        Monomial(te, xe)
+                        for te in compositions_desc(kt, p)
+                        for xe in compositions_desc(kx, d)
+                    ]
+                    reference.sort(key=DEGREVLEX_X.key, reverse=True)
+                    assert decoded.get(subset, []) == reference, (texts, subset, t, delta)
+                    listed += len(reference)
+    assert listed > 0
 
 
 def test_g_mult_over_prime_field():

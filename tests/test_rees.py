@@ -7,6 +7,8 @@ from brim import (
     GradedSubmodule,
     InfiniteColength,
     InvalidInput,
+    PrimarityCertificate,
+    PrimeField,
     RingSpec,
     SubmoduleSpec,
     SupportOffOrigin,
@@ -121,8 +123,17 @@ def test_mprimary_infinite():
 
 def test_mprimary_support_off_origin():
     # (x^2 - x) has colength 2 but vanishes at x = 1 as well
-    with pytest.raises(SupportOffOrigin):
+    with pytest.raises(SupportOffOrigin, match=r"colength 2 is finite but x1\^2\*t1 is outside"):
         mprimary_check(mk(R11, ["x1^2*t1 - x1*t1"]))
+
+
+def test_mprimary_certificate_of_a_high_colength_module_of_small_degree():
+    """m^400 over R21: colength C(401, 2) = 80200, above the slot base, while
+    every generator has degree 400.  The gate walks x_i^n * mu by normal
+    forms and never forms x_i^80200; x_i^400 is the least pure power."""
+    gf = RingSpec(d=2, p=1, field=PrimeField(32003))
+    m400 = mk(gf, [f"x1^{400 - k}*x2^{k}*t1" for k in range(401)])
+    assert mprimary_check(m400) == PrimarityCertificate(colength=80200, nakayama_exponent=799)
 
 
 def test_mprimary_implies_powers_finite():
