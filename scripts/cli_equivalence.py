@@ -7,14 +7,18 @@ Usage, from the checkout root:
 
 Each command runs as ``python3 -m brim.cli ...`` once on this tree's
 ``src/`` and once on ``DIR/src``, each time in a fresh directory holding
-only the spec file, with the length-table cache on.  The set covers every
+only the spec file, with the cache on.  A cached multiplicity command
+(ebr, tilde-ebr, mixed, assoc) then runs a second time in that directory,
+so its warm run, served from the entry the cold run wrote, is compared too.
+The set covers every
 subcommand and all seven check kinds over QQ, GF(32003) and GF(7), where
 coefficient products wrap often, with non-monomial modules, rational and
 negative coefficients over QQ, Koszul slices over R32 whose t- and
 x-degrees both vary, and user-error (exit 2) and limit (exit 3) cases.
 
-A command differs when its stdout outside the ``runtime`` key, its stderr,
-its exit code or the names of the ``.brim-cache`` entries it wrote differ.
+A command differs when, cold or warm, its stdout outside the ``runtime``
+key, its stderr, its exit code or the names of the ``.brim-cache`` entries
+differ.
 Every difference is printed; the exit status is 1 when any command differs
 and 0 otherwise.
 """
@@ -94,6 +98,8 @@ R22_RATIONAL_MODULES = {
 R22_RATIONAL_ELEMENTS = {"r1": "1/2*x1*t1 - 3/4*x2*t2", "q1": "1/2*x1^2*t1 - 3/4*x1*x2*t2"}
 # x1^65536 does not fit a 16-bit slot
 R21_BIG_MODULES = {"big": {"tdeg": 1, "gens": ["x1^65536*t1", "x2*t1"]}}
+# colength 65792, above the slot base, and support at x1 = 1 as well
+R21_OFF_MODULES = {"off": {"tdeg": 1, "gens": ["x1^257*t1 - x1^256*t1", "x2^256*t1"]}}
 GF = {"GF": 32003}
 GF7 = {"GF": 7}
 
@@ -115,6 +121,7 @@ SPECS = {
     "r12-qq": spec("QQ", 1, 2, R12_MODULES),
     "r22-qq-rational": spec("QQ", 2, 2, R22_RATIONAL_MODULES, R22_RATIONAL_ELEMENTS),
     "r21-big": spec("QQ", 2, 1, R21_BIG_MODULES),
+    "r21-off": spec("QQ", 2, 1, R21_OFF_MODULES),
     "r32-gf": spec(GF, 3, 2, R32_MODULES, R32_ELEMENTS),
     "r32-gf7": spec(GF7, 3, 2, R32_MODULES, R32_ELEMENTS),
     "r32-qq-rational": spec("QQ", 3, 2, R32_MODULES, R32_RATIONAL_ELEMENTS),
@@ -240,6 +247,8 @@ COMMANDS = [
     ("r22-qq-rational", "check superficial -x q1 -m Eq"),
     # a degree at the slot base (exit 3)
     ("r21-big", "ebr -m big"),
+    # support off the origin at a colength past the slot base (exit 2)
+    ("r21-off", "ebr -m off"),
     # parameter spans with D = 4, whose e_BR tables run to n = 8
     ("r32-gf", "check risler -m mF -d 4"),
     ("r32-gf", "check converse -x c1,c2,c3,c4 -m mF,mF,mF,mF"),
@@ -266,8 +275,13 @@ COMMANDS = [
 ]
 
 
+# the subcommands whose reports the cache keeps
+CACHED = ("ebr", "tilde-ebr", "mixed", "assoc")
+
+
 def run(checkout: Path, spec_name: str, argv: str) -> dict:
-    """Outcome of one command in a fresh directory on the checkout's brim."""
+    """Outcome of one command in a fresh directory on the checkout's brim,
+    and of its warm run there when the command is cached."""
     words = argv.split()
     # the spec file follows the subcommand (and the check kind)
     at = 2 if words[0] == "check" else 1
@@ -276,29 +290,29 @@ def run(checkout: Path, spec_name: str, argv: str) -> dict:
     env["PYTHONPATH"] = str(checkout / "src")
     env["BRIM_CACHE"] = "on"
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    outcome = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
         (cwd / "spec.json").write_text(json.dumps(SPECS[spec_name]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "brim.cli", *words],
-            cwd=cwd,
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        cache = sorted(p.name for p in (cwd / ".brim-cache").glob("*"))
-    try:
-        report = json.loads(proc.stdout)
-        report.pop("runtime", None)
-        stdout = json.dumps(report, sort_keys=True)
-    except (json.JSONDecodeError, AttributeError):
-        stdout = proc.stdout
-    return {
-        "exit": proc.returncode,
-        "stdout": stdout,
-        "stderr": proc.stderr,
-        "cache": cache,
-    }
+        for role in ("cold", "warm") if words[0] in CACHED else ("cold",):
+            proc = subprocess.run(
+                [sys.executable, "-m", "brim.cli", *words],
+                cwd=cwd,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            try:
+                report = json.loads(proc.stdout)
+                report.pop("runtime", None)
+                stdout = json.dumps(report, sort_keys=True)
+            except (json.JSONDecodeError, AttributeError):
+                stdout = proc.stdout
+            outcome[f"{role} exit"] = proc.returncode
+            outcome[f"{role} stdout"] = stdout
+            outcome[f"{role} stderr"] = proc.stderr
+            outcome[f"{role} cache"] = sorted(p.name for p in (cwd / ".brim-cache").glob("*"))
+    return outcome
 
 
 def main() -> int:
@@ -313,7 +327,8 @@ def main() -> int:
         fields = [key for key in here if here[key] != there[key]]
         label = f"[{spec_name}] {argv}"
         if not fields:
-            print(f"same   exit {here['exit']}  {label}")
+            roles = "cold+warm" if "warm exit" in here else "cold     "
+            print(f"same   exit {here['cold exit']}  {roles}  {label}")
             continue
         differ += 1
         print(f"DIFFER {label}")

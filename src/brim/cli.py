@@ -5,12 +5,14 @@ invariant failure.  Reports are byte-identical for identical inputs and seed;
 wall-clock timing and the cache mode live in the separate "runtime" key,
 which golden comparisons drop.
 
-Length tables backing the multiplicity commands are cached on disk under
-./.brim-cache/, keyed by a SHA-256 of the canonicalized spec and semantic
-command together with the brim version and the extraction settings
-(``hilbert.N_MAX``, ``STAB_WIDTH``, ``MAX_EXTENSIONS``, ``EXTENSION_STEP``),
-so a table computed by other code is never served; each entry is written to
-a temporary file and renamed into place.  BRIM_CACHE=off disables the cache.
+The multiplicity commands' reports are cached on disk under ./.brim-cache/,
+keyed by a SHA-256 of the canonicalized spec and semantic command together
+with the brim version and the extraction settings (``hilbert.N_MAX``,
+``STAB_WIDTH``, ``MAX_EXTENSIONS``, ``EXTENSION_STEP``), so a report computed
+by other code is never served.  A hit is served only when its table's
+stabilized difference gives back its value and certificate; each entry is
+written to a temporary file and renamed into place.  BRIM_CACHE=off disables
+the cache.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__, hilbert
-from .errors import BrimError, ComputationLimit, InternalError, InvalidInput
+from .errors import BrimError, ComputationLimit, InvalidInput
 from .hilbert import (
     Evaluator,
     LengthQuery,
@@ -226,48 +228,51 @@ def cache_entry_key(spec: SpecFile, command: dict) -> str:
 
 
 def cache_load_table(key: str):
-    """The cached table, or None (a miss) when the entry is absent or does
-    not decode to a full table."""
+    """The cached report, or None (a miss) when the entry is absent, does not
+    decode, or its table's stabilized difference, at the stored orders, is
+    not the stored value and certificate."""
     path = Path(CACHE_DIR) / f"{key}.json"
     if not path.is_file():
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return LengthTable.from_json(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError):
+            doc = json.load(fh)
+        kind, stored = doc["kind"], (doc["value"], doc["certificate"])
+        table = LengthTable.from_json(doc["table"])
+        value, cert = stabilized_difference(table, doc["certificate"]["orders"])
+    except (OSError, ValueError, KeyError, TypeError, BrimError):
         return None
+    if (value, cert) != stored:
+        return None
+    return MultiplicityResult(value, kind, cert, table)
 
 
-def cache_store_table(key: str, table: LengthTable):
-    """Write the entry to a temporary file, then rename it into place, so a
+def cache_store_table(key: str, result: MultiplicityResult):
+    """Write the report to a temporary file, then rename it into place, so a
     failed write never leaves a partial entry under the key."""
     directory = Path(CACHE_DIR)
     tmp = directory / f"{key}.{os.getpid()}.tmp"
     try:
         directory.mkdir(exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(table.to_json(), fh, sort_keys=True, separators=(",", ":"))
+            json.dump(mult_to_json(result), fh, sort_keys=True, separators=(",", ":"))
         os.replace(tmp, directory / f"{key}.json")
     except OSError:  # caching is best-effort
         with contextlib.suppress(OSError):
             tmp.unlink()
 
 
-def cached_multiplicity(spec, command, kind, orders, compute):
-    """Reuse the cached length table when present; the extraction itself is a
-    pure function of the table."""
+def cached_multiplicity(spec, command, compute):
+    """The cached report when its table still certifies it, else compute()'s,
+    which is then cached."""
     key = cache_entry_key(spec, command)
     if cache_enabled():
-        table = cache_load_table(key)
-        if table is not None:
-            try:
-                value, cert = stabilized_difference(table, orders)
-                return MultiplicityResult(value, kind, cert, table)
-            except BrimError:
-                pass  # stale or incompatible cache entry: recompute
+        result = cache_load_table(key)
+        if result is not None:
+            return result
     result = compute()
     if cache_enabled():
-        cache_store_table(key, result.table)
+        cache_store_table(key, result)
     return result
 
 
@@ -320,27 +325,18 @@ def _mult_command(spec: SpecFile, args, kind: str) -> dict:
         if len(mods) != 1:
             raise InvalidInput(f"{kind} takes exactly one module")
         fields = {}
-        orders = (spec.ring.d + spec.ring.p - 1,)
         compute = partial(ebr if kind == "ebr" else tilde_ebr, mods[0])
     elif kind == "mixed":
         dvec = tuple(_ints(args.dvec, "-d"))
         fields = {"dvec": list(dvec)}
-        orders = dvec
         compute = partial(mixed, mods, dvec)
     else:
         dvec = tuple(_ints(args.dvec, "-d"))
         j = _int(args.j, "-j")
         fields = {"dvec": list(dvec), "j": j}
-        orders = dvec + (j,)
         compute = partial(assoc_mixed, mods, dvec, j)
-    res = cached_multiplicity(
-        spec,
-        {"subcommand": kind, "modules": names, **fields},
-        {"type": kind, **fields},
-        orders,
-        compute,
-    )
-    return mult_to_json(res)
+    command = {"subcommand": kind, "modules": names, **fields}
+    return mult_to_json(cached_multiplicity(spec, command, compute))
 
 
 def cmd_gmult(spec: SpecFile, args) -> dict:
@@ -385,13 +381,12 @@ def cmd_check(spec: SpecFile, args) -> dict:
         mods = [spec.module(n) for n in _split(args.modules)]
         rep = converse_criterion(xs, mods, n_max)
         return {"criterion": criterion_to_json(rep)}
-    if kind == "risler":
-        mods = [spec.module(n) for n in _split(args.modules)]
-        dvec = _ints(args.dvec, "-d")
-        base = int(args.seed)
-        rep = risler_teissier_check(mods, dvec, seeds=[base, base + 1, base + 2])
-        return {"criterion": criterion_to_json(rep)}
-    raise InvalidInput(f"unknown check kind {kind!r}")
+    # risler, the last of the parser's choices
+    mods = [spec.module(n) for n in _split(args.modules)]
+    dvec = _ints(args.dvec, "-d")
+    base = int(args.seed)
+    rep = risler_teissier_check(mods, dvec, seeds=[base, base + 1, base + 2])
+    return {"criterion": criterion_to_json(rep)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("specfile")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("length", help="one exact length cell")
@@ -454,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def semantic_command(args) -> dict:
     """The mathematically relevant part of the invocation (no execution knobs)."""
-    skip = {"specfile", "threads", "subcommand"}
+    skip = {"specfile", "subcommand"}
     out = {"subcommand": args.subcommand}
     for key, value in sorted(vars(args).items()):
         if key in skip or value in (None, ""):
@@ -473,10 +467,8 @@ def run(args) -> dict:
         payload = _mult_command(spec, args, sub.replace("-", "_"))
     elif sub == "gmult":
         payload = cmd_gmult(spec, args)
-    elif sub == "check":
+    else:
         payload = cmd_check(spec, args)
-    else:  # pragma: no cover
-        raise InvalidInput(f"unknown subcommand {sub!r}")
     elapsed = time.monotonic() - started
     command = semantic_command(args)
     return {
@@ -486,7 +478,6 @@ def run(args) -> dict:
         "payload": payload,
         "runtime": {
             "elapsed_s": round(elapsed, 6),
-            "threads": args.threads,
             "cache": "on" if cache_enabled() else "off",
         },
     }
@@ -507,13 +498,7 @@ def main(argv=None) -> int:
     except ComputationLimit as exc:
         print(f"limit: {exc}", file=sys.stderr)
         return 3
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except BrimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # internal invariant failure
+    except Exception as exc:  # InternalError, or any other broken invariant
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
     print(canonical_json(report))

@@ -3,8 +3,8 @@
 A t-homogeneous polynomial of degree e is a vector over R = k[x1..xd] whose
 positions are the degree-e t-monomials; leading-term divisibility therefore
 requires equal t-exponents and componentwise <= on x-exponents.  Leading
-terms are taken in the one term order of ``poly``, ``DEGREVLEX_X``:
-positions first, then degrevlex on x.  S-pairs are only formed between
+terms are taken in the one term order of ``poly``, the int order of its
+``Packing`` codes: positions first, then degrevlex on x.  S-pairs are only formed between
 elements whose leading positions coincide, and leading terms are indexed by
 position, so every scan stays inside one position.
 

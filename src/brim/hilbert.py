@@ -8,7 +8,9 @@ with one margin cell, is the stabilization certificate.  A univariate table
 grows to n = N_MAX (further when the difference order needs it), a
 multi-index box starts at a size set by the type vector, and either extends
 MAX_EXTENSIONS times by EXTENSION_STEP when stabilization fails.  Every
-extraction uses these settings.
+extraction uses these settings.  A parameter span's e_BR
+(``parameter_ebr``) computes n <= N_CHECK and takes the rest of ``ebr``'s
+window from the Buchsbaum-Rim closed form.
 
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
@@ -28,6 +30,7 @@ positive exponent passes the primarity gate first.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -118,6 +121,8 @@ N_MAX = 12
 STAB_WIDTH = 3
 MAX_EXTENSIONS = 2
 EXTENSION_STEP = 2
+# the parameter-span cells computed and checked against the closed form
+N_CHECK = 3
 
 
 def _class_key(module: GradedSubmodule) -> tuple:
@@ -498,6 +503,33 @@ def _univariate(
             )
         return MultiplicityResult(value, kind, cert, tbl)
     raise NoStabilization(f"no stabilization certificate within n <= {last}")
+
+
+def parameter_ebr(span: GradedSubmodule, evaluator: Evaluator) -> MultiplicityResult:
+    """e_BR of a span E of D = d+p-1 elements that passed the primarity
+    gate, a parameter module.  Over a Cohen-Macaulay ring
+    l(F^n/E^n) = l(F/E) * C(n+D-1, D) for every n >= 1 (Buchsbaum-Rim,
+    Trans. AMS 111, 1964).  The cells n <= N_CHECK are computed, and one
+    that differs from the closed form is an internal error; the rest of the
+    window ``ebr`` would stop at, n <= D + STAB_WIDTH + 1, is the closed
+    form.  So the value (the colength), certificate and table are those of
+    ``ebr``."""
+    D = span.ring.d + span.ring.p - 1
+    colength = span.primarity().colength
+    hi = D + STAB_WIDTH + 1
+    values = {}
+    for n in range(1, hi + 1):
+        closed = values[(n,)] = colength * math.comb(n + D - 1, D)
+        if n <= N_CHECK:
+            computed = evaluator.length(LengthQuery((span,), (n,)))
+            if computed != closed:
+                raise InternalError(
+                    f"parameter span cell n={n}: computed length {computed}, "
+                    f"closed form l(F/E)*C(n+D-1, D) = {closed}"
+                )
+    tbl = LengthTable(("n1",), ((1, hi),), values)
+    value, certificate = stabilized_difference(tbl, (D,))
+    return MultiplicityResult(value, {"type": "ebr"}, certificate, tbl)
 
 
 def ebr(

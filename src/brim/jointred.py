@@ -18,7 +18,6 @@ its finite-dimensional slice quotients, for the counterexample.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
@@ -40,16 +39,14 @@ from .errors import (
 )
 from .groebner import normal_form
 from .hilbert import (
-    STAB_WIDTH,
     Evaluator,
     LengthQuery,
-    LengthTable,
     MultiplicityResult,
     build_slice_submodule,
     check_type_vector,
     ebr,
     mixed,
-    stabilized_difference,
+    parameter_ebr,
 )
 from .linalg import PairedSpan
 from .poly import Monomial, Polynomial, compositions_desc, t_monomials
@@ -62,8 +59,6 @@ Q_MAX = 1
 # the largest slice quotient, in standard monomials, on which
 # ``_injective_on_quotient`` eliminates for a counterexample
 WITNESS_QUOTIENT_CAP = 10_000
-# the parameter-span cells computed and checked against the closed form
-N_CHECK = 3
 
 
 class Verdict(Enum):
@@ -107,7 +102,7 @@ class CriterionReport:
 
 def _report(lhs, rhs, decision, consistent, **extra) -> CriterionReport:
     # heights_ok and radical_ok are reported true, not computed (ROADMAP
-    # item 5: make the converse criterion's hypotheses real checks)
+    # item 4: make the converse criterion's hypotheses real checks)
     return CriterionReport(lhs, rhs, True, True, decision, consistent, **extra)
 
 
@@ -442,33 +437,6 @@ def rees_equivalence_check(
     return _report(lhs, rhs, decision, consistent)
 
 
-def _parameter_ebr(span: GradedSubmodule, evaluator: Evaluator) -> MultiplicityResult:
-    """e_BR of a span E of D = d+p-1 elements that passed the primarity
-    gate, a parameter module.  Over a Cohen-Macaulay ring
-    l(F^n/E^n) = l(F/E) * C(n+D-1, D) for every n >= 1 (Buchsbaum-Rim,
-    Trans. AMS 111, 1964).  The cells n <= N_CHECK are computed, and one
-    that differs from the closed form is an internal error; the rest of the
-    window ``ebr`` would stop at, n <= D + STAB_WIDTH + 1, is the closed
-    form.  So the value (the colength), certificate and table are those of
-    ``ebr``."""
-    D = span.ring.d + span.ring.p - 1
-    colength = span.primarity().colength
-    hi = D + STAB_WIDTH + 1
-    values = {}
-    for n in range(1, hi + 1):
-        closed = values[(n,)] = colength * math.comb(n + D - 1, D)
-        if n <= N_CHECK:
-            computed = evaluator.length(LengthQuery((span,), (n,)))
-            if computed != closed:
-                raise InternalError(
-                    f"parameter span cell n={n}: computed length {computed}, "
-                    f"closed form l(F/E)*C(n+D-1, D) = {closed}"
-                )
-    table = LengthTable(("n1",), ((1, hi),), values)
-    value, certificate = stabilized_difference(table, (D,))
-    return MultiplicityResult(value, {"type": "ebr"}, certificate, table)
-
-
 def converse_criterion(
     xs: Sequence[Polynomial],
     modules: Sequence[GradedSubmodule],
@@ -492,7 +460,7 @@ def converse_criterion(
     except (InfiniteColength, SupportOffOrigin) as exc:
         raise NotDeskCase(f"primarity gate failed: {exc}") from exc
     evaluator = Evaluator()
-    lhs = _parameter_ebr(span, evaluator)
+    lhs = parameter_ebr(span, evaluator)
     rhs = mixed(modules, (1,) * k, evaluator)
     decision = is_joint_reduction(xs, modules, n_max, evaluator)
     if lhs.value == rhs.value:
@@ -553,7 +521,7 @@ def risler_teissier_check(
     rhs = None
     for seed in seeds:
         candidates, span = _sample_verified_sequence(e_list, seed, evaluator)
-        rhs = _parameter_ebr(span, Evaluator())
+        rhs = parameter_ebr(span, Evaluator())
         values[str(seed)] = rhs.value
         all_candidates.extend(candidates)
     vals = set(values.values())

@@ -31,6 +31,7 @@ from .poly import (
     Monomial,
     Packing,
     Polynomial,
+    _format_coeff_and_vars,
     count_bidegree,
     packing,
     parse_polynomial,
@@ -294,7 +295,8 @@ def mprimary_check(e: GradedSubmodule) -> PrimarityCertificate:
                 v, n = normal_form(x_i * v, basis), n + 1
             if v:
                 xexp = zero_x[:i] + (ell,) + zero_x[i + 1 :]
-                witness = Polynomial.from_monomial(ring, Monomial(pos, xexp))
+                # text only: x_i^ell may not fit the ring's packing
+                witness = _format_coeff_and_vars(ring, Monomial(pos, xexp), 1)
                 raise SupportOffOrigin(
                     f"colength {ell} is finite but {witness} is outside the submodule"
                 )

@@ -153,12 +153,6 @@ def test_golden_reports_stable_across_runs(specfile, tmp_path):
     assert golden(a) == golden(b)
 
 
-def test_golden_stable_across_thread_counts(specfile, tmp_path):
-    a = brim("mixed", specfile, "-m", "m,I", "-d", "1,1", "--threads", "1", cwd=tmp_path)
-    b = brim("mixed", specfile, "-m", "m,I", "-d", "1,1", "--threads", "4", cwd=tmp_path)
-    assert golden(a) == golden(b)
-
-
 def test_cache_warm_vs_cold(specfile, tmp_path):
     cold = brim("mixed", specfile, "-m", "m,I", "-d", "1,1", cwd=tmp_path)
     assert (tmp_path / ".brim-cache").is_dir()
@@ -258,7 +252,7 @@ def test_cache_entry_of_other_code_is_recomputed(cli_in_tmp, tmp_path, monkeypat
         return cli.ebr(spec.module("m"))
 
     def run():
-        return cli.cached_multiplicity(spec, command, {"type": "ebr"}, (2,), compute).value
+        return cli.cached_multiplicity(spec, command, compute).value
 
     assert run() == run() == 1
     assert len(calls) == 1  # the second run was served from the cache
@@ -277,23 +271,104 @@ def test_failed_cache_write_leaves_no_entry(cli_in_tmp, tmp_path, monkeypatch):
     cli = cli_in_tmp
     spec = cli.SpecFile(SPEC)
     key = cli.cache_entry_key(spec, {"subcommand": "ebr", "modules": ["m"]})
-    table = cli.ebr(spec.module("m")).table
+    result = cli.ebr(spec.module("m"))
     dump = cli.json.dump
 
     def failing_dump(obj, fh, **kwargs):
-        fh.write('{"axes": [')
+        fh.write('{"certificate": {')
         raise OSError("no space left on device")
 
     monkeypatch.setattr(cli.json, "dump", failing_dump)
-    cli.cache_store_table(key, table)
+    cli.cache_store_table(key, result)
     assert list((tmp_path / ".brim-cache").iterdir()) == []
     monkeypatch.setattr(cli.json, "dump", dump)
-    cli.cache_store_table(key, table)
+    cli.cache_store_table(key, result)
     assert [p.name for p in (tmp_path / ".brim-cache").iterdir()] == [f"{key}.json"]
-    assert cli.cache_load_table(key).to_json() == table.to_json()
+    assert cli.mult_to_json(cli.cache_load_table(key)) == cli.mult_to_json(result)
 
 
-@pytest.mark.parametrize("corruption", ["values-short", "values-long", "not-an-object"])
+# argv of each cached multiplicity command on SPEC
+CACHED_COMMANDS = {
+    "ebr": ["ebr", "SPEC", "-m", "m"],
+    "tilde-ebr": ["tilde-ebr", "SPEC", "-m", "I"],
+    "mixed-one-module": ["mixed", "SPEC", "-m", "m2", "-d", "2"],
+    "mixed": ["mixed", "SPEC", "-m", "m,I", "-d", "1,1"],
+    "assoc": ["assoc", "SPEC", "-m", "m", "-d", "1", "-j", "1"],
+}
+
+
+@pytest.mark.parametrize("argv", CACHED_COMMANDS.values(), ids=CACHED_COMMANDS.keys())
+def test_warm_run_is_a_hit_for_every_cached_kind(
+    cli_in_tmp, specfile, monkeypatch, capsys, argv
+):
+    """The second run is served from the cache, computing nothing, and its
+    report is the first one's outside ``runtime``."""
+    cli = cli_in_tmp
+    calls = []
+
+    def counted(compute):
+        def wrapper(*args, **kwargs):
+            calls.append(compute.__name__)
+            return compute(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("ebr", "tilde_ebr", "mixed", "assoc_mixed"):
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+
+    def run():
+        assert cli.main([specfile if a == "SPEC" else a for a in argv]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc.pop("runtime")["cache"] == "on"
+        return doc
+
+    cold = run()
+    assert len(calls) == 1
+    assert run() == cold
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    ["value", "value-and-constant", "constant", "window", "width", "orders"],
+)
+def test_entry_with_an_edited_value_or_certificate_is_a_miss(cli_in_tmp, tmp_path, edit):
+    """The stored table is intact, but its stabilized difference no longer
+    gives back the stored value and certificate: the report is recomputed
+    and its entry rewritten."""
+    cli = cli_in_tmp
+    spec = cli.SpecFile(SPEC)
+    command = {"subcommand": "mixed", "modules": ["m", "I"], "dvec": [1, 1]}
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return cli.mixed([spec.module("m"), spec.module("I")], (1, 1))
+
+    cold = cli.mult_to_json(cli.cached_multiplicity(spec, command, compute))
+    [entry] = (tmp_path / ".brim-cache").glob("*.json")
+    written = entry.read_text()
+    doc = json.loads(written)
+    cert = doc["certificate"]
+    if edit in ("value", "value-and-constant"):
+        doc["value"] += 1
+    if edit in ("constant", "value-and-constant"):
+        cert["constant"] += 1
+    elif edit == "window":
+        cert["window"][0][0] -= 1
+    elif edit == "width":
+        cert["width"] -= 1
+    elif edit == "orders":
+        cert["orders"] = [2, 0]
+    entry.write_text(json.dumps(doc))
+    assert cli.mult_to_json(cli.cached_multiplicity(spec, command, compute)) == cold
+    assert len(calls) == 2
+    assert entry.read_text() == written
+
+
+@pytest.mark.parametrize(
+    "corruption", ["values-short", "values-long", "not-an-object", "table-only"]
+)
 def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
     on = {"BRIM_CACHE": "on"}
     cold = payload(brim("ebr", specfile, "-m", "I", cwd=tmp_path, env_extra=on))
@@ -301,9 +376,11 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
     written = entry.read_text()
     doc = json.loads(written)
     if corruption == "values-short":
-        doc["values"] = doc["values"][:-1]
+        doc["table"]["values"] = doc["table"]["values"][:-1]
     elif corruption == "values-long":
-        doc["values"].append(doc["values"][-1])
+        doc["table"]["values"].append(doc["table"]["values"][-1])
+    elif corruption == "table-only":  # the entry format of earlier versions
+        doc = doc["table"]
     else:
         doc = [1, 2]
     entry.write_text(json.dumps(doc))
@@ -414,6 +491,20 @@ def test_a_degree_at_the_slot_base_exit_3(tmp_path):
     proc = brim("ebr", str(path), "-m", "big", cwd=tmp_path)
     assert proc.returncode == 3, (proc.stdout, proc.stderr)
     assert "degree 65536 reaches the slot base 65536" in proc.stderr
+
+
+def test_support_off_origin_past_the_slot_base_exit_2(tmp_path):
+    """Colength 65792 is above the slot base, but the module's support off
+    the origin is the error: a user error naming the witness, not a limit."""
+    spec = {
+        "ring": {"field": "QQ", "d": 2, "p": 1},
+        "modules": {"off": {"tdeg": 1, "gens": ["x1^257*t1 - x1^256*t1", "x2^256*t1"]}},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "off", cwd=tmp_path)
+    assert proc.returncode == 2, (proc.stdout, proc.stderr)
+    assert "colength 65792 is finite but x1^65792*t1 is outside the submodule" in proc.stderr
 
 
 def test_a_high_colength_module_of_small_degree_passes_the_gate(tmp_path):

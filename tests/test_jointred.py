@@ -830,11 +830,11 @@ def test_parameter_span_ebr_equals_the_full_window(ring, gens):
     """The parameter-span e_BR, whose table beyond n = N_CHECK is the
     Buchsbaum-Rim closed form, equals ``ebr``'s, every cell of whose window
     is computed: value, certificate and table."""
-    from brim.hilbert import Evaluator
+    from brim import hilbert
 
     span = mk(ring, gens)
-    fast = jointred._parameter_ebr(span, Evaluator())
+    fast = hilbert.parameter_ebr(span, hilbert.Evaluator())
     full = ebr(span)
-    assert fast.table.window[0][1] > jointred.N_CHECK
+    assert fast.table.window[0][1] > hilbert.N_CHECK
     assert (fast.value, fast.kind, fast.certificate) == (full.value, full.kind, full.certificate)
     assert fast.table.to_json() == full.table.to_json()

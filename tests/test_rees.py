@@ -127,6 +127,17 @@ def test_mprimary_support_off_origin():
         mprimary_check(mk(R11, ["x1^2*t1 - x1*t1"]))
 
 
+def test_mprimary_support_off_origin_past_the_slot_base():
+    """(x1^257 - x1^256, x2^256) t1 over R21 has colength 257 * 256 = 65792,
+    above the slot base 65536, and support at x1 = 1 as well.  The witness
+    x1^65792 * t1 is named in the message, never formed as a polynomial, so
+    the error is the support, not a degree limit."""
+    off = mk(R21, ["x1^257*t1 - x1^256*t1", "x2^256*t1"])
+    message = r"^colength 65792 is finite but x1\^65792\*t1 is outside the submodule$"
+    with pytest.raises(SupportOffOrigin, match=message):
+        mprimary_check(off)
+
+
 def test_mprimary_certificate_of_a_high_colength_module_of_small_degree():
     """m^400 over R21: colength C(401, 2) = 80200, above the slot base, while
     every generator has degree 400.  The gate walks x_i^n * mu by normal
