@@ -76,12 +76,20 @@ R22_MODULES = {
     "B": {"tdeg": 1, "gens": ["x1*t1+x2^2*t2", "x2^2*t1+x1*t2", "x1^2*t2", "x2^3*t2", "x1*x2*t1"]},
 }
 R22_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x2*t2"}
+
+
+def mf_modules(d, p) -> dict:
+    """mF over R_dp, its generators x_i t_j ordered by j, then i."""
+    gens = [f"x{i}*t{j}" for j in range(1, p + 1) for i in range(1, d + 1)]
+    return {"mF": {"tdeg": 1, "gens": gens}}
+
+
 # D = d+p-1 = 4: mF, and a parameter span c1..c4 of it over R32
-R32_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2) for i in (1, 2, 3)]}}
+R32_MODULES = mf_modules(3, 2)
 R32_ELEMENTS = {"c1": "x1*t1", "c2": "x2*t1+x1*t2", "c3": "x3*t1+x2*t2", "c4": "x3*t2"}
 # the same parameter elements with a rational coefficient, for gmult over QQ
 R32_RATIONAL_ELEMENTS = dict(R32_ELEMENTS, c2="x2*t1 - 3/2*x1*t2")
-R23_MODULES = {"mF": {"tdeg": 1, "gens": [f"x{i}*t{j}" for j in (1, 2, 3) for i in (1, 2)]}}
+R23_MODULES = mf_modules(2, 3)
 R12_MODULES = {"E": {"tdeg": 1, "gens": ["x1*t1+x1^2*t2", "x1^2*t2"]}}
 # rational and negative coefficients over QQ: a parameter module of mF, and E
 # rescaled; r1 is superficial for Pq, q1 lies in m*Eq and is not
@@ -126,6 +134,9 @@ SPECS = {
     "r32-gf7": spec(GF7, 3, 2, R32_MODULES, R32_ELEMENTS),
     "r32-qq-rational": spec("QQ", 3, 2, R32_MODULES, R32_RATIONAL_ELEMENTS),
     "r23-gf": spec(GF, 2, 3, R23_MODULES),
+    "r43-gf": spec(GF, 4, 3, mf_modules(4, 3)),
+    "r34-gf": spec(GF, 3, 4, mf_modules(3, 4)),
+    "r52-gf": spec(GF, 5, 2, mf_modules(5, 2)),
     "d-float": spec("QQ", 2.9, 1, {"m": R21_MODULES["m"]}),
     "p-bool": spec("QQ", 2, True, {"m": R21_MODULES["m"]}),
     "gf-float": spec({"GF": 32003.7}, 2, 1, {"m": R21_MODULES["m"]}),
@@ -253,6 +264,12 @@ COMMANDS = [
     ("r32-gf", "check risler -m mF -d 4"),
     ("r32-gf", "check converse -x c1,c2,c3,c4 -m mF,mF,mF,mF"),
     ("r23-gf", "check risler -m mF -d 4"),
+    # mF powers that pair more generators than the product cap but have
+    # fewer distinct monomials: exit 0 with 15, 20 and 6 here, where a cap
+    # on pairs exits 3
+    ("r43-gf", "ebr -m mF"),
+    ("r34-gf", "ebr -m mF"),
+    ("r52-gf", "ebr -m mF"),
     # Koszul slices whose t- and x-degrees both vary: t = 13 by default and
     # t = 6, with homology at x-degree 1
     ("r32-qq-rational", "gmult -e c1,c2,c3,c4"),

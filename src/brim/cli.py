@@ -9,10 +9,12 @@ The multiplicity commands' reports are cached on disk under ./.brim-cache/,
 keyed by a SHA-256 of the canonicalized spec and semantic command together
 with the brim version and the extraction settings (``hilbert.N_MAX``,
 ``STAB_WIDTH``, ``MAX_EXTENSIONS``, ``EXTENSION_STEP``), so a report computed
-by other code is never served.  A hit is served only when its table's
-stabilized difference gives back its value and certificate; each entry is
-written to a temporary file and renamed into place.  BRIM_CACHE=off disables
-the cache.
+by other code is never served.  A hit is served only when it is the report
+the command asks for: its kind is the command's, its certificate's orders
+are the ones that kind implies (``hilbert.difference_orders``), and its
+table's stabilized difference gives back its value and certificate.  Each
+entry is written to a temporary file and renamed into place.
+BRIM_CACHE=off disables the cache.
 """
 
 from __future__ import annotations
@@ -263,12 +265,19 @@ def cache_store_table(key: str, result: MultiplicityResult):
 
 
 def cached_multiplicity(spec, command, compute):
-    """The cached report when its table still certifies it, else compute()'s,
-    which is then cached."""
+    """The cached report when its table still certifies it and its kind and
+    orders are the command's, else compute()'s, which is then cached.  The
+    command is {"subcommand": kind type, "modules": names, **kind fields}."""
     key = cache_entry_key(spec, command)
     if cache_enabled():
         result = cache_load_table(key)
-        if result is not None:
+        fields = {k: v for k, v in command.items() if k not in ("subcommand", "modules")}
+        kind = {"type": command["subcommand"], **fields}
+        if (
+            result is not None
+            and result.kind == kind
+            and result.certificate["orders"] == hilbert.difference_orders(kind, spec.ring)
+        ):
             return result
     result = compute()
     if cache_enabled():

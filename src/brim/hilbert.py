@@ -8,20 +8,23 @@ with one margin cell, is the stabilization certificate.  A univariate table
 grows to n = N_MAX (further when the difference order needs it), a
 multi-index box starts at a size set by the type vector, and either extends
 MAX_EXTENSIONS times by EXTENSION_STEP when stabilization fails.  Every
-extraction uses these settings.  A parameter span's e_BR
-(``parameter_ebr``) computes n <= N_CHECK and takes the rest of ``ebr``'s
-window from the Buchsbaum-Rim closed form.
+extraction uses these settings, and its certificate's difference orders
+are those its kind implies (``difference_orders``).  A parameter span's
+e_BR (``parameter_ebr``) computes n <= N_CHECK and takes the rest of
+``ebr``'s window from the Buchsbaum-Rim closed form.
 
 A length cell is counted one of two ways.  When every module's reduced basis
 and every quotient element is x-homogeneous, the cell's submodule N is graded
 and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
 N built degree by degree (``rees.DegreeSweep``) on the packed terms of its
-generators (``poly.Packing``), where products and t-shifts add codes.  The
-sweep that picks a product's minimal generators out of the candidate
-products builds N for q = 0 already, so a q = 0 cell without quotient
-elements that forms a product of two or more factors sums its codimensions
-on that one sweep; other graded cells sweep the product's minimal
-generators afresh.
+generators (``poly.Packing``), where products and t-shifts add codes.  A
+product whose factors' minimal generators are all single terms is formed
+and swept on bare codes, and PRODUCT_GENERATOR_CAP bounds its distinct
+products; other products bound their pairs.  The sweep that picks a
+product's minimal generators out of the candidate products builds N for
+q = 0 already, so a q = 0 cell without quotient elements that forms a
+product of two or more factors sums its codimensions on that one sweep;
+other graded cells sweep the product's minimal generators afresh.
 Otherwise the cell's submodule is presented by generators and its colength
 is read off its reduced Groebner basis.  On either path every factor with a
 positive exponent passes the primarity gate first.
@@ -141,6 +144,64 @@ def _lowered(exponents) -> tuple:
 LABEL_BASE = 1 << 16
 
 
+def _product_by_codes(ring, tdeg, exponents, prev, factors) -> tuple:
+    """(minimal generators, labels, sweep) of the product of the lowered
+    product's (generators, labels) prev and the (generator, label digit)
+    factors, every generator a single term.  A candidate is the int sum of
+    two codes, and the first pair that forms it gives its label and
+    coefficient.  PRODUCT_GENERATOR_CAP bounds the distinct codes, counted
+    as they are formed; prev holds at most that many, so the pairs are
+    bounded too.  No polynomial is formed but for the kept codes."""
+    pack, p = packing(ring), ring.field.p
+    formed = {}  # code -> (label, coefficient), in the order first seen
+    factors = [(b, e, step) for g, step in factors for b, e in g._terms.items()]
+    for f, label in zip(*prev):
+        ((a, c),) = f._terms.items()
+        for b, e, step in factors:
+            if (code := a + b) not in formed:
+                formed[code] = label + step, c * e
+                if len(formed) > PRODUCT_GENERATOR_CAP:
+                    raise ResourceLimit(
+                        f"product n={list(exponents)} would form more than "
+                        f"{PRODUCT_GENERATOR_CAP} distinct generators"
+                    )
+    pack.check_codes(formed)
+    codes, sweep = minimal_sweep(ring, tdeg, list(formed))
+    gens, labels = [], []
+    for code in codes:
+        label, c = formed[code]
+        gens.append(Polynomial._raw(pack, {code: c % p if p else c}))
+        labels.append(label)
+    return tuple(gens), labels, sweep
+
+
+def _product_by_labels(ring, tdeg, exponents, prev, factors) -> tuple:
+    """(minimal generators, labels, sweep) of prev times factors, as in
+    ``_product_by_codes``, when some generator has two or more terms.
+    PRODUCT_GENERATOR_CAP bounds the pairs before any is formed, and
+    ``Packing.mul`` forms a candidate only for a label not seen before: a
+    seen label is the same multiset of input generators, so the same
+    product."""
+    if len(prev[0]) * len(factors) > PRODUCT_GENERATOR_CAP:
+        raise ResourceLimit(
+            f"product n={list(exponents)} would form "
+            f"{len(prev[0]) * len(factors)} generators (cap {PRODUCT_GENERATOR_CAP})"
+        )
+    pack = packing(ring)
+    formed = {}  # label -> candidate, in the order first seen
+    raw, mul = Polynomial._raw, pack.mul
+    factors = [(g._terms, step) for g, step in factors]
+    for f, label in zip(*prev):
+        terms = f._terms
+        for g, step in factors:
+            if (lab := label + step) not in formed:
+                formed[lab] = raw(pack, mul(terms, g))
+    gens, sweep = minimal_sweep(ring, tdeg, list(formed.values()))
+    # the kept generators are candidate objects: their ids find their labels
+    label_of = {id(c): label for label, c in formed.items()}
+    return gens, [label_of[id(g)] for g in gens], sweep
+
+
 class Evaluator:
     """Caches products of powers and length cells for one computation.
 
@@ -206,47 +267,34 @@ class Evaluator:
         keeps no sweep).  The empty product is the unit.
 
         The candidates f*g are taken in the order f in the lowered product,
-        g in the module, and f*g is formed, by ``Packing.mul`` on their
-        terms, only for a label not seen before: a candidate with a seen
-        label equals the earlier one, which the sweep would reduce to zero,
-        so skipping it changes neither the kept generators nor the sweep's
-        pieces."""
+        g in the module, and one that equals an earlier candidate up to a
+        scalar is skipped: the sweep would keep the earlier one and reduce
+        it to zero, so skipping it changes neither the kept generators, nor
+        their order, nor the sweep's pieces.  When every f and every g is a
+        single term the candidates are codes, and a repeated code is skipped
+        (``_product_by_codes``); otherwise a repeated label is
+        (``_product_by_labels``)."""
         key, ring = self._key(modules, exponents), modules[0].ring
         if not key[1]:
             return (Polynomial.constant(ring, 1),), None
-        pack = packing(ring)
         memo = self._minimal_products
-        chain = self._unformed(memo, key)
-        for (_, exponents), below in chain:
+        unformed = self._unformed(memo, key)
+        for (_, exponents), below in unformed:
             if below and exponents[-1] >= LABEL_BASE:
                 raise ResourceLimit(
                     f"product n={list(exponents)} has an exponent of {LABEL_BASE} or more"
                 )
         sweep = None
-        for (modules, exponents), below in reversed(chain):
+        for (modules, exponents), below in reversed(unformed):
             gens = modules[-1].minimal_gens
             offset = sum(len(m.minimal_gens) for m in modules[:-1])
             labels = steps = [LABEL_BASE ** (offset + j) for j in range(len(gens))]
             if below:
-                prev, prev_labels = memo[below]
-                if len(prev) * len(gens) > PRODUCT_GENERATOR_CAP:
-                    raise ResourceLimit(
-                        f"product n={list(exponents)} would form "
-                        f"{len(prev) * len(gens)} generators (cap {PRODUCT_GENERATOR_CAP})"
-                    )
+                prev = memo[below]
                 tdeg = sum(m.tdeg * n for m, n in zip(modules, exponents))
-                formed = {}  # label -> candidate, in the order first seen
-                raw, mul = Polynomial._raw, pack.mul
-                factors = [(g._terms, step) for g, step in zip(gens, steps)]
-                for f, label in zip(prev, prev_labels):
-                    terms = f._terms
-                    for g, step in factors:
-                        if (lab := label + step) not in formed:
-                            formed[lab] = raw(pack, mul(terms, g))
-                gens, sweep = minimal_sweep(ring, tdeg, list(formed.values()))
-                # the kept generators are candidate objects: their ids find their labels
-                label_of = {id(c): label for label, c in formed.items()}
-                labels = [label_of[id(g)] for g in gens]
+                single = all(len(f._terms) == 1 for f in itertools.chain(prev[0], gens))
+                form = _product_by_codes if single else _product_by_labels
+                gens, labels, sweep = form(ring, tdeg, exponents, prev, list(zip(gens, steps)))
             memo[modules, exponents] = gens, labels
         return memo[key][0], sweep
 
@@ -353,8 +401,10 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     killed = sum(n * m.primarity().nakayama_exponent for m, n in factors)
     products, sweep = evaluator.minimal_product(query.modules, query.exponents)
     if sweep is not None and not query.qdeg and not query.quotient_elems:
-        # the sweep that picked the products spans N already
-        top = max(g.pack.xdeg(min(g._terms)) for g in products)  # each is x-homogeneous
+        # the sweep that picked the products spans N already, and it kept them
+        # degree by degree: the last is of the top degree
+        last = products[-1]
+        top = last.pack.xdeg(min(last._terms))
     else:
         gens = t_shifts(ring, products, query.qdeg)
         gens += [s for elem, deg in _quotient_lifts(query) for s in t_shifts(ring, [elem], deg)]
@@ -477,12 +527,19 @@ def stabilized_difference(tbl: LengthTable, orders: Sequence[int]):
     return value, certificate
 
 
+def difference_orders(kind: dict, ring) -> list:
+    """The difference orders whose stabilized constant is a multiplicity of
+    this kind over the ring: [d+p-1] for ebr and tilde_ebr, dvec for mixed,
+    and dvec + [j] for assoc.  Every certificate's orders are these."""
+    if kind["type"] in ("ebr", "tilde_ebr"):
+        return [ring.d + ring.p - 1]
+    return list(kind["dvec"]) + ([kind["j"]] if kind["type"] == "assoc" else [])
+
+
 def _univariate(
-    module: GradedSubmodule,
-    diff_order: int,
-    kind: dict,
-    evaluator: Optional[Evaluator],
+    module: GradedSubmodule, kind: dict, evaluator: Optional[Evaluator]
 ) -> MultiplicityResult:
+    (diff_order,) = difference_orders(kind, module.ring)
     module.primarity()
     evaluator = evaluator or Evaluator()
     first = diff_order + STAB_WIDTH + 1
@@ -528,8 +585,9 @@ def parameter_ebr(span: GradedSubmodule, evaluator: Evaluator) -> MultiplicityRe
                     f"closed form l(F/E)*C(n+D-1, D) = {closed}"
                 )
     tbl = LengthTable(("n1",), ((1, hi),), values)
-    value, certificate = stabilized_difference(tbl, (D,))
-    return MultiplicityResult(value, {"type": "ebr"}, certificate, tbl)
+    kind = {"type": "ebr"}
+    value, certificate = stabilized_difference(tbl, difference_orders(kind, span.ring))
+    return MultiplicityResult(value, kind, certificate, tbl)
 
 
 def ebr(
@@ -539,8 +597,7 @@ def ebr(
     order-(d+p-1) difference of n -> l(F^n / E^n)."""
     if module.tdeg != 1:
         raise InvalidInput("ebr requires a submodule of the degree-1 slice")
-    D = module.ring.d + module.ring.p - 1
-    return _univariate(module, D, {"type": "ebr"}, evaluator)
+    return _univariate(module, {"type": "ebr"}, evaluator)
 
 
 def tilde_ebr(
@@ -548,24 +605,18 @@ def tilde_ebr(
 ) -> MultiplicityResult:
     """Higher-degree variant for E inside the degree-e slice; at e = 1 it
     agrees with ebr."""
-    D = module.ring.d + module.ring.p - 1
-    return _univariate(module, D, {"type": "tilde_ebr"}, evaluator)
+    return _univariate(module, {"type": "tilde_ebr"}, evaluator)
 
 
-def _multigraded(
-    modules,
-    dvec,
-    j: Optional[int],
-    kind: dict,
-    evaluator: Optional[Evaluator],
-) -> MultiplicityResult:
+def _multigraded(modules, kind: dict, evaluator: Optional[Evaluator]) -> MultiplicityResult:
     for m in modules:
         m.primarity()
     evaluator = evaluator or Evaluator()
+    orders = difference_orders(kind, modules[0].ring)
     base = max(4, 12 // len(modules))
-    his = [max(d + STAB_WIDTH + 1, base) for d in dvec]
+    his = [max(d + STAB_WIDTH + 1, base) for d in kind["dvec"]]
+    j = kind.get("j")
     q_hi = None if j is None else max(4, j + STAB_WIDTH)
-    orders = list(dvec) + ([] if j is None else [j])
     for extension in range(MAX_EXTENSIONS + 1):
         step = extension * EXTENSION_STEP
         window = [(1, hi + step) for hi in his]
@@ -614,8 +665,8 @@ def mixed(
     modules, dvec = check_type_vector(modules, dvec)
     kind = {"type": "mixed", "dvec": list(dvec)}
     if len(modules) == 1:
-        return _univariate(modules[0], dvec[0], kind, evaluator)
-    return _multigraded(modules, dvec, None, kind, evaluator)
+        return _univariate(modules[0], kind, evaluator)
+    return _multigraded(modules, kind, evaluator)
 
 
 def assoc_mixed(
@@ -628,4 +679,4 @@ def assoc_mixed(
     a table axis and differences it j times."""
     modules, dvec = check_type_vector(modules, dvec, j)
     kind = {"type": "assoc", "j": j, "dvec": list(dvec)}
-    return _multigraded(modules, dvec, j, kind, evaluator)
+    return _multigraded(modules, kind, evaluator)

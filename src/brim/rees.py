@@ -13,9 +13,11 @@ supported there, which is what mprimary_check certifies.
 When the reduced basis is x-homogeneous the submodule is graded by x-degree,
 and ``DegreeSweep`` builds its degree pieces on the packed terms of the
 generators (``poly.Packing``), by linear algebra or, when every generator
-is a monomial, as sets of codes; graded Nakayama then picks the minimal
-generators out of the reduced basis (``minimal_sweep``, which hands back the
-sweep for its pieces).
+is a single term, on the codes alone, as sets of codes; graded Nakayama
+then picks the minimal generators out of the reduced basis
+(``minimal_sweep``, which hands back the sweep for its pieces and takes
+polynomials or bare codes, so ``hilbert.Evaluator`` can sweep the codes of
+monomial products without forming a polynomial for each).
 """
 
 from __future__ import annotations
@@ -144,8 +146,18 @@ class GradedSubmodule:
 
 def by_xdegree(gens, pack: Packing):
     """{x-degree: generators of that degree}, in the given order; None
-    unless every generator is nonzero and x-homogeneous."""
+    unless every generator is nonzero and x-homogeneous.  gens are
+    polynomials, or the codes (ints) of single terms.  When every generator
+    is a single term, the groups hold their codes: ``DegreeSweep``'s
+    monomial mode."""
     groups, shift, mask = {}, pack.xshift, pack.mask
+    codes = gens if gens and type(gens[0]) is int else None
+    if codes is None and all(len(g._terms) == 1 for g in gens):
+        codes = [min(g._terms) for g in gens]
+    if codes is not None:
+        for code in codes:
+            groups.setdefault(code >> shift & mask, []).append(code)
+        return groups
     for g in gens:
         degs = {c >> shift & mask for c in g._terms}
         if len(degs) != 1:
@@ -164,20 +176,22 @@ class DegreeSweep:
     consumes it, letting go of each degree's generators once they are swept.
     ``advance()`` moves from delta-1 to delta: N_delta = x_1 N_(delta-1) +
     ... + x_d N_(delta-1) + span(generators of degree delta), with
-    N_(start-1) = 0.  The columns are the negated codes of the bidegree
-    (tdeg, delta) monomials (``poly.Packing``), so a row's pivot is
-    its leading monomial and x_i times a row subtracts x_i's step from each
-    column; ``count`` is their number and ``rank`` is dim N_delta.
+    N_(start-1) = 0.  ``count`` is the number of bidegree (tdeg, delta)
+    monomials and ``rank`` is dim N_delta.
     ``pieces()`` yields both degree by degree from ``start``, the degrees
     already swept first.
 
-    ``monomial`` is whether every generator, over every degree, is a single
-    term.  Then N_delta is spanned by monomials, and the span of monomials
-    is the set of their columns, whatever their nonzero coefficients: the
-    sweep keeps N_delta as that set, shifts it by the steps and keeps a
-    generator exactly when its column is not in it yet.  This is what
-    elimination does to a one-term row, so the kept generators and every
-    (count, rank) are the same.  Otherwise N_delta is a ``linalg.Echelon``.
+    ``monomial`` is whether the groups hold codes, as ``by_xdegree`` gives
+    them when every generator is a single term.  Then N_delta is spanned by
+    monomials, and the span of monomials is the set of their codes, whatever
+    their nonzero coefficients: the sweep keeps N_delta as that set, shifts
+    it by adding the steps, and keeps a code, and ``advance()`` returns it,
+    exactly when it is not in the set yet.  This is what elimination does to
+    a one-term row, so the kept generators and every (count, rank) are the
+    same.  Otherwise the groups hold polynomials and N_delta is a
+    ``linalg.Echelon`` whose columns are the negated codes of the monomials
+    (``poly.Packing``), so a row's pivot is its leading monomial and x_i
+    times a row subtracts x_i's step from each column.
     """
 
     def __init__(self, ring: RingSpec, tdeg: int, groups: dict):
@@ -186,8 +200,8 @@ class DegreeSweep:
         self.start, self.top = min(groups), max(groups)
         self.delta = self.start - 1
         self._packing = packing(ring)
-        self.monomial = all(len(g._terms) == 1 for gens in groups.values() for g in gens)
-        self._span = set() if self.monomial else {}  # its columns, or echelon rows by pivot
+        self.monomial = type(next(iter(groups.values()))[0]) is int
+        self._span = set() if self.monomial else {}  # its codes, or echelon rows by pivot
         self._swept = []  # (count, rank) of every degree swept, from start
 
     @property
@@ -204,12 +218,11 @@ class DegreeSweep:
         fresh = self._groups.pop(self.delta, ())
         kept = []
         if self.monomial:
-            span = {c - step for c in self._span for step in self._packing.steps}
-            for g in fresh:
-                (code,) = g._terms
-                if -code not in span:
-                    span.add(-code)
-                    kept.append(g)
+            span = {c + step for c in self._span for step in self._packing.steps}
+            for code in fresh:
+                if code not in span:
+                    span.add(code)
+                    kept.append(code)
         else:
             echelon = Echelon(self.ring.field)
             shifted = (
@@ -248,7 +261,12 @@ def minimal_sweep(ring: RingSpec, tdeg: int, gens):
     degree in the given order, a minimal generating set by graded Nakayama.
     The sweep stops at the top degree of gens or at the first full piece,
     above which every generator is redundant.  (None, None) unless every
-    generator is x-homogeneous; ((), None) for no generators."""
+    generator is x-homogeneous; ((), None) for no generators.
+
+    gens is a sequence of polynomials, or of the codes of single terms, and
+    the minimal generators come back as gens gives them.  A monomial sweep
+    keeps codes; for polynomials each kept code maps back to the first
+    generator with that code, the one elimination would keep."""
     groups = by_xdegree(gens, packing(ring))
     if not groups:
         return (None if groups is None else ()), None
@@ -256,6 +274,9 @@ def minimal_sweep(ring: RingSpec, tdeg: int, gens):
     kept = sweep.advance()
     while sweep.delta < sweep.top and sweep.rank < sweep.count:
         kept.extend(sweep.advance())
+    if sweep.monomial and type(gens[0]) is not int:
+        first = {c: g for g in reversed(gens) for c in g._terms}
+        kept = [first[c] for c in kept]
     return tuple(kept), sweep
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -330,12 +331,25 @@ def test_warm_run_is_a_hit_for_every_cached_kind(
 
 @pytest.mark.parametrize(
     "edit",
-    ["value", "value-and-constant", "constant", "window", "width", "orders"],
+    [
+        "value",
+        "value-and-constant",
+        "constant",
+        "window",
+        "width",
+        "orders",
+        "kind-type",
+        "kind-and-certificate",
+        "orders-and-certificate",
+    ],
 )
 def test_entry_with_an_edited_value_or_certificate_is_a_miss(cli_in_tmp, tmp_path, edit):
     """The stored table is intact, but its stabilized difference no longer
-    gives back the stored value and certificate: the report is recomputed
-    and its entry rewritten."""
+    gives back the stored value and certificate, or the entry is not the
+    report the command asks for: its kind is another, or its orders are
+    not the command's dvec although its value and certificate are the
+    table's at those orders.  The report is recomputed and its entry
+    rewritten."""
     cli = cli_in_tmp
     spec = cli.SpecFile(SPEC)
     command = {"subcommand": "mixed", "modules": ["m", "I"], "dvec": [1, 1]}
@@ -360,6 +374,14 @@ def test_entry_with_an_edited_value_or_certificate_is_a_miss(cli_in_tmp, tmp_pat
         cert["width"] -= 1
     elif edit == "orders":
         cert["orders"] = [2, 0]
+    elif edit == "kind-type":
+        doc["kind"]["type"] = "assoc"
+    if edit in ("kind-and-certificate", "orders-and-certificate"):
+        table = cli.LengthTable.from_json(doc["table"])
+        doc["value"], doc["certificate"] = cli.stabilized_difference(table, [0, 2])
+        assert doc["value"] == 2  # the table's, at the edited orders
+    if edit == "kind-and-certificate":
+        doc["kind"]["dvec"] = [0, 2]
     entry.write_text(json.dumps(doc))
     assert cli.mult_to_json(cli.cached_multiplicity(spec, command, compute)) == cold
     assert len(calls) == 2
@@ -520,3 +542,26 @@ def test_a_high_colength_module_of_small_degree_passes_the_gate(tmp_path):
     path.write_text(json.dumps(spec))
     proc = brim("length", str(path), "-m", "M", "-n", "1", cwd=tmp_path)
     assert payload(proc)["length"] == 80200
+
+
+@pytest.mark.parametrize(
+    "field, d, p, value",
+    [
+        ({"GF": 32003}, 4, 3, 15),
+        ({"GF": 32003}, 3, 4, 20),
+        ({"GF": 32003}, 5, 2, 6),
+        ("QQ", 5, 2, 6),
+    ],
+    ids=["R43-GF", "R34-GF", "R52-GF", "R52-QQ"],
+)
+def test_ebr_of_mF_at_the_old_pair_cap(tmp_path, field, d, p, value):
+    """mF's powers over R43 and R34 (n = 8) and R52 (n = 10) pair more
+    generators than PRODUCT_GENERATOR_CAP, but have fewer distinct
+    monomials: the cap counts those, so ``brim ebr`` answers with
+    e_BR(mF) = C(d+p-1, p-1) (Buchsbaum-Rim, Trans. AMS 111, 1964)."""
+    gens = [f"x{i}*t{j}" for j in range(1, p + 1) for i in range(1, d + 1)]
+    spec = {"ring": {"field": field, "d": d, "p": p}, "modules": {"mF": {"tdeg": 1, "gens": gens}}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "mF", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert payload(proc)["value"] == value == math.comb(d + p - 1, p - 1)

@@ -747,9 +747,10 @@ def test_a_binomial_quotient_element_sweeps_by_elimination():
 @given(st.data())
 def test_monomial_sweep_keeps_what_elimination_keeps(data):
     """On monomial generators with repeated codes and coefficients other
-    than one, a sweep keeps, degree by degree and in order, the very
-    generators that running the same rows through ``linalg.Echelon`` keeps
-    (``oracles.echelon_sweep``), with the same ranks."""
+    than one, a sweep keeps, degree by degree and in order, the codes of
+    the generators that running the same rows through ``linalg.Echelon``
+    keeps (``oracles.echelon_sweep``), with the same ranks, and
+    ``minimal_sweep`` maps them back to those very generators."""
     d, p = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
     ring = RingSpec(d=d, p=p, field=data.draw(st.sampled_from([QQ, GF7])))
     tdeg = data.draw(st.integers(1, 2))
@@ -769,10 +770,14 @@ def test_monomial_sweep_keeps_what_elimination_keeps(data):
     assert sweep.monomial
     swept = []
     while sweep.delta < sweep.top:
-        swept.append(([id(g._terms) for g in sweep.advance()], sweep.rank))
-    terms = {a: [g._terms for g in gs] for a, gs in groups.items()}
+        swept.append((sweep.advance(), sweep.rank))
+    terms = {}
+    for g in gens:
+        terms.setdefault(g.pack.xdeg(min(g._terms)), []).append(g._terms)
     reference = echelon_sweep(ring.field, gens[0].pack.steps, terms)
-    assert swept == [(list(map(id, kept)), rank) for kept, rank in reference]
+    assert swept == [([min(t) for t in kept], rank) for kept, rank in reference]
+    kept = rees.minimal_sweep(ring, tdeg, gens)[0]
+    assert [id(g._terms) for g in kept] == [id(t) for ts, _ in reference for t in ts]
 
 
 def test_non_homogeneous_cell_takes_the_buchberger_path(monkeypatch):
@@ -819,11 +824,28 @@ def test_graded_path_limits_name_the_cell(monkeypatch):
         length(LengthQuery((e,), (2,)))
 
 
+def test_the_cap_counts_distinct_monomial_products(monkeypatch):
+    """With PRODUCT_GENERATOR_CAP at 10, mF^2 on R22 pairs 4 x 4 = 16
+    generators but has 10 distinct monomials, so it still answers;
+    mF^3 has 16 distinct monomials, and the limit names its cell.  The
+    non-monomial E still counts pairs (``test_graded_path_limits_name_the_cell``)."""
+    mf = mk(R22, MF22_GENS)
+    monkeypatch.setattr(hilbert, "PRODUCT_GENERATOR_CAP", 10)
+    assert length(LengthQuery((mf,), (2,))) == length_mF_power(2)
+    assert len(Evaluator().minimal_product((mf,), (2,))[0]) == 9
+    with pytest.raises(
+        ResourceLimit, match=r"n=\[3\], q=0, t-degree 3: .*more than 10 distinct generators"
+    ):
+        length(LengthQuery((mf,), (3,)))
+
+
 def test_slot_overflow_names_the_cell(monkeypatch):
     """Packed codes hold while every degree stays below the slot base.  With
     2-bit slots (base 4) m2 on R21 still counts its first cell, but the
     candidates of m2^2 have x-degree 4 and a q = 3 shift lifts a cell to
-    t-degree 4: each is a ResourceLimit that names its cell."""
+    t-degree 4: each is a ResourceLimit that names its cell.  So is F^4 for
+    F = (t1): its one product is t1^4, of t-degree 4 at x-degree 0, which
+    no x-degree piece of the sweep reaches."""
     monkeypatch.setattr(poly, "SLOT_BITS", 2)
     e = mk(R21, ["x1^2*t1", "x1*x2*t1", "x2^2*t1"])
     assert length(LengthQuery((e,), (1,))) == 3
@@ -831,6 +853,10 @@ def test_slot_overflow_names_the_cell(monkeypatch):
         length(LengthQuery((e,), (2,)))
     with pytest.raises(ResourceLimit, match=r"n=\[1\], q=3, t-degree 4: degree 4 reaches the slot base 4"):
         length(LengthQuery((e,), (1,), 3))
+    f = mk(R21, ["t1"])
+    assert length(LengthQuery((f,), (3,))) == 0
+    with pytest.raises(ResourceLimit, match=r"n=\[4\], q=0, t-degree 4: degree 4 reaches the slot base 4"):
+        length(LengthQuery((f,), (4,)))
 
 
 def test_products_of_many_factors_are_formed_in_a_loop(monkeypatch):
@@ -889,18 +915,25 @@ def test_graded_product_cells_build_one_sweep_per_product(monkeypatch):
         assert value == sub.colength_report().value, idx
 
 
+# a parameter module of mF on R22: its three generators are a reduction of mF
+P22_GENS = ["x1*t1", "x2*t2", "x1*t2 + x2*t1"]
+
+
 def test_graded_product_forms_each_candidate_once(monkeypatch):
-    """A fresh Evaluator forms mF^4 on R22 with one product per multiset of
-    mF's generators, 64 calls of the one polynomial product (``Packing.mul``),
-    where every pair of the chain's minimal generators is 116.  Its
-    generators, in order, are those the sweep over every pair of products
-    keeps, and its length is l(F^4 / (mF)^4)."""
-    mf = mk(R22, MF22_GENS)
+    """A fresh Evaluator forms mF^4 on R22 by adding codes, with no call of
+    the one polynomial product (``Packing.mul``).  Its generators, in order,
+    are those the sweep over every pair of products keeps, and its length
+    is l(F^4 / (mF)^4).  The parameter module P22 has a binomial minimal
+    generator, so P22^4 is formed by ``Packing.mul``, once per multiset of
+    its generators: 31 calls, where every pair of the chain's minimal
+    generators is 57."""
+    mf, p = mk(R22, MF22_GENS), mk(R22, P22_GENS)
     every = mf.minimal_gens
     for n in range(2, 5):
         candidates = [f * g for f in every for g in mf.minimal_gens]
         kept = {id(g) for g in rees.minimal_sweep(R22, n, candidates)[0]}
         every = [f for f in candidates if id(f) in kept]
+    assert p.minimal_gens is not None  # its basis is built before the count
     calls = []
     mul = Packing.mul
 
@@ -910,14 +943,12 @@ def test_graded_product_forms_each_candidate_once(monkeypatch):
 
     monkeypatch.setattr(Packing, "mul", counting)
     gens = Evaluator().minimal_product((mf,), (4,))[0]
+    assert len(calls) == 0
+    Evaluator().minimal_product((p,), (4,))
     monkeypatch.undo()
-    assert len(calls) == 64
+    assert len(calls) == 31
     assert [str(g) for g in gens] == [str(g) for g in every]
     assert length(LengthQuery((mf,), (4,))) == length_mF_power(4) == 50
-
-
-# a parameter module of mF on R22: its three generators are a reduction of mF
-P22_GENS = ["x1*t1", "x2*t2", "x1*t2 + x2*t1"]
 
 
 @pytest.mark.parametrize("field", [QQ, GF32003], ids=["QQ", "GF"])
