@@ -60,6 +60,8 @@ R21_ELEMENTS = {
     "z": "0",
     # an element of t-degree 2, for the degree-1 modules' element checks
     "w2": "x1*t1^2",
+    # not t-homogeneous, for the quotient element check
+    "tmix": "x1*t1 + x2*t1^2",
 }
 R22_MODULES = {
     "mF": {"tdeg": 1, "gens": [["x1", "0"], ["x2", "0"], ["0", "x1"], ["0", "x2"]]},
@@ -242,6 +244,12 @@ PER_FIELD = [
     ("r21", "check risler"),
     ("r21", "length -m m2 -n 1 -q -1"),
     ("r22", "length -m mF -n 1 -q -1"),
+    # quotient elements the lift rule refuses, on the graded and the
+    # Buchberger path: not t-homogeneous (zero too), and of t-degree 2 in a
+    # cell of t-degree 1
+    ("r21", "length -m m -n 1 --quotient tmix"),
+    ("r21", "length -m A -n 1 --quotient z"),
+    ("r21", "length -m m2 -n 1 --quotient w2"),
     # limits (exit 3): generic samples for (m, I) vanish off the origin
     ("r21", "check risler -m m,I -d 1,1"),
 ]

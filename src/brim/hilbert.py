@@ -13,10 +13,11 @@ are those its kind implies (``difference_orders``).  A parameter span's
 e_BR (``parameter_ebr``) computes n <= N_CHECK and takes the rest of
 ``ebr``'s window from the Buchsbaum-Rim closed form.
 
-A length cell is counted one of two ways.  When every module's reduced basis
-and every quotient element is x-homogeneous, the cell's submodule N is graded
-and l = sum over delta of (monomials of x-degree delta) - dim N_delta, with
-N built degree by degree (``rees.DegreeSweep``) on the packed terms of its
+A length cell's submodule N is spanned by the ``_cell_generators`` of its
+product, and it is counted one of two ways.  When every module's reduced
+basis and every quotient element is x-homogeneous, N is graded and l = sum
+over delta of (monomials of x-degree delta) - dim N_delta, with N built
+degree by degree (``rees.DegreeSweep``) on the packed terms of its
 generators (``poly.Packing``), where products and t-shifts add codes.  A
 product whose factors' minimal generators are all single terms is formed
 and swept on bare codes, and PRODUCT_GENERATOR_CAP bounds its distinct
@@ -25,7 +26,7 @@ product's minimal generators out of the candidate products builds N for
 q = 0 already, so a q = 0 cell without quotient elements that forms a
 product of two or more factors sums its codimensions on that one sweep;
 other graded cells sweep the product's minimal generators afresh.
-Otherwise the cell's submodule is presented by generators and its colength
+Otherwise N is presented on the product's reduced basis and its colength
 is read off its reduced Groebner basis.  On either path every factor with a
 positive exponent passes the primarity gate first.
 """
@@ -103,12 +104,11 @@ class LengthTable:
     def from_json(cls, doc: dict) -> "LengthTable":
         axes = tuple(doc["axes"])
         window = tuple((int(lo), int(hi)) for lo, hi in doc["window"])
+        flat, cells = doc["values"], math.prod(max(hi - lo + 1, 0) for lo, hi in window)
+        if len(flat) != cells:  # counted, never listed: a window may claim any size
+            raise ValueError(f"{len(flat)} values for a window of {cells} cells")
         table = cls(axes, window, {})
-        indices = list(table.indices())
-        flat = doc["values"]
-        if len(flat) != len(indices):
-            raise ValueError(f"{len(flat)} values for a window of {len(indices)} cells")
-        table.values = {idx: int(v) for idx, v in zip(indices, flat)}
+        table.values = {idx: int(v) for idx, v in zip(table.indices(), flat)}
         return table
 
 
@@ -328,32 +328,34 @@ class Evaluator:
 
 
 def build_slice_submodule(query: LengthQuery, evaluator: Evaluator) -> GradedSubmodule:
-    """The cell's submodule E1^n1...Ek^nk * M_q + sum elem * S_(., amb - tdeg elem)
-    of the ambient slice, presented by explicit generators."""
+    """The cell's submodule of the ambient slice: its product when q = 0 and
+    there are no quotient elements, else presented by the ``_cell_generators``
+    of the product's reduced basis (the unit for the empty product)."""
     ring, amb = query.modules[0].ring, query.ambient_tdeg()
     prod = evaluator.product_of_powers(query.modules, query.exponents)
-    if prod is None:
-        # empty product acts as the unit: the full degree-amb slice
-        gens = t_shifts(ring, [Polynomial.constant(ring, 1)], amb)
-    elif query.qdeg == 0 and not query.quotient_elems:
+    if prod is not None and query.qdeg == 0 and not query.quotient_elems:
         return prod  # presented by its reduced basis already
-    else:
-        gens = t_shifts(ring, prod.gens, query.qdeg)
-    gens += [s for elem, deg in _quotient_lifts(query) for s in t_shifts(ring, [elem], deg)]
-    return GradedSubmodule(SubmoduleSpec(ring, amb, gens))
+    products = (Polynomial.constant(ring, 1),) if prod is None else prod.gens
+    return GradedSubmodule(SubmoduleSpec(ring, amb, _cell_generators(query, products)))
 
 
-def _quotient_lifts(query: LengthQuery):
-    """(elem, deg) for every quotient element of the cell: the t-monomials
-    of degree deg lift it to the cell's t-degree."""
-    amb = query.ambient_tdeg()
+def _lift_degree(elem, amb: int) -> int:
+    """The degree of the t-monomials that lift a quotient element to t-degree amb."""
+    etd = elem.tdeg_if_homogeneous()
+    if etd is None or etd > amb:
+        raise InvalidInput("quotient elements must be t-homogeneous of degree <= ambient")
+    return amb - etd
+
+
+def _cell_generators(query: LengthQuery, products) -> list:
+    """Generators of the cell's submodule, given its product's: the products
+    times the degree-q t-monomials, then each quotient element times the
+    t-monomials that lift it (``_lift_degree``) to the cell's t-degree."""
+    ring, amb = query.modules[0].ring, query.ambient_tdeg()
+    gens = t_shifts(ring, products, query.qdeg)
     for elem in query.quotient_elems:
-        etd = elem.tdeg_if_homogeneous()
-        if etd is None:
-            raise InvalidInput("quotient elements must be t-homogeneous and nonzero")
-        if etd > amb:
-            raise InvalidInput("quotient element t-degree exceeds the ambient degree")
-        yield elem, amb - etd
+        gens += t_shifts(ring, [elem], _lift_degree(elem, amb))
+    return gens
 
 
 def _cell_name(query: LengthQuery) -> str:
@@ -383,10 +385,9 @@ def _length_uncached(query: LengthQuery, evaluator: Evaluator) -> int:
 
 def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
     """The cell's length as the sum over x-degrees of the codimension of
-    N_delta, where N = E1^n1 ... Ek^nk S_q + (quotient elements) is generated
-    by the product's minimal generators times the degree-q t-monomials and by
-    the shifted quotient elements.  Stops at the first degree where N is
-    everything, which is exact because m * S_delta = S_(delta+1).
+    N_delta, where N is spanned by the ``_cell_generators`` of the product's
+    minimal generators.  Stops at the first degree where N is everything,
+    which is exact because m * S_delta = S_(delta+1).
 
     A cell with q = 0 and no quotient elements whose product this call forms
     from two or more factors reads its pieces off the sweep that picked the
@@ -406,8 +407,7 @@ def _graded_length(query: LengthQuery, evaluator: Evaluator) -> int:
         last = products[-1]
         top = last.pack.xdeg(min(last._terms))
     else:
-        gens = t_shifts(ring, products, query.qdeg)
-        gens += [s for elem, deg in _quotient_lifts(query) for s in t_shifts(ring, [elem], deg)]
+        gens = _cell_generators(query, products)
         sweep = DegreeSweep(ring, amb, by_xdegree(gens, packing(ring)))
         top = sweep.top
     bound = max(top, killed)
@@ -438,11 +438,8 @@ def length(query: LengthQuery, evaluator: Optional[Evaluator] = None) -> int:
         raise InvalidInput("exponents must be non-negative")
     for m in query.modules:
         m.primarity()
-    amb = query.ambient_tdeg()
     for elem in query.quotient_elems:
-        etd = elem.tdeg_if_homogeneous()
-        if etd is None or etd > amb:
-            raise InvalidInput("quotient elements must be t-homogeneous of degree <= ambient")
+        _lift_degree(elem, query.ambient_tdeg())
     return (evaluator or Evaluator()).length(query)
 
 

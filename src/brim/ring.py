@@ -16,15 +16,29 @@ from .errors import InvalidInput
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Is n prime: Miller-Rabin on the prime bases 2, 3, ..., 41, which is
+    exact for every n below 3317044064679887385961981 (J. Sorenson and J.
+    Webster, Math. Comp. 86, 2017).  A larger n is ``InvalidInput``, since
+    no exact test runs there."""
+    bound = 3317044064679887385961981
+    if n >= bound:
+        raise InvalidInput(f"modulus {n} is not below {bound}, the bound of the exact test")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in bases:  # a strong probable prime: a^odd = 1, or -1 after some squarings
+        x = pow(a, odd, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
     return True
 
 

@@ -389,7 +389,7 @@ def test_entry_with_an_edited_value_or_certificate_is_a_miss(cli_in_tmp, tmp_pat
 
 
 @pytest.mark.parametrize(
-    "corruption", ["values-short", "values-long", "not-an-object", "table-only"]
+    "corruption", ["values-short", "values-long", "not-an-object", "table-only", "huge-window"]
 )
 def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
     on = {"BRIM_CACHE": "on"}
@@ -403,6 +403,8 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
         doc["table"]["values"].append(doc["table"]["values"][-1])
     elif corruption == "table-only":  # the entry format of earlier versions
         doc = doc["table"]
+    elif corruption == "huge-window":  # counted, never listed
+        doc["table"]["window"] = [[1, 10**9]]
     else:
         doc = [1, 2]
     entry.write_text(json.dumps(doc))
@@ -421,6 +423,8 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
         ({"tdeg": 1, "gens": ["x1*t1", 7]}, {}, "generator 7 is neither"),
         ({"tdeg": 1.5, "gens": ["x1*t1", "x2*t1"]}, {}, "tdeg 1.5 is not an integer"),
         ({"tdeg": True, "gens": ["x1*t1", "x2*t1"]}, {}, "tdeg True is not an integer"),
+        ({"tdeg": 1, "gens": "x1*t1"}, {}, "module m: gens must be a list"),
+        ({"tdeg": 1, "gens": ["x1*t1", ["x2"]]}, {}, "mix of polynomial and vector generators"),
     ],
     ids=[
         "tdeg-not-int",
@@ -429,6 +433,8 @@ def test_malformed_cache_entry_is_a_miss(specfile, tmp_path, corruption):
         "generator-as-number",
         "tdeg-float",
         "tdeg-bool",
+        "gens-not-a-list",
+        "gens-mixed",
     ],
 )
 def test_malformed_spec_block_exit_2(tmp_path, module, elements, message):
@@ -476,6 +482,10 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         ("check risler SPEC", "need at least one module"),
         ("mixed SPEC -m , -d ,", "need at least one module"),
         ("assoc SPEC -m , -d , -j 2", "need at least one module"),
+        ("assoc SPEC -m m -d 1 -j 1,2", "-j '1,2' is not one integer"),
+        ("ebr SPEC -m m,I", "ebr takes exactly one module"),
+        ("tilde-ebr SPEC -m m,I", "tilde_ebr takes exactly one module"),
+        ("check superficial SPEC -x nosuch -m m", "unknown element 'nosuch'"),
     ],
     ids=[
         "reduction-without-m",
@@ -493,6 +503,10 @@ def test_non_integer_ring_number_exit_2(tmp_path, ring, message):
         "risler-without-modules",
         "mixed-without-modules",
         "assoc-without-modules",
+        "assoc-j-two-ints",
+        "ebr-two-modules",
+        "tilde-ebr-two-modules",
+        "superficial-unknown-element",
     ],
 )
 def test_malformed_arguments_exit_2(specfile, tmp_path, argv, message):
@@ -500,6 +514,74 @@ def test_malformed_arguments_exit_2(specfile, tmp_path, argv, message):
     proc = brim(*args, cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
     assert proc.returncode == 2, proc.stderr
     assert message in proc.stderr
+
+
+R21_RING = {"field": "QQ", "d": 2, "p": 1}
+M_BLOCK = {"tdeg": 1, "gens": ["x1*t1", "x2*t1"]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "spec file must be a JSON object with a 'ring' block"),
+        ({"modules": {"m": M_BLOCK}}, "spec file must be a JSON object with a 'ring' block"),
+        ({"ring": 5, "modules": {"m": M_BLOCK}}, "malformed ring block"),
+        ({"ring": {"p": 1}, "modules": {"m": M_BLOCK}}, "malformed ring block: 'd'"),
+        ({"ring": R21_RING, "modules": [M_BLOCK]}, "'modules' must be an object mapping"),
+        ({"ring": R21_RING, "modules": {"": M_BLOCK}}, "module names must be nonempty"),
+        (
+            {"ring": R21_RING, "modules": {"m": M_BLOCK}, "elements": {"": "x1*t1"}},
+            "element names must be nonempty",
+        ),
+    ],
+    ids=[
+        "not-an-object",
+        "no-ring",
+        "ring-not-an-object",
+        "ring-without-d",
+        "modules-as-list",
+        "empty-module-name",
+        "empty-element-name",
+    ],
+)
+def test_malformed_spec_document_exit_2(tmp_path, doc, message):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    proc = brim("ebr", str(path), "-m", "m", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+
+
+def test_missing_spec_file_exit_2(tmp_path):
+    proc = brim("ebr", str(tmp_path / "nosuch.json"), "-m", "m", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "spec file not found" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "elem", ["x1*t1 + x2*t1^2", "0", "x1*t1^2"], ids=["not-t-homogeneous", "zero", "above"]
+)
+def test_length_quotient_element_exit_2(tmp_path, elem):
+    """A quotient element that is not t-homogeneous, or lies above the cell's
+    t-degree, is a user error with one message."""
+    spec = {"ring": R21_RING, "modules": {"m": M_BLOCK}, "elements": {"f": elem}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("length", str(path), "-m", "m", "-n", "1", "--quotient", "f", cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "quotient elements must be t-homogeneous of degree <= ambient" in proc.stderr
+
+
+def test_gf_modulus_at_the_primality_bound_exit_2(tmp_path):
+    """No exact primality test runs at 3317044064679887385961981 or above,
+    so such a modulus is refused, never taken on trust."""
+    bound = 3317044064679887385961981
+    spec = {"ring": {"field": {"GF": bound}, "d": 2, "p": 1}, "modules": {"m": M_BLOCK}}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(spec))
+    proc = brim("ebr", str(path), "-m", "m", cwd=tmp_path, env_extra={"BRIM_CACHE": "off"})
+    assert proc.returncode == 2, proc.stderr
+    assert f"modulus {bound} is not below {bound}" in proc.stderr
 
 
 def test_a_degree_at_the_slot_base_exit_3(tmp_path):

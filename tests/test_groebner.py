@@ -476,6 +476,17 @@ def test_basis_with_a_wrong_leading_monomial_raises():
             reducer.reduce(dict(parse_polynomial(R22, "x2*t2")._terms))
 
 
+def test_a_division_tail_term_at_the_slot_base_is_a_limit():
+    """Dividing x1^a*t1 by x1*t1 + x2^100*t2 forms a tail term of x-degree
+    a + 99 at the lower position: below the slot base 2^16 it is the
+    remainder, and at the base the division raises ResourceLimit."""
+    basis = buchberger(GeneratorSet(R22, 1, [parse_polynomial(R22, "x1*t1 + x2^100*t2")]))
+    rem = normal_form(parse_polynomial(R22, "x1^65436*t1"), basis)
+    assert rem == parse_polynomial(R22, "-x1^65435*x2^100*t2")
+    with pytest.raises(ResourceLimit, match=r"^degree 65536 reaches the slot base 65536$"):
+        normal_form(parse_polynomial(R22, "x1^65437*t1"), basis)
+
+
 # ---------------------------------------------------------------------------
 # the column count against the box scan and inclusion-exclusion
 
@@ -585,3 +596,21 @@ def test_colength_of_a_basis_that_is_not_reduced(module, data):
         padded.append(Polynomial.from_monomial(ring, multiple, 1))
     padded = data.draw(st.permutations(padded))
     assert colength(GroebnerBasis(ring, tdeg, padded)) == colength(reduced)
+
+
+def test_groebner_inputs_are_checked():
+    basis = buchberger(GeneratorSet(R21, 1, [parse_polynomial(R21, "x1*t1")]))
+    cases = [
+        (lambda: GeneratorSet(R21, 1, ["x1*t1"]), "generators must be polynomials"),
+        (
+            lambda: GeneratorSet(R21, 1, [parse_polynomial(R22, "x1*t1")]),
+            "generator from a different ring",
+        ),
+        (
+            lambda: normal_form(parse_polynomial(R22, "x1*t1"), basis),
+            "polynomial from a different ring",
+        ),
+    ]
+    for call, message in cases:
+        with pytest.raises(InvalidInput, match=f"^{message}$"):
+            call()

@@ -1192,3 +1192,99 @@ def test_slot_overflow_on_the_buchberger_path_names_the_cell(monkeypatch, field)
             match=rf"^length cell n=\[{n}\], q=0, t-degree {n}: degree 8 reaches the slot base 8$",
         ):
             ev.length(LengthQuery((a,), (n,)))
+
+
+# ---------------------------------------------------------------------------
+# a cell's generators, the lift rule for quotient elements, and length()'s checks
+
+import tracemalloc  # noqa: E402
+
+
+def test_cell_generators_shift_the_products_then_lift_the_quotient_elements():
+    """The products times the degree-q t-monomials (lex descending), then each
+    quotient element times the t-monomials of the degree that lifts it to the
+    cell's t-degree; the unit stands for the empty product."""
+    e = mk(R22, ["x1*t1", "x2*t2"])
+    gens = [parse_polynomial(R22, g) for g in ("x1*t1", "x2*t2")]
+    query = LengthQuery((e,), (1,), 1, (parse_polynomial(R22, "x1*t2"),))
+    expected = ["x1*t1^2", "x1*t1*t2", "x2*t1*t2", "x2*t2^2", "x1*t1*t2", "x1*t2^2"]
+    got = hilbert._cell_generators(query, gens)
+    assert got == [parse_polynomial(R22, g) for g in expected]
+    unit = (Polynomial.constant(R22, 1),)
+    query = LengthQuery((e,), (0,), 2, (parse_polynomial(R22, "x2*t1^2"),))
+    got = hilbert._cell_generators(query, unit)
+    assert got == [parse_polynomial(R22, g) for g in ("t1^2", "t1*t2", "t2^2", "x2*t1^2")]
+
+
+LIFT_MESSAGE = "quotient elements must be t-homogeneous of degree <= ambient"
+
+
+@pytest.mark.parametrize("elem", ["x1*t1 + x2*t1^2", "0", "x1*t1^2"])
+@pytest.mark.parametrize("gens", [["x1*t1", "x2*t1"], A_GENS], ids=["graded", "buchberger"])
+def test_one_lift_rule_for_quotient_elements(gens, elem):
+    """length() refuses a quotient element that is not t-homogeneous (zero
+    included) or lies above the cell's t-degree before any work, and both
+    paths behind the evaluator refuse it with the same message."""
+    query = LengthQuery((mk(R21, gens),), (1,), 0, (parse_polynomial(R21, elem),))
+    with pytest.raises(InvalidInput, match=f"^{LIFT_MESSAGE}$"):
+        length(query)
+    with pytest.raises(InvalidInput, match=f"^{LIFT_MESSAGE}$"):
+        Evaluator().length(query)
+    with pytest.raises(InvalidInput, match=f"^{LIFT_MESSAGE}$"):
+        build_slice_submodule(query, Evaluator())
+
+
+@pytest.mark.parametrize(
+    "count, exponents, message",
+    [
+        (1, (1, 1), "exponent count does not match module count"),
+        (2, (1, -1), "exponents must be non-negative"),
+        (2, (0, 0), "at least one exponent must be >= 1"),
+    ],
+    ids=["count", "negative", "all-zero"],
+)
+def test_length_checks_its_exponents(count, exponents, message):
+    m = mk(R21, ["x1*t1", "x2*t1"])
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        length(LengthQuery((m,) * count, exponents))
+
+
+def test_a_cache_window_is_counted_before_it_is_listed():
+    """A stored table whose window claims more cells than it has values is a
+    ValueError found without listing the window's indices."""
+    doc = {"axes": ["n1"], "window": [[1, 2_000_000]], "values": [1]}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^1 values for a window of 2000000 cells$"):
+            LengthTable.from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_difference_inputs_are_checked():
+    t = LengthTable(("n1",), ((1, 4),), {(n,): n for n in range(1, 5)})
+    with pytest.raises(InvalidInput, match="^one difference order per axis required$"):
+        finite_difference(t, [1, 1])
+    with pytest.raises(InvalidInput, match="^difference orders must be non-negative$"):
+        finite_difference(t, [-1])
+    from brim import NoStabilization
+
+    with pytest.raises(NoStabilization, match="^window of length 3 cannot certify width 3$"):
+        hilbert.stabilized_difference(t, [1])
+
+
+def test_an_infinite_buchberger_cell_behind_a_passed_gate_is_an_internal_error():
+    """The gate is read before either path; were it to pass a module whose
+    cells are infinite, the Buchberger count says so as an internal error
+    naming the cell, never as a length."""
+    e = mk(R21, ["x1^2*t1 + x2^3*t1"])
+    assert e.minimal_gens is None
+    with mock.patch.object(GradedSubmodule, "primarity", lambda self: None):
+        with pytest.raises(
+            InternalError,
+            match=r"^length cell n=\[1\], q=0, t-degree 1 is infinite, yet its factors pass",
+        ):
+            Evaluator().length(LengthQuery((e,), (1,)))
+

@@ -377,6 +377,23 @@ def test_converse_desk_case_gate(m):
         converse_criterion([P("x1*t1")], [m])
 
 
+@pytest.mark.parametrize(
+    "tdeg, xs, gens, message",
+    [
+        (2, ["x1*t1^2", "x2*t1^2"], [["x1*t1^2", "x2*t1^2"]] * 2, "degree-1 slice"),
+        (1, ["x1*t1", "x1*t1"], [["x1*t1", "x2*t1"]] * 2, "primarity gate failed"),
+        (1, ["x1*t1", "x2*t1"], [["x1*t1"], ["x1*t1", "x2*t1"]], "primarity gate failed"),
+    ],
+    ids=["degree-two", "span-off-gate", "module-off-gate"],
+)
+def test_converse_outside_the_desk_case(tdeg, xs, gens, message):
+    """Modules outside the degree-1 slice, and a span or a module that fails
+    the primarity gate, are not the desk case."""
+    modules = [mk(R21, g, tdeg) for g in gens]
+    with pytest.raises(NotDeskCase, match=message):
+        converse_criterion([P(x) for x in xs], modules)
+
+
 def test_converse_element_degree_gate(m):
     with pytest.raises(InvalidDegree):
         converse_criterion([P("x1*t1^2"), P("x2*t1")], [m, m])
@@ -464,6 +481,31 @@ def test_risler_sampling_gate_rejects_off_origin_spans(m):
     i = mk(R21, ["x1^2*t1", "x2*t1"])
     with pytest.raises(SuperficialSamplingFailed, match="primarity gate"):
         risler_teissier_check([m, i], (1, 1), seeds=(0,))
+
+
+def test_risler_sampling_reports_a_candidate_that_is_not_superficial(m, monkeypatch):
+    """A sampled element that fails verification is the last failure the
+    sampler reports once its attempts run out."""
+    from brim import SuperficialSamplingFailed
+
+    def sample(modules, seed):
+        return jointred.SuperficialCandidate(P("x1^2*t1"), seed, (1,))
+
+    monkeypatch.setattr(jointred, "sample_superficial", sample)
+    with pytest.raises(
+        SuperficialSamplingFailed, match=r"superficiality failed at position 0: x2\*t1\^2$"
+    ):
+        risler_teissier_check([m], (2,), seeds=(0,))
+
+
+def test_reduction_of_a_module_that_fails_the_gate():
+    """Against an E that fails the primarity gate, an infinite colength of U
+    is no proof of FALSE: the exponents are searched."""
+    e = mk(R21, ["x1*t1"])
+    assert is_reduction(e, e).verdict is Verdict.TRUE
+    decision = is_reduction(mk(R21, ["x1^2*t1"]), e)
+    assert decision.verdict is Verdict.INCONCLUSIVE
+    assert decision.counterexample == "x1^7*t1^7"
 
 
 def test_verify_superficial_in_the_degree_two_slice():
@@ -838,3 +880,43 @@ def test_parameter_span_ebr_equals_the_full_window(ring, gens):
     assert fast.table.window[0][1] > hilbert.N_CHECK
     assert (fast.value, fast.kind, fast.certificate) == (full.value, full.kind, full.certificate)
     assert fast.table.to_json() == full.table.to_json()
+
+
+def test_decider_inputs_are_checked(m):
+    from brim import ZeroModule
+
+    m2sq = mk(R21, ["x1^2*t1^2", "x1*x2*t1^2", "x2^2*t1^2"], 2)
+    cases = [
+        (lambda: sample_superficial([], 0), InvalidInput, "need at least one module"),
+        (
+            lambda: sample_superficial([mk(R21, ["0"])], 0),
+            ZeroModule,
+            "cannot sample from the zero module",
+        ),
+        (lambda: verify_superficial(P("x1*t1"), []), InvalidInput, "need at least one module"),
+        (
+            lambda: is_reduction(m, m2sq),
+            InvalidInput,
+            "reduction requires submodules of the same slice",
+        ),
+        (lambda: mn_joint_reduction_witness([], 1), InvalidInput, "need at least one element"),
+        (
+            lambda: mn_joint_reduction_witness([P("x1*t1^2")], 1),
+            InvalidDegree,
+            "elements must be t-homogeneous of degree 1",
+        ),
+        (
+            lambda: rees_equivalence_check(m2sq, m2sq),
+            InvalidInput,
+            "the equivalence check requires degree-1 submodules",
+        ),
+        (
+            lambda: risler_teissier_check([m2sq], (2,)),
+            InvalidInput,
+            "the check requires degree-1 submodules",
+        ),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
+

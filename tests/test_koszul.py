@@ -313,3 +313,32 @@ def test_g_mult_agrees_over_qq_and_a_prime_field():
         over_gf = g_mult_et(K(RingSpec(d=ring.d, p=ring.p, field=gf), texts))
         assert over_qq.value == over_gf.value, texts
         assert over_qq.homology_dims == over_gf.homology_dims, texts
+
+
+@pytest.mark.parametrize(
+    "elems, message",
+    [([], "need at least one element"), (["x1*t1"], "element from a different ring")],
+    ids=["none", "other-ring"],
+)
+def test_koszul_elements_are_checked(elems, message):
+    from brim import InvalidInput, parse_polynomial
+
+    other = RingSpec(d=2, p=2)
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        KoszulSpec(R21, [parse_polynomial(other, e) for e in elems])
+
+
+def test_homology_that_outlasts_the_delta_cap_is_no_stabilization(monkeypatch):
+    """The sweep needs STAB_WIDTH trailing zero degrees at delta >= STAB_WIDTH;
+    with DELTA_CAP below that it raises NoStabilization instead of a value."""
+    from brim import NoStabilization, koszul
+
+    spec = K(R21, ["x1*t1", "x2*t1"])
+    monkeypatch.setattr(koszul, "DELTA_CAP", 3)
+    assert g_mult_et(spec).value == 1
+    monkeypatch.setattr(koszul, "DELTA_CAP", 2)
+    with pytest.raises(
+        NoStabilization, match="^homology contributions did not vanish within x-degree 2$"
+    ):
+        g_mult_et(spec)
+

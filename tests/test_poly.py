@@ -359,3 +359,34 @@ def test_gf_normal_form_is_qq_normal_form_mod_p(p, divisor_terms, v_terms):
     basis_p = GroebnerBasis(gf, 1, [Polynomial(gf, d) for d in divisors])
     rem_p = normal_form(Polynomial(gf, v_terms), basis_p)
     assert gf_terms(rem_p, p) == residues(rem, p)
+
+
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        (QQ, "", "empty polynomial text"),
+        (QQ, "x1*t1 +", "dangling sign in polynomial text"),
+        (QQ, "x1*t1 2", "unexpected token '2' in polynomial text"),
+        (QQ, "1/0*x1*t1", "zero denominator"),
+        (PrimeField(7), "1/7*x1*t1", "denominator 7 not invertible mod 7"),
+    ],
+    ids=["empty", "dangling-sign", "unexpected-token", "zero-denominator", "gf-denominator"],
+)
+def test_malformed_polynomial_text(field, text, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        parse_polynomial(RingSpec(d=2, p=1, field=field), text)
+
+
+def test_the_zero_polynomial_has_no_leading_term():
+    from brim import Undefined
+
+    with pytest.raises(Undefined, match="^leading term of the zero polynomial$"):
+        Polynomial.zero(R21).leading_term()
+
+
+def test_a_monomial_of_other_dimensions_has_no_code():
+    from brim.poly import packing
+
+    with pytest.raises(InvalidInput, match="^monomial does not match ring dimensions$"):
+        packing(R22).code(Monomial((1,), (1, 0)))
+

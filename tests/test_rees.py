@@ -65,6 +65,11 @@ def test_power_single_generator():
     assert [str(g) for g in cube.gens] == ["x1^3*t1^3"]
 
 
+def test_power_exponent_is_checked():
+    with pytest.raises(InvalidInput, match="^power exponent must be >= 1$"):
+        mk(R21, ["x1*t1"]).power(0)
+
+
 def test_power_two_generators():
     e = mk(R21, ["x1*t1", "x2*t1"])
     sq = e.power(2)
@@ -93,6 +98,18 @@ def test_product_commutes_with_power():
 def test_product_ring_mismatch():
     with pytest.raises(InvalidInput):
         product(mk(R21, ["x1*t1"]), mk(R11, ["x1*t1"]))
+
+
+def test_product_pair_cap(monkeypatch):
+    """PRODUCT_GENERATOR_CAP bounds the pairs before any is formed."""
+    from brim import ResourceLimit, rees
+
+    m = mk(R21, ["x1*t1", "x2*t1"])
+    monkeypatch.setattr(rees, "PRODUCT_GENERATOR_CAP", 4)
+    assert len(product(m, m).gens) == 3
+    monkeypatch.setattr(rees, "PRODUCT_GENERATOR_CAP", 3)
+    with pytest.raises(ResourceLimit, match=r"^product would create 4 generators \(cap 3\)$"):
+        product(m, m)
 
 
 def test_power_additivity():
@@ -240,3 +257,16 @@ def test_minimal_gens_number_dim_e_mod_m_e(ring, pure, picks, coeffs):
     assert spans_equal(e, GradedSubmodule(SubmoduleSpec(ring, 1, minimal)))
     quotient_dim = _m_times(e).colength_report().value - e.colength_report().value
     assert len(minimal) == quotient_dim
+
+
+@pytest.mark.parametrize(
+    "vector, message",
+    [
+        (["x1"], "vector length 1 != 2 positions in degree 1"),
+        (["x1*t1", "0"], "vector entries must be x-polynomials"),
+    ],
+    ids=["length", "entry-with-t"],
+)
+def test_vector_generators_are_checked(vector, message):
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        GradedSubmodule.from_vectors(R22, 1, [vector])
